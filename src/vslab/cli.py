@@ -64,8 +64,10 @@ def _initial(grid, cfg):
             raise ConfigError(
                 f"initial_path: snapshot grid {n} does not match configured n={grid.n}"
             )
-        return w
-    return initial_vorticity(grid, cfg.initial, seed=cfg.seed)
+    else:
+        w = initial_vorticity(grid, cfg.initial, seed=cfg.seed)
+    grid.require_solenoidal(w)
+    return w
 
 
 def _partition_for(cfg, trajectory):
@@ -194,7 +196,9 @@ def cmd_study(cfg):
         )
         widths.append(cfg.T / n_slabs)
         errors.append(err)
-        rows.append((n_slabs, cfg.T / n_slabs, err))
+        worst_rho = max(r.max_ratio for r in result.records)
+        worst_iters = max(r.iterations for r in result.records)
+        rows.append((n_slabs, cfg.T / n_slabs, err, worst_rho, worst_iters))
         subdir = os.path.join(cfg.outdir, f"N{n_slabs}")
         ledger = estimates.enstrophy_ledger(
             result.trajectory, partition, cfg.epsilon0, cfg.sobolev_c, records=result.records
@@ -203,7 +207,9 @@ def cmd_study(cfg):
     fit = estimates.convergence_study(widths, errors)
     os.makedirs(cfg.outdir, exist_ok=True)
     reports.write_csv(
-        os.path.join(cfg.outdir, "study.csv"), ("slabs", "dt_k", "sup_l2_error"), rows
+        os.path.join(cfg.outdir, "study.csv"),
+        ("slabs", "dt_k", "sup_l2_error", "max_rho", "max_iters"),
+        rows,
     )
     print(
         f"study: levels={levels} rate={fit.rate:.4f} monotone={int(fit.monotone)} "
@@ -217,10 +223,8 @@ def cmd_monitor(cfg, snapdir):
     grid = traj.grid
     s = traj.series
     residual = estimates.energy_identity_residual(s.times, s.energy, s.dissipation, nu=cfg.nu)
-    grad_gap = max(grad_vorticity for grad_vorticity in (
-        estimates.grad_vorticity_check(grid, grid.biot_savart(w)) for w in traj.fields
-    ))
     u_fields = [grid.biot_savart(w) for w in traj.fields]
+    grad_gap = max(estimates.grad_vorticity_check(grid, u) for u in u_fields)
     rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", grad_gap)]
     if len(traj.times) >= 3:
         monitor = estimates.dt_u_monitor(traj.times, u_fields, grid)
@@ -282,13 +286,7 @@ def cli_dispatch(argv):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, slabs.PartitionError, snapshots.SnapshotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (slabs.PicardError, BlowUpError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, slabs.PicardError, BlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

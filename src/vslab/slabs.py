@@ -299,10 +299,6 @@ def linear_slab_solve(grid, omega_init, averages, t_lo, t_hi, nu, index=0):
     )
 
 
-def slab_average(solution: SlabSolution):
-    return solution.average()
-
-
 # -- velocity providers --------------------------------------------------------
 
 
@@ -317,8 +313,8 @@ class SelfConsistentVelocity:
     def velocity_for(self, grid, omega_bar, t_lo, t_hi):
         return grid.biot_savart(omega_bar)
 
-    def velocity_at(self, grid, solution, t):
-        return grid.biot_savart(solution.at(t))
+    def velocity_at(self, grid, w, t):
+        return grid.biot_savart(w)
 
 
 class ReferenceVelocity:
@@ -339,7 +335,7 @@ class ReferenceVelocity:
             self._cache[key] = self.trajectory.velocity_average_over(t_lo, t_hi)
         return self._cache[key]
 
-    def velocity_at(self, grid, solution, t):
+    def velocity_at(self, grid, w, t):
         return self.trajectory.velocity_at(t)
 
 
@@ -458,6 +454,7 @@ def run_slab_scheme(
     """
     if slab_samples < 2:
         raise ValueError("need at least two samples per slab")
+    grid.require_solenoidal(omega0)
     w = np.array(omega0, dtype=np.complex128)
     times = [0.0]
     fields = [w.copy()]
@@ -480,12 +477,13 @@ def run_slab_scheme(
         u_energy = []
         u_dissipation = []
         for t in sample_ts:
-            u = provider.velocity_at(grid, sol, t)
+            w_t = sol.at(t)
+            u = provider.velocity_at(grid, w_t, t)
             u_energy.append(grid.l2sq(u))
             u_dissipation.append(grid.h1sq(u))
             if t > t_lo:
                 times.append(float(t))
-                fields.append(sol.at(t))
+                fields.append(w_t)
         kstar = compute_kstar(sample_ts, u_energy, u_dissipation, t_lo, t_hi)
         records.append(
             SlabRecord(
@@ -541,35 +539,15 @@ def _polarizations(kvec):
 
 
 def _apply_averaged_transport(grid: Grid, u_bar, v):
-    """Complex-linear apply of w -> -(ubar.grad) w + (w.grad) ubar at frozen ubar."""
-    import scipy.fft as _f
+    """Complex-linear apply of w -> -(ubar.grad) w + (w.grad) ubar at frozen ubar.
 
-    from vslab.spectral import _FFT_WORKERS
-
-    n = grid.n
-    scale = n**3
-    up = _f.ifftn(u_bar * scale, axes=(-3, -2, -1), workers=_FFT_WORKERS).real
-    dup = np.empty((3, 3, n, n, n))
-    for j in range(3):
-        dup[j] = _f.ifftn(1j * grid.kd[j] * u_bar * scale, axes=(-3, -2, -1), workers=_FFT_WORKERS).real
-    vp = _f.ifftn(v * scale, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-    dvp = np.empty((3, 3, n, n, n), dtype=np.complex128)
-    for j in range(3):
-        dvp[j] = _f.ifftn(1j * grid.kd[j] * v * scale, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-    out = np.empty((3, n, n, n), dtype=np.complex128)
-    for i in range(3):
-        out[i] = (
-            vp[0] * dup[0, i]
-            + vp[1] * dup[1, i]
-            + vp[2] * dup[2, i]
-            - up[0] * dvp[0, i]
-            - up[1] * dvp[1, i]
-            - up[2] * dvp[2, i]
-        )
-    col = _f.fftn(out, axes=(-3, -2, -1), workers=_FFT_WORKERS) / scale
-    col = grid.leray_project(grid.dealias(col))
-    col[:, 0, 0, 0] = 0.0
-    return col
+    ``slab_forcing`` is real-linear in the vorticity argument and exact on real
+    fields, so it is applied to the Hermitian parts (v + Rv)/2 and (v - Rv)/2i
+    of v, with R the conjugate reflection.
+    """
+    real_part = slab_forcing(grid, SlabAverages(grid.symmetrize(v), u_bar))
+    imag_part = slab_forcing(grid, SlabAverages(grid.symmetrize(-1j * v), u_bar))
+    return real_part + 1j * imag_part
 
 
 def coupling_row_sums(grid: Grid, averages: SlabAverages, nu: float):

@@ -23,13 +23,8 @@ import struct
 
 import numpy as np
 
-from vslab.spectral import Grid
+from vslab.spectral import Grid, hermitian_defect
 from vslab.trajectory import Trajectory, series_from_samples
-
-
-def _hermitian_defect_raw(coeffs):
-    rev = np.flip(coeffs, axis=(-3, -2, -1))
-    return float(np.max(np.abs(coeffs - np.conj(np.roll(rev, 1, axis=(-3, -2, -1))))))
 
 MAGIC = b"VSLB"
 VERSION = 1
@@ -94,7 +89,7 @@ def load_field(path, symmetry_tol=1e-10):
     coeffs[:, order] = flat
     coeffs = coeffs.reshape(3, n, n, n)
     scale = max(1.0, float(np.max(np.abs(coeffs))))
-    defect = _hermitian_defect_raw(coeffs)
+    defect = hermitian_defect(coeffs)
     if defect > symmetry_tol * scale:
         raise SnapshotError(f"{path}: Hermitian symmetry violated (defect {defect:.3e})")
     return int(n), float(time), coeffs
@@ -116,7 +111,10 @@ def save_trajectory(outdir, trajectory: Trajectory):
 
 
 def load_trajectory(snapdir, nu=1.0, with_series=True):
-    """Rebuild a trajectory from every .vslb file in a directory."""
+    """Rebuild a trajectory from every .vslb file in a directory.
+
+    Every snapshot must be a zero-mean divergence-free vorticity field.
+    """
     names = sorted(f for f in os.listdir(snapdir) if f.endswith(".vslb"))
     if not names:
         raise SnapshotError(f"no .vslb snapshots in {snapdir}")
@@ -127,6 +125,10 @@ def load_trajectory(snapdir, nu=1.0, with_series=True):
             grid = Grid(n)
         elif n != grid.n:
             raise SnapshotError(f"{name}: grid size {n} differs from {grid.n}")
+        try:
+            grid.require_solenoidal(w)
+        except ValueError as exc:
+            raise SnapshotError(f"{name}: {exc}") from None
         times.append(t)
         fields.append(w)
     order = np.argsort(times)

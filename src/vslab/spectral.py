@@ -32,6 +32,10 @@ BOX_VOLUME = TWO_PI**3
 
 _FFT_WORKERS = 2
 
+# tolerances of the solenoidal check applied where fields enter the program
+DIV_TOL = 1e-8
+MEAN_TOL = 1e-13
+
 
 class FieldShapeError(ValueError):
     pass
@@ -43,6 +47,20 @@ class MeanModeError(ValueError):
 
 class DivergenceError(ValueError):
     """Raised when an operation needs a divergence-free field beyond tolerance."""
+
+
+def conjugate_reflection(coeffs):
+    """Amplitudes of the conjugate-reflected field, index k -> -k.
+
+    Works on any cube size, including grids too small for ``Grid``.
+    """
+    rev = np.flip(coeffs, axis=(-3, -2, -1))
+    return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
+
+
+def hermitian_defect(coeffs):
+    """Max |fhat[k] - conj(fhat[-k])|, zero for a real field."""
+    return float(np.max(np.abs(coeffs - conjugate_reflection(coeffs))))
 
 
 class Grid:
@@ -112,17 +130,8 @@ class Grid:
 
     # -- symmetry helpers ----------------------------------------------------
 
-    def conjugate_reflection(self, coeffs):
-        """Amplitudes of the conjugate-reflected field, index k -> -k."""
-        rev = np.flip(coeffs, axis=(-3, -2, -1))
-        return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
-
-    def hermitian_defect(self, coeffs):
-        """Max |fhat[k] - conj(fhat[-k])|, zero for a real field."""
-        return float(np.max(np.abs(coeffs - self.conjugate_reflection(coeffs))))
-
     def symmetrize(self, coeffs):
-        return 0.5 * (coeffs + self.conjugate_reflection(coeffs))
+        return 0.5 * (coeffs + conjugate_reflection(coeffs))
 
     # -- differential operators ----------------------------------------------
 
@@ -162,20 +171,28 @@ class Grid:
             return 0.0
         return float(np.sqrt(num / den))
 
-    def biot_savart(self, w, div_tol=1e-8, mean_tol=1e-13):
-        """Velocity with curl u = w: uhat = i k x what / |k|^2, zero mean.
+    def require_solenoidal(self, w):
+        """Raise unless w has zero mean and relative divergence at most DIV_TOL.
 
-        Requires zero mean vorticity (no periodic vector potential exists
-        otherwise) and divergence below ``div_tol`` relative to |k||what|.
+        Biot-Savart inversion needs both: no periodic vector potential exists
+        for mass at k=0, and the inversion would silently drop a gradient
+        part.  Called where fields enter the program; the solvers preserve
+        both properties by construction.
         """
         self._check_shape(w)
         scale = float(np.max(np.abs(w)))
         mean = float(np.max(np.abs(w[:, 0, 0, 0])))
-        if mean > mean_tol * max(scale, 1.0):
+        if mean > MEAN_TOL * max(scale, 1.0):
             raise MeanModeError(f"mean vorticity {mean:.3e} is not zero")
         rel = self.divergence_rel(w)
-        if rel > div_tol:
-            raise DivergenceError(f"relative divergence {rel:.3e} exceeds {div_tol:.1e}")
+        if rel > DIV_TOL:
+            raise DivergenceError(f"relative divergence {rel:.3e} exceeds {DIV_TOL:.1e}")
+
+    def biot_savart(self, w):
+        """Velocity with curl u = w: uhat = i k x what / |k|^2, zero mean.
+
+        Meaningful for zero-mean divergence-free w; see ``require_solenoidal``.
+        """
         return self.curl(w) * self.inv_ksq[np.newaxis]
 
     def dealias(self, coeffs):

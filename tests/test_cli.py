@@ -4,8 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 from vslab.cli import cli_dispatch
-from vslab.snapshots import load_field
+from vslab.snapshots import load_field, persist_field
+from vslab.spectral import Grid, random_divfree_field
 
 HERE = os.path.dirname(__file__)
 REPO = os.path.dirname(HERE)
@@ -169,7 +172,8 @@ def test_study_reports_rate(tmp_path, capsys):
     assert cli_dispatch(["study", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "rate=" in out
-    assert (tmp_path / "out" / "study.csv").exists()
+    with open(tmp_path / "out" / "study.csv") as fh:
+        assert fh.readline().strip() == "slabs,dt_k,sup_l2_error,max_rho,max_iters"
     assert (tmp_path / "out" / "N4" / "slabs.csv").exists()
 
 
@@ -183,6 +187,29 @@ def test_monitor_replays_snapshots(tmp_path, capsys):
     assert "dt_u_min_margin" in out
     assert "ladyzhenskaya_max_ratio" in out
     assert (tmp_path / "out" / "monitors.csv").exists()
+
+
+def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):
+    grid = Grid(8)
+    divergent = grid.gradient(grid.to_spectral(np.sin(grid.x[0])))
+    path = tmp_path / "w0.vslb"
+    persist_field(path, divergent, 0.0)
+    cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "divergence" in err[0]
+
+
+def test_monitor_rejects_nonzero_mean_snapshot(tmp_path, capsys):
+    w = random_divfree_field(Grid(8), seed=29).copy()
+    w[0, 0, 0, 0] = 0.1
+    snapdir = tmp_path / "snaps"
+    snapdir.mkdir()
+    persist_field(snapdir / "snap_000000.vslb", w, 0.0)
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "mean vorticity" in err[0]
 
 
 def test_set_override_changes_run(tmp_path):

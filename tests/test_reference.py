@@ -15,6 +15,7 @@ from vslab.reference import (
 )
 from vslab.spectral import (
     abc_vorticity,
+    hermitian_defect,
     random_divfree_field,
     taylor_green_velocity,
     taylor_green_vorticity,
@@ -60,7 +61,7 @@ def test_rhs_postconditions(grid8):
     rhs = vorticity_rhs(grid8, w)
     assert grid8.divergence_rel(rhs) < 1e-12
     assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0
-    assert grid8.hermitian_defect(rhs) < 1e-13
+    assert hermitian_defect(rhs) < 1e-13
 
 
 def test_step_pure_diffusion_is_exact(grid8):

@@ -20,7 +20,6 @@ from vslab.slabs import (
     make_provider,
     picard_solve_slab,
     run_slab_scheme,
-    slab_average,
     uniform_partition,
 )
 from vslab.spectral import BOX_VOLUME, abc_vorticity, random_divfree_field, taylor_green_vorticity
@@ -174,7 +173,7 @@ def test_slab_average_constant_trajectory(grid8):
     sol = linear_slab_solve(grid8, w0, _zero_averages(grid8), 0.0, 0.1, nu=1.0)
     sol.forcing = grid8.ksq * w0
     assert np.max(np.abs(sol.at(0.07) - w0)) < 1e-14
-    assert np.max(np.abs(slab_average(sol) - w0)) < 1e-14
+    assert np.max(np.abs(sol.average() - w0)) < 1e-14
 
 
 def test_slab_average_pure_decay(grid8):
@@ -185,7 +184,7 @@ def test_slab_average_pure_decay(grid8):
     a[0, 0, 0] = 1.0
     want = w0 * (1.0 - np.exp(-a * width)) / (a * width)
     want[:, 0, 0, 0] = w0[:, 0, 0, 0]
-    assert np.max(np.abs(slab_average(sol) - want)) < 1e-14
+    assert np.max(np.abs(sol.average() - want)) < 1e-14
 
 
 def test_slab_average_against_simpson(grid8):
@@ -196,7 +195,7 @@ def test_slab_average_against_simpson(grid8):
     ts = np.linspace(0.0, 0.08, 257)
     states = np.stack([sol.at(t) for t in ts])
     quad = simpson(states, x=ts, axis=0) / 0.08
-    assert np.max(np.abs(quad - slab_average(sol))) < 1e-10
+    assert np.max(np.abs(quad - sol.average())) < 1e-10
 
 
 # -- Picard ---------------------------------------------------------------------------

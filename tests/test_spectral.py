@@ -13,6 +13,7 @@ from vslab.spectral import (
     MeanModeError,
     abc_velocity,
     abc_vorticity,
+    hermitian_defect,
     random_divfree_field,
     splitmix64,
     splitmix64_uniform,
@@ -252,17 +253,17 @@ def test_biot_savart_round_trip(grid8):
     assert rel < 1e-12
 
 
-def test_biot_savart_rejects_mean_vorticity(grid8):
+def test_require_solenoidal_rejects_mean_vorticity(grid8):
     w = random_divfree_field(grid8, seed=29).copy()
     w[0, 0, 0, 0] = 0.1
     with pytest.raises(MeanModeError):
-        grid8.biot_savart(w)
+        grid8.require_solenoidal(w)
 
 
-def test_biot_savart_rejects_divergent_input(grid8):
+def test_require_solenoidal_rejects_divergent_input(grid8):
     w = grid8.gradient(grid8.to_spectral(np.sin(grid8.x[0])))
     with pytest.raises(DivergenceError):
-        grid8.biot_savart(w)
+        grid8.require_solenoidal(w)
 
 
 # -- dealiasing ----------------------------------------------------------------------------
@@ -337,7 +338,7 @@ def test_operations_preserve_hermitian_symmetry(seed):
         grid.biot_savart(v),
         grid.dealias(v),
     ):
-        assert grid.hermitian_defect(out) < 1e-13
+        assert hermitian_defect(out) < 1e-13
 
 
 @settings(max_examples=15, deadline=None)
