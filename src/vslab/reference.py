@@ -2,14 +2,17 @@
 
 The evolved unknown is the spectral vorticity w with velocity recovered by
 Biot-Savart inversion each evaluation.  The nonlinear right-hand side is the
-convective form
+transport and stretching term in rotational form
 
-    N(w) = -(u . grad) w + (w . grad) u
+    N(w) = (w . grad) u - (u . grad) w = curl(u x w),
 
-computed through physical space with 2/3-rule dealiasing, Leray projection,
-and a pinned zero mean.  Diffusion is handled exactly per mode by the
-integrating factor exp(-nu |k|^2 t) inside a classical four-stage
-Runge-Kutta step, so a pure-diffusion problem is advanced exactly.
+an identity for solenoidal u and w.  The product u x w is formed on the
+physical grid with real FFTs, then curled, dealiased by the 2/3 rule,
+Leray-projected and given a pinned zero mean; ``slab_forcing`` uses the same
+kernel.  ``velocity_rhs`` keeps the convective form as an independent check.
+Diffusion is handled exactly per mode by the integrating factor
+exp(-nu |k|^2 t) inside a classical four-stage Runge-Kutta step, so a
+pure-diffusion problem is advanced exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from vslab.spectral import Grid, _FFT_WORKERS
-from vslab.trajectory import ScalarSeries, Trajectory, scalar_record
+from vslab.trajectory import Trajectory, scalar_record, series_from_records
 
 
 @dataclass
@@ -45,23 +48,47 @@ class BlowUpError(RuntimeError):
         super().__init__(f"blow-up at t={time:.6g}: enstrophy={enstrophy:.6g}")
 
 
-def _nonlinear_physical(grid: Grid, u, w):
-    """(w . grad) u - (u . grad) w evaluated pointwise, returned in physical space."""
+def _cross(a, b, out):
+    """Pointwise a x b over the leading axis of length 3, written to ``out``."""
+    for i in range(3):
+        j, l = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[l], out=out[i])
+        out[i] -= a[l] * b[j]
+    return out
+
+
+def nonlinear_term(grid: Grid, u, w):
+    """curl(u x w), dealiased and projected, with the k=0 amplitude pinned to zero.
+
+    For solenoidal u and w this is the transport and stretching term
+    (w . grad) u - (u . grad) w.  Only the half spectrum k_3 >= 0 of the
+    Hermitian inputs is transformed, with real FFTs: six inverse, three
+    forward.  The half k_3 < 0 of the result is filled in by conjugate
+    reflection, so the output is a full Hermitian spectrum.
+    """
     n = grid.n
+    h = n // 2 + 1
+    half = (Ellipsis, slice(0, h))
     scale = float(n**3)
-    stack = np.empty((24, n, n, n), dtype=np.complex128)
-    np.multiply(u, scale, out=stack[0:3])
-    np.multiply(w, scale, out=stack[3:6])
-    ikd = grid.ikd_scaled(scale)
-    for j in range(3):  # derivative columns d/dx_j
-        np.multiply(ikd[j], u, out=stack[6 + 3 * j : 9 + 3 * j])
-        np.multiply(ikd[j], w, out=stack[15 + 3 * j : 18 + 3 * j])
-    phys = _fft.ifftn(stack, axes=(-3, -2, -1), workers=_FFT_WORKERS, overwrite_x=True).real
-    up, wp = phys[0:3], phys[3:6]
-    du = phys[6:15].reshape(3, 3, n, n, n)  # du[j, i] = d u_i / d x_j
-    dw = phys[15:24].reshape(3, 3, n, n, n)
-    out = np.einsum("jxyz,jixyz->ixyz", wp, du)
-    out -= np.einsum("jxyz,jixyz->ixyz", up, dw)
+    stack = np.empty((6, n, n, h), dtype=np.complex128)
+    np.multiply(u[half], scale, out=stack[0:3])
+    np.multiply(w[half], scale, out=stack[3:6])
+    phys = _fft.irfftn(stack, s=(n, n, n), axes=(-3, -2, -1), workers=_FFT_WORKERS, overwrite_x=True)
+    uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
+    c = _fft.rfftn(uxw, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    c *= (1.0 / scale) * grid.keep[half]
+    rot = _cross(grid.kd[half], c, np.empty_like(c))
+    rot *= 1j
+    k = grid.k[half]
+    kdotv = k[0] * rot[0] + k[1] * rot[1] + k[2] * rot[2]
+    kdotv *= grid.inv_ksq[half]
+    rot -= k * kdotv
+    rot[:, 0, 0, 0] = 0.0
+    out = np.empty((3, n, n, n), dtype=np.complex128)
+    out[half] = rot
+    # amplitude at k_3 < 0 is conj of the one at -k, whose k_3 = -k_3 lies in the half
+    mirror = np.roll(np.flip(rot[..., 1 : n // 2], axis=(-3, -2, -1)), 1, axis=(-3, -2))
+    np.conjugate(mirror, out=out[..., h:])
     return out
 
 
@@ -72,11 +99,7 @@ def vorticity_rhs(grid: Grid, w):
     factor.  The k=0 amplitude is pinned to zero so the mean vorticity is
     conserved exactly.
     """
-    u = grid.biot_savart(w)
-    rhs = grid.to_spectral(_nonlinear_physical(grid, u, w))
-    rhs = grid.leray_project(grid.dealias(rhs))
-    rhs[:, 0, 0, 0] = 0.0
-    return rhs
+    return nonlinear_term(grid, grid.biot_savart(w), w)
 
 
 def velocity_rhs(grid: Grid, u):
@@ -165,14 +188,7 @@ def run_reference(
         if want_field or step == n_steps:
             times.append(t)
             fields.append(w.copy())
-    arr = np.array(s_rows, dtype=np.float64)
-    series = ScalarSeries(
-        times=np.array(s_times),
-        energy=arr[:, 0],
-        enstrophy=arr[:, 1],
-        dissipation=arr[:, 2],
-        enstrophy_dissipation=arr[:, 3],
-    )
+    series = series_from_records(s_times, s_rows)
     return Trajectory(grid=grid, nu=cfg.nu, times=np.array(times), fields=fields, series=series)
 
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import trapezoid
 
+from vslab.reference import nonlinear_term
 from vslab.spectral import Grid
-from vslab.trajectory import ScalarSeries, Trajectory
+from vslab.trajectory import ScalarSeries, Trajectory, scalar_record, series_from_records
 
 
 class PartitionError(ValueError):
@@ -247,6 +248,9 @@ class SlabSolution:
     averages: SlabAverages | None = None
     diagnostics: PicardDiagnostics | None = None
 
+    def __post_init__(self):
+        self._rate = self.nu * self.grid.ksq  # per-mode decay rate a = nu |k|^2
+
     @property
     def width(self):
         return self.t_hi - self.t_lo
@@ -256,10 +260,15 @@ class SlabSolution:
         if tau < -1e-12 or tau > self.width + 1e-12:
             raise ValueError(f"time {t} outside slab [{self.t_lo}, {self.t_hi}]")
         tau = min(max(tau, 0.0), self.width)
-        a = self.nu * self.grid.ksq
-        decay = np.exp(-a * tau)
-        duhamel = tau * _phi(a * tau)  # (1 - exp(-a tau))/a, finite at k=0
-        return decay * self.omega_init + duhamel * self.forcing
+        x = self._rate * tau
+        decay = np.exp(-x)
+        # duhamel = tau * _phi(x) = (1 - exp(-a tau))/a, finite at k=0
+        duhamel = 1.0 - 0.5 * x
+        np.divide(-np.expm1(-x), x, out=duhamel, where=x > 1e-12)
+        duhamel *= tau
+        out = decay * self.omega_init
+        out += duhamel * self.forcing
+        return out
 
     def endpoint(self):
         return self.at(self.t_hi)
@@ -274,13 +283,14 @@ class SlabSolution:
 
 
 def slab_forcing(grid: Grid, averages: SlabAverages):
-    """Constant forcing -(ubar.grad) wbar + (wbar.grad) ubar, projected and dealiased."""
-    from vslab.reference import _nonlinear_physical
+    """Constant forcing curl(ubar x wbar), projected and dealiased.
 
-    rhs = grid.to_spectral(_nonlinear_physical(grid, averages.u_bar, averages.omega_bar))
-    rhs = grid.leray_project(grid.dealias(rhs))
-    rhs[:, 0, 0, 0] = 0.0
-    return rhs
+    This is the transport and stretching term (wbar.grad) ubar - (ubar.grad)
+    wbar only when both averages are solenoidal, which every provider
+    guarantees: ubar is a Biot-Savart velocity and wbar a combination of
+    projected fields.
+    """
+    return nonlinear_term(grid, averages.u_bar, averages.omega_bar)
 
 
 def linear_slab_solve(grid, omega_init, averages, t_lo, t_hi, nu, index=0):
@@ -313,8 +323,10 @@ class SelfConsistentVelocity:
     def velocity_for(self, grid, omega_bar, t_lo, t_hi):
         return grid.biot_savart(omega_bar)
 
-    def velocity_at(self, grid, w, t):
-        return grid.biot_savart(w)
+    def sample_load(self, grid, record, t):
+        """(|u|^2, |grad u|^2) entering kstar at a sample whose scalar_record is ``record``."""
+        energy, _, dissipation, _ = record
+        return energy, dissipation
 
 
 class ReferenceVelocity:
@@ -335,8 +347,9 @@ class ReferenceVelocity:
             self._cache[key] = self.trajectory.velocity_average_over(t_lo, t_hi)
         return self._cache[key]
 
-    def velocity_at(self, grid, w, t):
-        return self.trajectory.velocity_at(t)
+    def sample_load(self, grid, record, t):
+        u = self.trajectory.velocity_at(t)
+        return grid.l2sq(u), grid.h1sq(u)
 
 
 def make_provider(name, trajectory=None):
@@ -450,7 +463,9 @@ def run_slab_scheme(
     Each slab starts from the exact endpoint array of the previous one.  Per
     slab the record carries the Picard iteration count, the worst measured
     contraction ratio, and the slab load kstar computed from the provider's
-    velocity on the sample points.
+    velocity on the sample points.  Each sample is inverted once: its
+    scalar_record feeds both the norm series and, for the self-consistent
+    provider, kstar.
     """
     if slab_samples < 2:
         raise ValueError("need at least two samples per slab")
@@ -458,6 +473,7 @@ def run_slab_scheme(
     w = np.array(omega0, dtype=np.complex128)
     times = [0.0]
     fields = [w.copy()]
+    norm_rows = [scalar_record(grid, w)]
     solutions = []
     records = []
     for k, t_lo, t_hi in partition:
@@ -474,16 +490,16 @@ def run_slab_scheme(
             small_mode_diagnostic=small_mode_diagnostic,
         )
         sample_ts = np.linspace(t_lo, t_hi, slab_samples + 1)
-        u_energy = []
-        u_dissipation = []
-        for t in sample_ts:
+        # the first sample is the slab's start state w, already recorded
+        loads = [provider.sample_load(grid, norm_rows[-1], t_lo)]
+        for t in sample_ts[1:]:
             w_t = sol.at(t)
-            u = provider.velocity_at(grid, w_t, t)
-            u_energy.append(grid.l2sq(u))
-            u_dissipation.append(grid.h1sq(u))
-            if t > t_lo:
-                times.append(float(t))
-                fields.append(w_t)
+            record = scalar_record(grid, w_t)
+            loads.append(provider.sample_load(grid, record, t))
+            times.append(float(t))
+            fields.append(w_t)
+            norm_rows.append(record)
+        u_energy, u_dissipation = zip(*loads)
         kstar = compute_kstar(sample_ts, u_energy, u_dissipation, t_lo, t_hi)
         records.append(
             SlabRecord(
@@ -498,15 +514,13 @@ def run_slab_scheme(
             )
         )
         solutions.append(sol)
-        w = sol.endpoint()
-    from vslab.trajectory import series_from_samples
-
+        w = fields[-1]  # sol.endpoint(): the last sample is t_hi
     traj = Trajectory(
         grid=grid,
         nu=nu,
         times=np.array(times),
         fields=fields,
-        series=series_from_samples(grid, times, fields),
+        series=series_from_records(times, norm_rows),
     )
     return SlabRunResult(
         trajectory=traj,

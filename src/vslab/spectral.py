@@ -90,13 +90,6 @@ class Grid:
         x1 = TWO_PI * np.arange(n) / n
         self.x = np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
         self.cell_volume = (TWO_PI / n) ** 3
-        self._ikd_cache = {}
-
-    def ikd_scaled(self, scale):
-        """Cached i * k_derivative * scale, the hot factor of the RHS evaluations."""
-        if scale not in self._ikd_cache:
-            self._ikd_cache[scale] = (1j * scale) * self.kd
-        return self._ikd_cache[scale]
 
     def __repr__(self):
         return f"Grid(n={self.n})"

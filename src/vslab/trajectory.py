@@ -99,8 +99,12 @@ def scalar_record(grid: Grid, w):
 
 
 def series_from_samples(grid: Grid, times, fields):
-    rows = [scalar_record(grid, w) for w in fields]
-    arr = np.array(rows, dtype=np.float64).reshape(len(fields), 4)
+    return series_from_records(times, [scalar_record(grid, w) for w in fields])
+
+
+def series_from_records(times, records):
+    """ScalarSeries from one scalar_record tuple per sample time."""
+    arr = np.array(records, dtype=np.float64).reshape(len(records), 4)
     return ScalarSeries(
         times=np.asarray(times, dtype=np.float64),
         energy=arr[:, 0],

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 import sympy as sp
 
 from vslab.reference import (
     BlowUpError,
     StepperConfig,
+    nonlinear_term,
     rk4_step,
     run_reference,
     run_reference_velocity,
     velocity_rhs,
     vorticity_rhs,
 )
+from vslab.slabs import SlabAverages, slab_forcing
 from vslab.spectral import (
+    Grid,
     abc_vorticity,
     hermitian_defect,
     random_divfree_field,
@@ -62,6 +66,51 @@ def test_rhs_postconditions(grid8):
     assert grid8.divergence_rel(rhs) < 1e-12
     assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0
     assert hermitian_defect(rhs) < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_rhs_matches_curl_of_convective_velocity_rhs(n, seed):
+    """Rotational-form vorticity RHS vs curl of the convective velocity RHS."""
+    grid = Grid(n)
+    u = random_divfree_field(grid, seed=seed)
+    want = grid.curl(velocity_rhs(grid, u))
+    got = vorticity_rhs(grid, grid.curl(u))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_slab_forcing_is_the_rhs_kernel(grid8):
+    w = random_divfree_field(grid8, seed=11)
+    forcing = slab_forcing(grid8, SlabAverages(w, grid8.biot_savart(w)))
+    assert np.array_equal(forcing, vorticity_rhs(grid8, w))
+
+
+def test_kernel_output_is_hermitian(grid16):
+    w = random_divfree_field(grid16, seed=13)
+    out = nonlinear_term(grid16, grid16.biot_savart(w), w)
+    assert hermitian_defect(out) <= 1e-15 * np.max(np.abs(out))
+
+
+def test_rhs_transform_count(grid8, monkeypatch):
+    """One RHS is 6 inverse and 3 forward real n^3 transforms, no complex FFT."""
+    done = []
+
+    def counting(name):
+        original = getattr(scipy.fft, name)
+
+        def wrapper(x, *args, **kwargs):
+            out = original(x, *args, **kwargs)
+            real = out if name == "irfftn" else x
+            assert real.shape[-3:] == (8, 8, 8)
+            done.append((name, real.size // 8**3))
+            return out
+
+        monkeypatch.setattr(scipy.fft, name, wrapper)
+
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        counting(name)
+    vorticity_rhs(grid8, random_divfree_field(grid8, seed=17))
+    assert sorted(done) == [("irfftn", 6), ("rfftn", 3)]
 
 
 def test_step_pure_diffusion_is_exact(grid8):

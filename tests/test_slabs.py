@@ -11,6 +11,7 @@ from vslab.slabs import (
     ReferenceVelocity,
     SelfConsistentVelocity,
     SlabAverages,
+    SlabSolution,
     TimePartition,
     adaptive_partition,
     build_partition,
@@ -22,6 +23,7 @@ from vslab.slabs import (
     run_slab_scheme,
     uniform_partition,
 )
+from vslab.slabs import _phi
 from vslab.spectral import BOX_VOLUME, abc_vorticity, random_divfree_field, taylor_green_vorticity
 from vslab.trajectory import Trajectory, series_from_samples
 
@@ -165,6 +167,22 @@ def test_slab_solve_against_fine_stepper_oracle(grid8):
         w = rk4_step(grid8, w, cfg, rhs=lambda grid, state: forcing)
     rel = np.sqrt(grid8.l2sq(w - sol.endpoint()) / grid8.l2sq(sol.endpoint()))
     assert rel < 1e-10
+
+
+def test_slab_at_matches_decay_plus_duhamel_formula(grid8):
+    w0 = random_divfree_field(grid8, seed=61)
+    forcing = random_divfree_field(grid8, seed=67)
+    forcing[:, 0, 0, 0] = [0.5, -0.25, 0.125]  # exercise the k=0 limit
+    t_lo, t_hi, nu = 0.3, 0.35, 0.7
+    sol = SlabSolution(grid8, 0, t_lo, t_hi, nu, w0, forcing)
+    a = nu * grid8.ksq
+    for t in (t_lo, 0.5 * (t_lo + t_hi), t_hi):
+        tau = t - t_lo
+        want = np.exp(-a * tau) * w0 + tau * _phi(a * tau) * forcing
+        got = sol.at(t)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got[:, 0, 0, 0], w0[:, 0, 0, 0] + tau * forcing[:, 0, 0, 0])
+    assert np.array_equal(sol.at(t_lo), w0)
 
 
 def test_slab_average_constant_trajectory(grid8):
