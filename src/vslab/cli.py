@@ -18,6 +18,7 @@ from vslab import estimates, reports, slabs, snapshots
 from vslab.config import ConfigError, load_config
 from vslab.reference import BlowUpError, StepperConfig, run_reference
 from vslab.spectral import Grid, initial_vorticity
+from vslab.trajectory import scalar_record, series_from_records
 
 
 class UsageError(Exception):
@@ -219,11 +220,13 @@ def cmd_study(cfg):
 
 
 def cmd_monitor(cfg, snapdir):
-    traj = snapshots.load_trajectory(snapdir, nu=cfg.nu)
+    traj = snapshots.load_trajectory(snapdir, nu=cfg.nu, with_series=False)
     grid = traj.grid
-    s = traj.series
-    residual = estimates.energy_identity_residual(s.times, s.energy, s.dissipation, nu=cfg.nu)
     u_fields = [grid.biot_savart(w) for w in traj.fields]
+    s = series_from_records(
+        traj.times, [scalar_record(grid, w, u) for w, u in zip(traj.fields, u_fields)]
+    )
+    residual = estimates.energy_identity_residual(s.times, s.energy, s.dissipation, nu=cfg.nu)
     grad_gap = max(estimates.grad_vorticity_check(grid, u) for u in u_fields)
     rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", grad_gap)]
     if len(traj.times) >= 3:

@@ -242,9 +242,19 @@ def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     the squared L2 amplitude is then integrated against |sigma|^(2 gamma)
     over the resolvable band |sigma| <= pi/h (angular frequency).  Requires
     gamma in (0, 1/4); the value is finite and deterministic given samples.
+
+    S(sigma) = sum_d G_d (2 cos(sigma d h) - [d = 0]) needs only the sums G_d
+    of the lag-d diagonals of the snapshots' Gram matrix.  The snapshots are
+    Hermitian, so that Gram matrix is real: it is formed from the half
+    spectrum k_3 >= 0 viewed as real numbers, each plane other than k_3 = 0
+    and k_3 = -n/2 weighted by sqrt(2) to stand for its conjugate mirror.  On
+    the uniform frequency grid sigma_j = j pi / (h L), j = 0..L, the cosine
+    sums are the real part of one real FFT of length 2L of the lag sums.
     """
     if not 0.0 < gamma < 0.25:
         raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
+    if freq_points < 2:
+        raise ValueError(f"need at least two frequency points, got {freq_points}")
     times = np.asarray(times, dtype=np.float64)
     if len(times) < 2:
         raise ValueError("need at least two samples")
@@ -252,25 +262,28 @@ def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     h = float(steps[0])
     if np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
         raise ValueError("samples must be uniformly spaced")
-    # hold values on [t_m, t_m + h): the last sample only closes the span
-    data = np.stack([np.ravel(f) for f in fields[:-1]])  # (M, 3 n^3)
-    M = data.shape[0]
-    gram = BOX_VOLUME * (data @ data.conj().T)
-    if float(np.max(np.abs(gram))) == 0.0:
-        return HGammaDiagnostic(gamma=gamma, value=0.0, sigma_max=np.pi / h, freq_points=freq_points)
-    offsets = np.array([np.trace(gram, offset=d) for d in range(M)])
     sigma_max = np.pi / h
+    # hold values on [t_m, t_m + h): the last sample only closes the span
+    M = len(fields) - 1
+    n = grid.n
+    half = n // 2 + 1
+    plane_weight = np.full(half, np.sqrt(2.0))
+    plane_weight[[0, n // 2]] = 1.0
+    stack = np.empty((M, 3, n, n, half), dtype=np.complex128)
+    for m in range(M):
+        np.multiply(fields[m][..., :half], plane_weight, out=stack[m])
+    real = stack.reshape(M, -1).view(np.float64)
+    gram = BOX_VOLUME * (real @ real.T)
+    if not np.any(gram):
+        return HGammaDiagnostic(gamma=gamma, value=0.0, sigma_max=sigma_max, freq_points=freq_points)
+    offsets = np.array([np.trace(gram, offset=d) for d in range(M)])
     sigma = np.linspace(0.0, sigma_max, freq_points)
-    spectrum = np.empty(freq_points)
-    block = 16384
-    d = np.arange(M)
-    for lo in range(0, freq_points, block):
-        sl = sigma[lo : lo + block]
-        phase = np.exp(1j * np.outer(sl, d * h))
-        acc = phase @ offsets
-        spectrum[lo : lo + block] = 2.0 * acc.real - offsets[0].real
+    # sigma_j d h = pi j d / L: cos is 2L-periodic in d, so fold the lags mod 2L
+    L = freq_points - 1
+    pad = np.zeros(2 * L)
+    np.add.at(pad, np.arange(M) % (2 * L), offsets)
+    spectrum = 2.0 * np.fft.rfft(pad).real - offsets[0]
     # hold-kernel factor |(1 - e^{-i sigma h}) / sigma|^2 = h^2 sinc^2(sigma h / 2)
-    half = 0.5 * sigma * h
     kernel = np.full_like(sigma, h**2)
     nz = sigma > 0
     kernel[nz] = (2.0 - 2.0 * np.cos(sigma[nz] * h)) / sigma[nz] ** 2

@@ -208,8 +208,15 @@ class Grid:
         return BOX_VOLUME * float(np.sum(self.ksq * np.abs(coeffs) ** 2))
 
     def l4(self, coeffs):
-        """L4 norm of |field| evaluated on the physical grid quadrature."""
-        phys = self.to_physical(coeffs)
+        """L4 norm of |field| evaluated on the physical grid quadrature.
+
+        The field must be real (Hermitian amplitudes): only the half
+        spectrum k_3 >= 0 is synthesized, with a real inverse FFT.
+        """
+        self._check_shape(coeffs)
+        n = self.n
+        half = coeffs[..., : n // 2 + 1] * n**3
+        phys = _fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), workers=_FFT_WORKERS, overwrite_x=True)
         if phys.ndim == 4:
             mag_sq = np.sum(phys**2, axis=0)
         else:

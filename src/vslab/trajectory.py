@@ -92,9 +92,13 @@ class Trajectory:
         return self.grid.biot_savart(self.average_field_over(t_lo, t_hi))
 
 
-def scalar_record(grid: Grid, w):
-    """Norm tuple (energy, enstrophy, dissipation, enstrophy_dissipation) of one state."""
-    u = grid.biot_savart(w)
+def scalar_record(grid: Grid, w, u=None):
+    """Norm tuple (energy, enstrophy, dissipation, enstrophy_dissipation) of one state.
+
+    ``u`` is the velocity of ``w``, inverted here unless the caller has it.
+    """
+    if u is None:
+        u = grid.biot_savart(w)
     return grid.l2sq(u), grid.l2sq(w), grid.h1sq(u), grid.h1sq(w)
 
 

@@ -189,6 +189,22 @@ def test_monitor_replays_snapshots(tmp_path, capsys):
     assert (tmp_path / "out" / "monitors.csv").exists()
 
 
+def test_monitor_inverts_each_snapshot_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, field_every=2)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    calls = []
+    original = Grid.biot_savart
+
+    def counting(self, w):
+        calls.append(1)
+        return original(self, w)
+
+    monkeypatch.setattr(Grid, "biot_savart", counting)
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    assert len(calls) == len(list(snap.glob("*.vslb")))
+
+
 def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):
     grid = Grid(8)
     divergent = grid.gradient(grid.to_spectral(np.sin(grid.x[0])))

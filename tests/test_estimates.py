@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vslab.estimates import (
+    _weighted_linear_integral,
     average_cs_check,
     convergence_study,
     dt_u_monitor,
@@ -257,6 +258,12 @@ def test_hgamma_rejects_gamma_out_of_range(grid8, gamma):
         hgamma_diagnostic(np.linspace(0, 1, 5), [zeros] * 5, gamma, grid8)
 
 
+def test_hgamma_needs_two_frequency_points(grid8):
+    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    with pytest.raises(ValueError):
+        hgamma_diagnostic(np.linspace(0, 1, 5), [zeros] * 5, 0.2, grid8, freq_points=1)
+
+
 def test_hgamma_constant_mode_against_quadrature_oracle(grid8):
     w = single_mode_vorticity(grid8)
     times = np.linspace(0.0, 1.0, 65)
@@ -270,6 +277,35 @@ def test_hgamma_constant_mode_against_quadrature_oracle(grid8):
     want = 2.0 * grid8.l2sq(w) * oracle
     assert abs(diag.value - want) / want < 1e-6
     assert quad_err / want < 1e-8
+
+
+def direct_hgamma(times, fields, gamma, freq_points):
+    """The diagnostic from its definition: complex Gram matrix of the full
+    spectra, lag sums, and the direct sum of their Fourier phases."""
+    data = np.stack([np.ravel(f) for f in fields[:-1]])
+    gram = BOX_VOLUME * (data @ data.conj().T)
+    offsets = np.array([np.trace(gram, offset=d) for d in range(len(data))])
+    h = times[1] - times[0]
+    sigma = np.linspace(0.0, np.pi / h, freq_points)
+    lags = np.arange(len(offsets)) * h
+    spectrum = np.empty(freq_points)
+    for lo in range(0, freq_points, 16384):
+        phase = np.exp(1j * np.outer(sigma[lo : lo + 16384], lags))
+        spectrum[lo : lo + 16384] = 2.0 * (phase @ offsets).real - offsets[0].real
+    kernel = np.full_like(sigma, h**2)
+    kernel[1:] = (2.0 - 2.0 * np.cos(sigma[1:] * h)) / sigma[1:] ** 2
+    return 2.0 * _weighted_linear_integral(sigma, spectrum * kernel, 2.0 * gamma)
+
+
+@pytest.mark.parametrize("freq_points", [131073, 1001, 9])
+@pytest.mark.parametrize("seed", [3, 41])
+def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
+    # 16 held samples; 9 frequency points are fewer than the lags
+    fields = [random_divfree_field(grid8, seed + m) for m in range(17)]
+    times = np.linspace(0.0, 0.5, 17)
+    got = hgamma_diagnostic(times, fields, 0.2, grid8, freq_points=freq_points).value
+    want = direct_hgamma(times, fields, 0.2, freq_points)
+    assert abs(got - want) / want < 1e-12
 
 
 def test_hgamma_monotone_in_gamma(grid8):

@@ -311,6 +311,22 @@ def test_norms_constant_field(grid8):
     assert suite["h1_semi_sq"] == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "n, seed, component",
+    [(8, 3, None), (16, 7, None), (16, 11, 1)],
+    ids=["vector8", "vector16", "scalar16"],
+)
+def test_l4_matches_full_spectrum_quadrature(n, seed, component):
+    grid = Grid(n)
+    v = random_divfree_field(grid, seed)
+    if component is not None:
+        v = v[component]
+    phys = grid.to_physical(v)
+    mag_sq = np.sum(phys**2, axis=0) if phys.ndim == 4 else phys**2
+    want = (np.sum(mag_sq**2) * grid.cell_volume) ** 0.25
+    assert abs(grid.l4(v) - want) / want < 1e-13
+
+
 def test_h1_equals_enstrophy_of_curl(grid8):
     u = grid8.biot_savart(random_divfree_field(grid8, seed=31))
     h1 = grid8.h1sq(u)
