@@ -74,16 +74,18 @@ def _initial(grid, cfg):
 def _partition_for(cfg, trajectory):
     if cfg.policy == "uniform":
         return slabs.uniform_partition(cfg.T, cfg.slabs)
-    if trajectory is None or trajectory.series is None:
-        raise ConfigError("policy: adaptive partition needs a reference trajectory (reference_dir)")
     return slabs.adaptive_partition(
         cfg.T, cfg.epsilon0, cfg.sobolev_c, trajectory.series, cfg.dt_floor
     )
 
 
 def _reference_trajectory(cfg, grid):
+    """The run stored in reference_dir, or None when no setting needs one."""
+    if cfg.provider != "reference" and cfg.policy != "adaptive":
+        return None
     if not cfg.reference_dir:
-        raise ConfigError("reference_dir: required for provider = reference")
+        need = "provider = reference" if cfg.provider == "reference" else "policy = adaptive"
+        raise ConfigError(f"reference_dir: required for {need}")
     traj = snapshots.load_trajectory(cfg.reference_dir, nu=cfg.nu)
     if traj.grid != grid:
         raise ConfigError(
@@ -117,31 +119,28 @@ def cmd_run_ref(cfg):
 def cmd_run_slab(cfg):
     grid = Grid(cfg.n)
     w0 = _initial(grid, cfg)
-    reference = None
-    if cfg.provider == "reference" or cfg.policy == "adaptive":
-        reference = _reference_trajectory(cfg, grid)
-    provider = slabs.make_provider(cfg.provider, trajectory=reference)
-    partition = _partition_for(cfg, reference)
+    stored = _reference_trajectory(cfg, grid)
+    partition = _partition_for(cfg, stored)
     result = slabs.run_slab_scheme(
         grid,
         w0,
         partition,
-        provider,
         nu=cfg.nu,
         tol=cfg.picard_tol,
         max_iter=cfg.picard_max_iter,
         slab_samples=cfg.slab_samples,
         small_mode_diagnostic=cfg.n <= 8,
+        reference=stored if cfg.provider == "reference" else None,
     )
     snapshots.save_trajectory(os.path.join(cfg.outdir, "snapshots"), result.trajectory)
     ledger = estimates.enstrophy_ledger(
         result.trajectory, partition, cfg.epsilon0, cfg.sobolev_c, records=result.records
     )
-    extra = [("provider", result.provider_name), ("slabs", partition.n_slabs)]
+    extra = [("provider", cfg.provider), ("slabs", partition.n_slabs)]
     reports.emit_reports(cfg.outdir, ledger, extra_summary=extra)
     worst = max((r.max_ratio for r in result.records), default=0.0)
     print(
-        f"run-slab: slabs={partition.n_slabs} provider={result.provider_name} "
+        f"run-slab: slabs={partition.n_slabs} provider={cfg.provider} "
         f"max_rho={worst:.6g} sup_enstrophy={ledger.sup_enstrophy:.6g} "
         f"global_pass={int(ledger.global_ok)}"
     )
@@ -175,22 +174,21 @@ def cmd_study(cfg):
     reference = run_reference(
         grid, w0, cfg.T, stepper, scalar_every=cfg.scalar_every, field_every=cfg.field_every
     )
-    provider_traj = reference if cfg.provider == "reference" else None
+    closure = reference if cfg.provider == "reference" else None
     levels = cfg.parsed_levels()
     widths, errors = [], []
     rows = []
     for n_slabs in levels:
-        provider = slabs.make_provider(cfg.provider, trajectory=provider_traj)
         partition = slabs.uniform_partition(cfg.T, n_slabs)
         result = slabs.run_slab_scheme(
             grid,
             w0,
             partition,
-            provider,
             nu=cfg.nu,
             tol=cfg.picard_tol,
             max_iter=cfg.picard_max_iter,
             slab_samples=cfg.slab_samples,
+            reference=closure,
         )
         err = estimates.sup_l2_distance(
             grid, result.trajectory, reference, reference.times
@@ -230,8 +228,8 @@ def cmd_monitor(cfg, snapdir):
     grad_gap = max(estimates.grad_vorticity_check(grid, u) for u in u_fields)
     rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", grad_gap)]
     if len(traj.times) >= 3:
-        monitor = estimates.dt_u_monitor(traj.times, u_fields, grid)
-        half = estimates.dt_u_monitor(traj.times[::2], u_fields[::2], grid)
+        monitor = estimates.dt_u_monitor(traj.times, u_fields, s.enstrophy, grid)
+        half = estimates.dt_u_monitor(traj.times[::2], u_fields[::2], s.enstrophy[::2], grid)
         common = np.isin(monitor.times, half.times)
         band = float(np.max(np.abs(monitor.margins[common] - half.margins))) if np.any(common) else 0.0
         rows += [

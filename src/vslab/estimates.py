@@ -306,32 +306,35 @@ class DtMonitor:
     min_margin: float
 
 
-def dt_u_monitor(times, u_fields, grid: Grid):
+def dt_u_monitor(times, u_fields, enstrophy, grid: Grid):
     """Margins of the differential inequality for the velocity time derivative.
 
     margin = phi |dt u|^2 - d/dt |dt u|^2 - |grad dt u|^2 per interior
     sample, with dt u by centered differences of the stored snapshots and
-    phi = 27 (sum |w_i|^2)^2 from the matching vorticity.  The outer time
-    derivative uses centered differences where possible and one-sided ones
-    at the ends of the interior range.
+    phi = 27 (sum |w_i|^2)^2 from the enstrophy series sampled at the same
+    times (one value per velocity field).  The outer time derivative uses
+    centered differences where possible and one-sided ones at the ends of
+    the interior range.
     """
     times = np.asarray(times, dtype=np.float64)
     if len(times) < 3:
         raise ValueError("need at least three uniformly spaced samples")
+    enstrophy = np.asarray(enstrophy, dtype=np.float64)
+    if len(enstrophy) != len(times):
+        raise ValueError("need one enstrophy value per sample")
     steps = np.diff(times)
     h = float(steps[0])
     if np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
         raise ValueError("samples must be uniformly spaced")
     interior = range(1, len(times) - 1)
-    dtu_l2, dtu_h1, phi = [], [], []
+    dtu_l2, dtu_h1 = [], []
     for m in interior:
         dtu = (u_fields[m + 1] - u_fields[m - 1]) / (2.0 * h)
         dtu_l2.append(grid.l2sq(dtu))
         dtu_h1.append(grid.h1sq(dtu))
-        phi.append(27.0 * grid.l2sq(grid.curl(u_fields[m])) ** 2)
     dtu_l2 = np.array(dtu_l2)
     dtu_h1 = np.array(dtu_h1)
-    phi = np.array(phi)
+    phi = 27.0 * enstrophy[1:-1] ** 2
     ddt = np.zeros_like(dtu_l2)
     if len(dtu_l2) >= 2:
         ddt[0] = (dtu_l2[1] - dtu_l2[0]) / h

@@ -174,30 +174,14 @@ def adaptive_partition(
     return TimePartition(np.array(points))
 
 
-def build_partition(T, policy, n_slabs=None, eps0=None, C=None, series=None, dt_floor=1e-4):
-    """Partition factory: policy 'uniform' (n_slabs) or 'adaptive' (eps0, C, series)."""
-    if policy == "uniform":
-        if n_slabs is None:
-            raise PartitionError("uniform policy needs n_slabs")
-        return uniform_partition(T, n_slabs)
-    if policy == "adaptive":
-        if eps0 is None or C is None or series is None:
-            raise PartitionError("adaptive policy needs eps0, C and a sampled series")
-        return adaptive_partition(T, eps0, C, series, dt_floor)
-    raise PartitionError(f"unknown partition policy {policy!r}")
-
-
 # -- closed-form slab solutions ----------------------------------------------
 
 
 def _phi(x):
     """(1 - exp(-x))/x, the average of the decay factor; stable near zero."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.ones_like(x)
-    nz = x > 1e-12
-    out[nz] = -np.expm1(-x[nz]) / x[nz]
-    small = ~nz
-    out[small] = 1.0 - x[small] / 2.0
+    out = 1.0 - 0.5 * x
+    np.divide(-np.expm1(-x), x, out=out, where=x > 1e-12)
     return out
 
 
@@ -261,13 +245,9 @@ class SlabSolution:
             raise ValueError(f"time {t} outside slab [{self.t_lo}, {self.t_hi}]")
         tau = min(max(tau, 0.0), self.width)
         x = self._rate * tau
-        decay = np.exp(-x)
-        # duhamel = tau * _phi(x) = (1 - exp(-a tau))/a, finite at k=0
-        duhamel = 1.0 - 0.5 * x
-        np.divide(-np.expm1(-x), x, out=duhamel, where=x > 1e-12)
-        duhamel *= tau
-        out = decay * self.omega_init
-        out += duhamel * self.forcing
+        out = np.exp(-x) * self.omega_init
+        # tau * _phi(x) = (1 - exp(-a tau))/a, finite at k=0
+        out += tau * _phi(x) * self.forcing
         return out
 
     def endpoint(self):
@@ -275,8 +255,7 @@ class SlabSolution:
 
     def average(self):
         """Exact time average over the slab, per mode."""
-        a = self.nu * self.grid.ksq
-        x = a * self.width
+        x = self._rate * self.width
         avg_decay = _phi(x)
         avg_duhamel = self.width * _psi(x)  # (dt - (1-exp(-x))/a)/x, finite at k=0
         return avg_decay * self.omega_init + avg_duhamel * self.forcing
@@ -286,9 +265,9 @@ def slab_forcing(grid: Grid, averages: SlabAverages):
     """Constant forcing curl(ubar x wbar), projected and dealiased.
 
     This is the transport and stretching term (wbar.grad) ubar - (ubar.grad)
-    wbar only when both averages are solenoidal, which every provider
-    guarantees: ubar is a Biot-Savart velocity and wbar a combination of
-    projected fields.
+    wbar only when both averages are solenoidal, which the scheme guarantees:
+    ubar is a Biot-Savart velocity and wbar a combination of projected
+    fields.
     """
     return nonlinear_term(grid, averages.u_bar, averages.omega_bar)
 
@@ -309,66 +288,12 @@ def linear_slab_solve(grid, omega_init, averages, t_lo, t_hi, nu, index=0):
     )
 
 
-# -- velocity providers --------------------------------------------------------
-
-
-class SelfConsistentVelocity:
-    """Close the loop internally: ubar is the Biot-Savart velocity of wbar."""
-
-    name = "self-consistent"
-
-    def seed_velocity(self, grid, omega_init, t_lo):
-        return grid.biot_savart(omega_init)
-
-    def velocity_for(self, grid, omega_bar, t_lo, t_hi):
-        return grid.biot_savart(omega_bar)
-
-    def sample_load(self, grid, record, t):
-        """(|u|^2, |grad u|^2) entering kstar at a sample whose scalar_record is ``record``."""
-        energy, _, dissipation, _ = record
-        return energy, dissipation
-
-
-class ReferenceVelocity:
-    """Take ubar from a precomputed reference vorticity trajectory."""
-
-    name = "reference"
-
-    def __init__(self, trajectory: Trajectory):
-        self.trajectory = trajectory
-        self._cache = {}
-
-    def seed_velocity(self, grid, omega_init, t_lo):
-        return grid.biot_savart(self.trajectory.field_at(t_lo))
-
-    def velocity_for(self, grid, omega_bar, t_lo, t_hi):
-        key = (t_lo, t_hi)
-        if key not in self._cache:
-            self._cache[key] = self.trajectory.velocity_average_over(t_lo, t_hi)
-        return self._cache[key]
-
-    def sample_load(self, grid, record, t):
-        u = self.trajectory.velocity_at(t)
-        return grid.l2sq(u), grid.h1sq(u)
-
-
-def make_provider(name, trajectory=None):
-    if name == "self-consistent":
-        return SelfConsistentVelocity()
-    if name == "reference":
-        if trajectory is None:
-            raise ValueError("reference provider needs a reference trajectory")
-        return ReferenceVelocity(trajectory)
-    raise ValueError(f"unknown velocity provider {name!r}")
-
-
 # -- Picard loop ----------------------------------------------------------------
 
 
 def picard_solve_slab(
     grid: Grid,
     omega_init,
-    provider,
     t_lo,
     t_hi,
     nu=1.0,
@@ -377,21 +302,30 @@ def picard_solve_slab(
     index=0,
     small_mode_diagnostic=False,
     enforce_threshold=False,
+    reference: Trajectory | None = None,
 ):
     """Fixed point of averages -> linear solve -> re-average on one slab.
 
     Iterate zero freezes the slab-start state: wbar <- omega_init and ubar
-    from the provider at t_lo.  Convergence is declared when the L2 change of
-    wbar drops below ``tol``; the change norms and their ratios are recorded
-    verbatim.  With ``small_mode_diagnostic`` (grids up to 8^3) the row-sum
-    contraction bound of the coefficient ODE system is evaluated at the
-    converged averages.
+    the Biot-Savart velocity of omega_init, or of the reference vorticity at
+    t_lo when a ``reference`` trajectory is given.  Each iteration then sets
+    ubar to the Biot-Savart velocity of the new wbar, or, with a reference,
+    to the reference's velocity average over the slab, which does not depend
+    on the iterate.  Convergence is declared when the L2 change of wbar drops
+    below ``tol``; the change norms and their ratios are recorded verbatim.
+    With ``small_mode_diagnostic`` (grids up to 8^3) the row-sum contraction
+    bound of the coefficient ODE system is evaluated at the converged
+    averages.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     diag = PicardDiagnostics(iterations=0)
     omega_bar = np.array(omega_init, dtype=np.complex128)
-    u_bar = provider.seed_velocity(grid, omega_init, t_lo)
+    if reference is None:
+        u_bar = grid.biot_savart(omega_init)
+    else:
+        u_bar = grid.biot_savart(reference.field_at(t_lo))
+        u_ref = reference.velocity_average_over(t_lo, t_hi)
     for _ in range(max_iter):
         diag.iterations += 1
         solution = linear_slab_solve(
@@ -404,7 +338,7 @@ def picard_solve_slab(
             diag.ratios.append(d / last if last > 0.0 else 0.0)
         diag.changes.append(d)
         omega_bar = new_bar
-        u_bar = provider.velocity_for(grid, omega_bar, t_lo, t_hi)
+        u_bar = grid.biot_savart(omega_bar) if reference is None else u_ref
         if d <= tol:
             diag.converged = True
             break
@@ -444,28 +378,28 @@ class SlabRunResult:
     partition: TimePartition
     solutions: list
     records: list
-    provider_name: str
 
 
 def run_slab_scheme(
     grid: Grid,
     omega0,
     partition: TimePartition,
-    provider,
     nu=1.0,
     tol=1e-10,
     max_iter=64,
     slab_samples=16,
     small_mode_diagnostic=False,
+    reference: Trajectory | None = None,
 ):
     """Chain the slabs over (0,T), sampling the closed-form trajectory.
 
-    Each slab starts from the exact endpoint array of the previous one.  Per
-    slab the record carries the Picard iteration count, the worst measured
-    contraction ratio, and the slab load kstar computed from the provider's
-    velocity on the sample points.  Each sample is inverted once: its
-    scalar_record feeds both the norm series and, for the self-consistent
-    provider, kstar.
+    Each slab starts from the exact endpoint array of the previous one and
+    is closed by ``picard_solve_slab`` with the same ``reference``.  Per slab
+    the record carries the Picard iteration count, the worst measured
+    contraction ratio, and the slab load kstar from the velocity on the
+    sample points: the sampled solution's own, or the reference's when one
+    is given.  Each sample is inverted once: its scalar_record feeds both the
+    norm series and, without a reference, kstar.
     """
     if slab_samples < 2:
         raise ValueError("need at least two samples per slab")
@@ -480,7 +414,6 @@ def run_slab_scheme(
         sol = picard_solve_slab(
             grid,
             w,
-            provider,
             t_lo,
             t_hi,
             nu=nu,
@@ -488,19 +421,20 @@ def run_slab_scheme(
             max_iter=max_iter,
             index=k,
             small_mode_diagnostic=small_mode_diagnostic,
+            reference=reference,
         )
         sample_ts = np.linspace(t_lo, t_hi, slab_samples + 1)
         # the first sample is the slab's start state w, already recorded
-        loads = [provider.sample_load(grid, norm_rows[-1], t_lo)]
         for t in sample_ts[1:]:
             w_t = sol.at(t)
-            record = scalar_record(grid, w_t)
-            loads.append(provider.sample_load(grid, record, t))
             times.append(float(t))
             fields.append(w_t)
-            norm_rows.append(record)
-        u_energy, u_dissipation = zip(*loads)
-        kstar = compute_kstar(sample_ts, u_energy, u_dissipation, t_lo, t_hi)
+            norm_rows.append(scalar_record(grid, w_t))
+        if reference is None:
+            loads = [(e, d) for e, _, d, _ in norm_rows[-len(sample_ts) :]]
+        else:
+            loads = [(grid.l2sq(u), grid.h1sq(u)) for u in map(reference.velocity_at, sample_ts)]
+        kstar = compute_kstar(sample_ts, *zip(*loads), t_lo, t_hi)
         records.append(
             SlabRecord(
                 index=k,
@@ -522,13 +456,7 @@ def run_slab_scheme(
         fields=fields,
         series=series_from_records(times, norm_rows),
     )
-    return SlabRunResult(
-        trajectory=traj,
-        partition=partition,
-        solutions=solutions,
-        records=records,
-        provider_name=provider.name,
-    )
+    return SlabRunResult(trajectory=traj, partition=partition, solutions=solutions, records=records)
 
 
 # -- small-mode contraction diagnostic ----------------------------------------

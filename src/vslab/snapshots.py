@@ -10,7 +10,8 @@ Layout (all little-endian):
     payload       3 * n^3 coefficients as (re, im) float64 pairs,
                   per component, wavevectors in lexicographic order
                   of the integer triple (k1, k2, k3), each k_i running
-                  over -n/2 .. n/2-1
+                  over -n/2 .. n/2-1; this is the C order of the
+                  fftshift-ed (n, n, n) cube
 
 Round trips are bit-exact; loading revalidates Hermitian symmetry so a
 corrupt file cannot masquerade as a real field.
@@ -36,30 +37,13 @@ class SnapshotError(ValueError):
     pass
 
 
-_ORDER_CACHE = {}
-
-
-def _lex_order(n):
-    """Flat indices of the fftfreq cube sorted by the wavevector triple."""
-    if n not in _ORDER_CACHE:
-        axis = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        k1, k2, k3 = np.meshgrid(axis, axis, axis, indexing="ij")
-        order = np.lexsort((k3.ravel(), k2.ravel(), k1.ravel()))
-        _ORDER_CACHE[n] = order
-    return _ORDER_CACHE[n]
-
-
 def persist_field(path, coeffs, time):
     """Write one spectral vector field; returns the byte count."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 4 or coeffs.shape[0] != 3 or len(set(coeffs.shape[1:])) != 1:
         raise SnapshotError(f"expected a (3, n, n, n) field, got shape {coeffs.shape}")
     n = coeffs.shape[1]
-    order = _lex_order(n)
-    flat = coeffs.reshape(3, n**3)[:, order]
-    payload = np.empty((3, n**3, 2), dtype="<f8")
-    payload[:, :, 0] = flat.real
-    payload[:, :, 1] = flat.imag
+    payload = np.fft.fftshift(coeffs, axes=(1, 2, 3)).astype("<c16", copy=False)
     blob = HEADER.pack(MAGIC, VERSION, n, 3, float(time)) + payload.tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -82,12 +66,8 @@ def load_field(path, symmetry_tol=1e-10):
     expected = HEADER.size + 3 * n**3 * 16
     if len(blob) != expected:
         raise SnapshotError(f"{path}: truncated payload ({len(blob)} of {expected} bytes)")
-    raw = np.frombuffer(blob, dtype="<f8", offset=HEADER.size).reshape(3, n**3, 2)
-    flat = raw[:, :, 0] + 1j * raw[:, :, 1]
-    order = _lex_order(n)
-    coeffs = np.empty((3, n**3), dtype=np.complex128)
-    coeffs[:, order] = flat
-    coeffs = coeffs.reshape(3, n, n, n)
+    payload = np.frombuffer(blob, dtype="<c16", offset=HEADER.size).reshape(3, n, n, n)
+    coeffs = np.fft.ifftshift(payload, axes=(1, 2, 3))
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     defect = hermitian_defect(coeffs)
     if defect > symmetry_tol * scale:

@@ -170,10 +170,13 @@ class Grid:
         Biot-Savart inversion needs both: no periodic vector potential exists
         for mass at k=0, and the inversion would silently drop a gradient
         part.  Called where fields enter the program; the solvers preserve
-        both properties by construction.
+        both properties by construction.  Non-finite coefficients are
+        rejected first, since NaN passes both comparisons.
         """
         self._check_shape(w)
         scale = float(np.max(np.abs(w)))
+        if not np.isfinite(scale):
+            raise ValueError(f"non-finite coefficients (max |w| = {scale})")
         mean = float(np.max(np.abs(w[:, 0, 0, 0])))
         if mean > MEAN_TOL * max(scale, 1.0):
             raise MeanModeError(f"mean vorticity {mean:.3e} is not zero")

@@ -27,12 +27,7 @@ from vslab.estimates import (
 )
 from vslab.reference import StepperConfig, run_reference
 from vslab.reports import emit_reports, write_csv
-from vslab.slabs import (
-    ReferenceVelocity,
-    SelfConsistentVelocity,
-    run_slab_scheme,
-    uniform_partition,
-)
+from vslab.slabs import run_slab_scheme, uniform_partition
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import (
     Grid,
@@ -72,7 +67,6 @@ def slab_study(grid16, tg16_run):
             grid16,
             w0,
             uniform_partition(0.5, n_slabs),
-            SelfConsistentVelocity(),
             nu=1.0,
             tol=1e-10,
             max_iter=20,
@@ -120,7 +114,7 @@ def test_criterion_02_beltrami_exactness(grid16):
     ref = run_reference(grid16, w0, 0.5, StepperConfig(dt=1e-3, nu=1.0), field_every=100)
     err_ref = math.sqrt(grid16.l2sq(ref.fields[-1] - want)) / scale
     slab = run_slab_scheme(
-        grid16, w0, uniform_partition(0.5, 4), SelfConsistentVelocity(), nu=1.0, tol=1e-10
+        grid16, w0, uniform_partition(0.5, 4), nu=1.0, tol=1e-10
     )
     err_slab = math.sqrt(grid16.l2sq(slab.trajectory.fields[-1] - want)) / scale
     elapsed = time.perf_counter() - start
@@ -178,10 +172,10 @@ def test_criterion_05_picard_contraction(slab_study, grid8):
         grid8,
         w0,
         uniform_partition(0.25, 8),
-        ReferenceVelocity(ref8),
         nu=1.0,
         tol=1e-10,
         small_mode_diagnostic=True,
+        reference=ref8,
     )
     coupled = [r for r in diag_run.records if r.delta_star is not None and r.delta_star < 1.0 - 1e-12]
     bound_ok = bool(coupled) and all(r.max_ratio <= r.delta_star + 0.05 for r in coupled)
@@ -264,8 +258,9 @@ def test_criterion_08_hgamma_boundedness(grid16):
 
 def test_criterion_09_dt_u_inequality(tg32_run, grid32):
     u_fields = [grid32.biot_savart(w) for w in tg32_run.fields]
-    fine = dt_u_monitor(tg32_run.times, u_fields, grid32)
-    coarse = dt_u_monitor(tg32_run.times[::2], u_fields[::2], grid32)
+    enstrophy = [grid32.l2sq(w) for w in tg32_run.fields]
+    fine = dt_u_monitor(tg32_run.times, u_fields, enstrophy, grid32)
+    coarse = dt_u_monitor(tg32_run.times[::2], u_fields[::2], enstrophy[::2], grid32)
     common = np.isin(fine.times, coarse.times)
     band = float(np.max(np.abs(fine.margins[common] - coarse.margins)))
     outdir = os.path.join(REPO, "out", "acceptance")

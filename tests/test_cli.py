@@ -167,6 +167,13 @@ def test_run_slab_reference_provider_needs_dir(tmp_path, capsys):
     assert "reference_dir" in capsys.readouterr().err
 
 
+def test_run_slab_adaptive_policy_needs_dir(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, policy="adaptive")
+    assert cli_dispatch(["run-slab", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: reference_dir: required for policy = adaptive"]
+
+
 def test_study_reports_rate(tmp_path, capsys):
     cfg = write_cfg(tmp_path, study_levels="2,4,8")
     assert cli_dispatch(["study", "--config", cfg]) == 0
@@ -226,6 +233,32 @@ def test_monitor_rejects_nonzero_mean_snapshot(tmp_path, capsys):
     assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "mean vorticity" in err[0]
+
+
+def _nan_snapshot(path):
+    w = random_divfree_field(Grid(8), seed=29).copy()
+    w[1, 2, 3, 1] = np.nan
+    persist_field(path, w, 0.0)
+
+
+def test_monitor_rejects_nan_snapshot(tmp_path, capsys):
+    snapdir = tmp_path / "snaps"
+    snapdir.mkdir()
+    _nan_snapshot(snapdir / "snap_000000.vslb")
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "snap_000000.vslb" in err[0] and "non-finite" in err[0]
+
+
+def test_run_ref_rejects_nan_initial_file(tmp_path, capsys):
+    path = tmp_path / "w0.vslb"
+    _nan_snapshot(path)
+    cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
 
 
 def test_set_override_changes_run(tmp_path):

@@ -1,5 +1,7 @@
 """Config parsing, VSLB snapshots, and report emission."""
 
+import glob
+import itertools
 import os
 import struct
 
@@ -39,6 +41,12 @@ def test_config_range_error_names_key():
         parse_config_text("epsilon0 = 1.5\n")
 
 
+@pytest.mark.parametrize("key", ["provider", "policy"])
+def test_config_rejects_unknown_choice(key):
+    with pytest.raises(ConfigError, match=f"{key}: must be one of"):
+        parse_config_text(f"{key} = mystery\n")
+
+
 def test_config_unknown_key_carries_line_number():
     with pytest.raises(ConfigError, match="cfg:3"):
         parse_config_text("n = 8\n\nwhatsit = 1\n", source="cfg")
@@ -74,6 +82,14 @@ def test_sample_config_echo_matches_golden(tmp_path):
     with open(os.path.join(HERE, "golden", "sample.echo.cfg"), "rb") as fh:
         want = fh.read()
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(REPO, "configs", "*.cfg"))), ids=os.path.basename
+)
+def test_shipped_config_parses(path):
+    cfg = load_config(path, echo=False)
+    assert cfg.n >= 4
 
 
 def test_load_config_echoes_to_outdir(tmp_path):
@@ -112,6 +128,23 @@ def test_snapshot_golden_bytes_2cubed(tmp_path):
     want = struct.pack("<4sIIId", b"VSLB", 1, 2, 3, 0.25) + b"\x00" * (3 * 8 * 16)
     assert got == want
     assert size == 24 + 384
+
+
+def test_snapshot_payload_order_is_lexicographic(tmp_path):
+    n = 4
+    coeffs = (np.arange(3 * n**3) + 1j * np.arange(3 * n**3, 6 * n**3)).reshape(3, n, n, n)
+    path = tmp_path / "order.vslb"
+    persist_field(path, coeffs, 0.0)
+    payload = np.frombuffer(path.read_bytes(), dtype="<f8", offset=24).reshape(3, n**3, 2)
+    ks = range(-n // 2, n // 2)
+    want = np.array(
+        [[coeffs[c, k1 % n, k2 % n, k3 % n] for k1, k2, k3 in itertools.product(ks, ks, ks)]
+         for c in range(3)]
+    )
+    assert np.array_equal(payload[:, :, 0], want.real)
+    assert np.array_equal(payload[:, :, 1], want.imag)
+    _, _, back = load_field(path, symmetry_tol=np.inf)  # distinct amplitudes are not Hermitian
+    assert np.array_equal(back, coeffs)
 
 
 def test_snapshot_bad_magic(tmp_path):

@@ -23,7 +23,6 @@ from vslab.estimates import (
 )
 from vslab.reference import StepperConfig, run_reference
 from vslab.slabs import (
-    SelfConsistentVelocity,
     SlabAverages,
     linear_slab_solve,
     picard_solve_slab,
@@ -237,7 +236,7 @@ def test_average_cs_single_decaying_mode(grid8):
 def test_average_cs_margin_nonnegative(seed, width):
     grid = Grid(8)
     w0 = random_divfree_field(grid, seed=seed)
-    sol = picard_solve_slab(grid, w0, SelfConsistentVelocity(), 0.0, width)
+    sol = picard_solve_slab(grid, w0, 0.0, width)
     assert average_cs_check(sol) >= -1e-12
 
 
@@ -329,7 +328,7 @@ def test_hgamma_needs_uniform_samples(grid8):
 
 def test_dt_monitor_zero_trajectory(grid8):
     zeros = np.zeros((3, 8, 8, 8), dtype=complex)
-    mon = dt_u_monitor(np.linspace(0, 1, 9), [zeros] * 9, grid8)
+    mon = dt_u_monitor(np.linspace(0, 1, 9), [zeros] * 9, np.zeros(9), grid8)
     assert np.all(mon.margins == 0.0)
     assert mon.min_margin == 0.0
 
@@ -338,7 +337,8 @@ def test_dt_monitor_beltrami_analytic(grid8):
     u0 = abc_velocity(grid8)
     times = np.linspace(0.0, 0.1, 11)
     fields = [np.exp(-t) * u0 for t in times]
-    mon = dt_u_monitor(times, fields, grid8)
+    enstrophy = [grid8.l2sq(grid8.curl(u)) for u in fields]
+    mon = dt_u_monitor(times, fields, enstrophy, grid8)
     interior = times[1:-1]
     phi = 27.0 * np.array([grid8.l2sq(grid8.curl(np.exp(-t) * u0)) ** 2 for t in interior])
     dtu = np.array([grid8.l2sq(np.exp(-t) * u0) for t in interior])
@@ -347,10 +347,18 @@ def test_dt_monitor_beltrami_analytic(grid8):
     assert mon.min_margin > 0.0
 
 
+def test_dt_monitor_phi_is_the_enstrophy_series(grid8):
+    u0 = abc_velocity(grid8)
+    times = np.linspace(0.0, 0.1, 11)
+    enstrophy = np.linspace(3.0, 1.0, 11)
+    mon = dt_u_monitor(times, [np.exp(-t) * u0 for t in times], enstrophy, grid8)
+    assert np.array_equal(mon.phi, 27 * enstrophy[1:-1] ** 2)
+
+
 def test_dt_monitor_needs_three_samples(grid8):
     zeros = np.zeros((3, 8, 8, 8), dtype=complex)
     with pytest.raises(ValueError):
-        dt_u_monitor(np.array([0.0, 0.1]), [zeros] * 2, grid8)
+        dt_u_monitor(np.array([0.0, 0.1]), [zeros] * 2, np.zeros(2), grid8)
 
 
 # -- convergence studies ----------------------------------------------------------------------------------

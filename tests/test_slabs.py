@@ -8,17 +8,13 @@ from vslab.reference import StepperConfig, rk4_step, run_reference
 from vslab.slabs import (
     PartitionError,
     PicardError,
-    ReferenceVelocity,
-    SelfConsistentVelocity,
     SlabAverages,
     SlabSolution,
     TimePartition,
     adaptive_partition,
-    build_partition,
     compute_kstar,
     contraction_diagnostic,
     linear_slab_solve,
-    make_provider,
     picard_solve_slab,
     run_slab_scheme,
     uniform_partition,
@@ -117,15 +113,6 @@ def test_adaptive_partition_reports_unsatisfiable_rule(grid8):
         adaptive_partition(0.05, 0.5, 1.0, traj.series, dt_floor=1e-4)
 
 
-def test_build_partition_dispatch(grid8):
-    part = build_partition(1.0, "uniform", n_slabs=2)
-    assert part.n_slabs == 2
-    with pytest.raises(PartitionError):
-        build_partition(1.0, "mystery")
-    with pytest.raises(PartitionError):
-        build_partition(1.0, "adaptive")
-
-
 # -- linear slab solve ------------------------------------------------------------
 
 
@@ -221,7 +208,7 @@ def test_slab_average_against_simpson(grid8):
 
 def test_picard_zero_initial_one_iteration(grid8):
     zeros = np.zeros((3, 8, 8, 8), dtype=complex)
-    sol = picard_solve_slab(grid8, zeros, SelfConsistentVelocity(), 0.0, 0.1)
+    sol = picard_solve_slab(grid8, zeros, 0.0, 0.1)
     assert sol.diagnostics.converged
     assert sol.diagnostics.iterations == 1
     assert np.all(sol.endpoint() == 0.0)
@@ -229,8 +216,7 @@ def test_picard_zero_initial_one_iteration(grid8):
 
 def test_picard_zero_reference_two_iterations(grid8):
     w0 = random_divfree_field(grid8, seed=107)
-    provider = ReferenceVelocity(zero_trajectory(grid8, 1.0))
-    sol = picard_solve_slab(grid8, w0, provider, 0.0, 0.9)
+    sol = picard_solve_slab(grid8, w0, 0.0, 0.9, reference=zero_trajectory(grid8, 1.0))
     assert sol.diagnostics.converged
     assert sol.diagnostics.iterations <= 2
     want = np.exp(-grid8.ksq * 0.9) * w0
@@ -240,7 +226,7 @@ def test_picard_zero_reference_two_iterations(grid8):
 def test_picard_taylor_green_contracts(grid16, tg16_run):
     w0 = taylor_green_vorticity(grid16)
     width = 1.0 / 32.0
-    sol = picard_solve_slab(grid16, w0, SelfConsistentVelocity(), 0.0, width, tol=1e-10, max_iter=20)
+    sol = picard_solve_slab(grid16, w0, 0.0, width, tol=1e-10, max_iter=20)
     diag = sol.diagnostics
     assert diag.converged and diag.iterations <= 20
     assert all(r < 1.0 for r in diag.ratios)
@@ -251,7 +237,7 @@ def test_picard_taylor_green_contracts(grid16, tg16_run):
 def test_picard_failure_carries_ratio_history(grid8):
     w0 = 50.0 * taylor_green_vorticity(grid8)
     with pytest.raises(PicardError) as err:
-        picard_solve_slab(grid8, w0, SelfConsistentVelocity(), 0.0, 0.5, max_iter=8)
+        picard_solve_slab(grid8, w0, 0.0, 0.5, max_iter=8)
     assert err.value.diagnostics.iterations == 8
     assert len(err.value.diagnostics.ratios) > 0
 
@@ -259,7 +245,7 @@ def test_picard_failure_carries_ratio_history(grid8):
 def test_fixed_point_residual(grid8):
     w0 = taylor_green_vorticity(grid8)
     tol = 1e-10
-    sol = picard_solve_slab(grid8, w0, SelfConsistentVelocity(), 0.0, 0.0625, tol=tol)
+    sol = picard_solve_slab(grid8, w0, 0.0, 0.0625, tol=tol)
     rerun = linear_slab_solve(
         grid8, w0, sol.averages, sol.t_lo, sol.t_hi, sol.nu
     )
@@ -272,7 +258,7 @@ def test_fixed_point_residual(grid8):
 
 def test_run_zero_initial(grid8):
     zeros = np.zeros((3, 8, 8, 8), dtype=complex)
-    result = run_slab_scheme(grid8, zeros, uniform_partition(0.5, 4), SelfConsistentVelocity())
+    result = run_slab_scheme(grid8, zeros, uniform_partition(0.5, 4))
     assert all(np.all(f == 0.0) for f in result.trajectory.fields)
     assert all(r.iterations == 1 for r in result.records)
     assert all(r.kstar == 0.0 for r in result.records)
@@ -280,7 +266,7 @@ def test_run_zero_initial(grid8):
 
 def test_run_beltrami_cancellation(grid16):
     w0 = abc_vorticity(grid16)
-    result = run_slab_scheme(grid16, w0, uniform_partition(0.5, 4), SelfConsistentVelocity())
+    result = run_slab_scheme(grid16, w0, uniform_partition(0.5, 4))
     want = np.exp(-0.5) * w0
     rel = np.sqrt(grid16.l2sq(result.trajectory.fields[-1] - want) / grid16.l2sq(w0))
     assert rel < 1e-10
@@ -290,14 +276,14 @@ def test_run_beltrami_cancellation(grid16):
 
 def test_run_chains_endpoints_exactly(grid8):
     w0 = taylor_green_vorticity(grid8)
-    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 4), SelfConsistentVelocity())
+    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 4))
     for prev, nxt in zip(result.solutions[:-1], result.solutions[1:]):
         assert np.array_equal(prev.endpoint(), nxt.omega_init)
 
 
 def test_run_preserves_field_invariants(grid8):
     w0 = taylor_green_vorticity(grid8)
-    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 4), SelfConsistentVelocity())
+    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 4))
     for f in result.trajectory.fields:
         assert grid8.divergence_rel(f) < 1e-10
         assert np.max(np.abs(f[:, 0, 0, 0])) == 0.0
@@ -307,15 +293,16 @@ def test_picard_monotone_under_slab_halving(grid8):
     w0 = taylor_green_vorticity(grid8)
     worst = {}
     for n_slabs in (4, 8):
-        result = run_slab_scheme(grid8, w0, uniform_partition(0.25, n_slabs), SelfConsistentVelocity())
+        result = run_slab_scheme(grid8, w0, uniform_partition(0.25, n_slabs))
         worst[n_slabs] = max(r.max_ratio for r in result.records)
     assert worst[8] <= worst[4] + 1e-12
 
 
 def test_degenerate_coupling_converges_fast_regardless_of_width(grid8):
     w0 = random_divfree_field(grid8, seed=109)
-    provider = ReferenceVelocity(zero_trajectory(grid8, 2.0))
-    result = run_slab_scheme(grid8, w0, uniform_partition(2.0, 1), provider)
+    result = run_slab_scheme(
+        grid8, w0, uniform_partition(2.0, 1), reference=zero_trajectory(grid8, 2.0)
+    )
     assert all(r.iterations <= 2 for r in result.records)
 
 
@@ -332,9 +319,8 @@ def test_contraction_diagnostic_degenerate_case(grid8):
 def test_contraction_diagnostic_bounds_measured_ratio(grid8):
     w0 = taylor_green_vorticity(grid8)
     ref = run_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3), field_every=25)
-    provider = ReferenceVelocity(ref)
     result = run_slab_scheme(
-        grid8, w0, uniform_partition(0.25, 8), provider, small_mode_diagnostic=True
+        grid8, w0, uniform_partition(0.25, 8), small_mode_diagnostic=True, reference=ref
     )
     for record in result.records:
         assert record.delta_star is not None
@@ -345,15 +331,15 @@ def test_contraction_diagnostic_bounds_measured_ratio(grid8):
 def test_contraction_threshold_enforcement(grid8):
     # delta for pure diffusion at 8^3 is 1/12; a wider slab must be refused
     w0 = 0.01 * taylor_green_vorticity(grid8)
-    provider = ReferenceVelocity(zero_trajectory(grid8, 1.0))
+    zero = zero_trajectory(grid8, 1.0)
     with pytest.raises(PartitionError, match="contraction threshold"):
         picard_solve_slab(
-            grid8, w0, provider, 0.0, 0.5,
-            small_mode_diagnostic=True, enforce_threshold=True,
+            grid8, w0, 0.0, 0.5,
+            small_mode_diagnostic=True, enforce_threshold=True, reference=zero,
         )
     sol = picard_solve_slab(
-        grid8, w0, provider, 0.0, 0.05,
-        small_mode_diagnostic=True, enforce_threshold=True,
+        grid8, w0, 0.0, 0.05,
+        small_mode_diagnostic=True, enforce_threshold=True, reference=zero,
     )
     assert sol.diagnostics.delta_threshold is not None
     assert 0.05 <= sol.diagnostics.delta_threshold
@@ -365,11 +351,3 @@ def test_contraction_diagnostic_rejects_large_grids(grid16):
     )
     with pytest.raises(ValueError):
         contraction_diagnostic(grid16, averages, nu=1.0)
-
-
-def test_provider_factory():
-    assert isinstance(make_provider("self-consistent"), SelfConsistentVelocity)
-    with pytest.raises(ValueError):
-        make_provider("reference")
-    with pytest.raises(ValueError):
-        make_provider("nonsense")
