@@ -86,7 +86,9 @@ def _reference_trajectory(cfg, grid):
     if not cfg.reference_dir:
         need = "provider = reference" if cfg.provider == "reference" else "policy = adaptive"
         raise ConfigError(f"reference_dir: required for {need}")
-    traj = snapshots.load_trajectory(cfg.reference_dir, nu=cfg.nu)
+    traj = snapshots.load_trajectory(
+        cfg.reference_dir, nu=cfg.nu, with_series=cfg.policy == "adaptive"
+    )
     if traj.grid != grid:
         raise ConfigError(
             f"reference_dir: snapshot grid {traj.grid.n} does not match configured n={grid.n}"
@@ -129,7 +131,6 @@ def cmd_run_slab(cfg):
         tol=cfg.picard_tol,
         max_iter=cfg.picard_max_iter,
         slab_samples=cfg.slab_samples,
-        small_mode_diagnostic=cfg.n <= 8,
         reference=stored if cfg.provider == "reference" else None,
     )
     snapshots.save_trajectory(os.path.join(cfg.outdir, "snapshots"), result.trajectory)

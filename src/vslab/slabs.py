@@ -11,9 +11,11 @@ solvable in closed form.  The averages depend on the trajectory they
 generate, and the loop is closed by successive substitution: solve with the
 current averages, re-average the resulting trajectory, repeat until the
 average stops moving in L2.  The measured contraction ratios of that
-iteration are recorded per slab; on tiny grids the row-sum contraction bound
-of the underlying coefficient ODE system can be evaluated explicitly as a
-diagnostic.
+iteration are recorded per slab.  The paper's row-sum contraction bound of
+the underlying coefficient ODE system, the factor delta* and the slab-width
+rule delta, is a separate function of a solved slab:
+``contraction_diagnostic(grid, sol.averages, nu)`` evaluates it in closed
+form on grids up to 8^3.  No command computes it.
 """
 
 from __future__ import annotations
@@ -38,10 +40,13 @@ class PicardError(RuntimeError):
     def __init__(self, slab_index, diagnostics):
         self.slab_index = slab_index
         self.diagnostics = diagnostics
-        ratios = ", ".join(f"{r:.3g}" for r in diagnostics.ratios[-3:])
+        detail = f"last change {diagnostics.changes[-1]:.3g}"
+        if diagnostics.ratios:
+            ratios = ", ".join(f"{r:.3g}" for r in diagnostics.ratios[-3:])
+            detail += f", last ratios {ratios}"
         super().__init__(
             f"slab {slab_index}: no convergence in {diagnostics.iterations} iterations "
-            f"(last ratios {ratios}); the slab is too wide for contraction"
+            f"({detail}); the slab is too wide for contraction"
         )
 
 
@@ -209,8 +214,6 @@ class PicardDiagnostics:
     changes: list = field(default_factory=list)  # d_j = |avg_j - avg_{j-1}|_L2
     ratios: list = field(default_factory=list)  # rho_j = d_j / d_{j-1}
     converged: bool = False
-    delta_star: float | None = None
-    delta_threshold: float | None = None
 
     @property
     def max_ratio(self):
@@ -300,8 +303,6 @@ def picard_solve_slab(
     tol=1e-10,
     max_iter=64,
     index=0,
-    small_mode_diagnostic=False,
-    enforce_threshold=False,
     reference: Trajectory | None = None,
 ):
     """Fixed point of averages -> linear solve -> re-average on one slab.
@@ -313,12 +314,9 @@ def picard_solve_slab(
     to the reference's velocity average over the slab, which does not depend
     on the iterate.  Convergence is declared when the L2 change of wbar drops
     below ``tol``; the change norms and their ratios are recorded verbatim.
-    With ``small_mode_diagnostic`` (grids up to 8^3) the row-sum contraction
-    bound of the coefficient ODE system is evaluated at the converged
-    averages.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol <= 0 or max_iter < 1:
+        raise ValueError("tol must be positive and max_iter at least 1")
     diag = PicardDiagnostics(iterations=0)
     omega_bar = np.array(omega_init, dtype=np.complex128)
     if reference is None:
@@ -345,13 +343,6 @@ def picard_solve_slab(
     if not diag.converged:
         raise PicardError(index, diag)
     averages = SlabAverages(omega_bar, u_bar)
-    if small_mode_diagnostic:
-        diag.delta_star, diag.delta_threshold = contraction_diagnostic(grid, averages, nu)
-        if enforce_threshold and (t_hi - t_lo) > diag.delta_threshold:
-            raise PartitionError(
-                f"slab width {t_hi - t_lo:.3e} exceeds contraction threshold "
-                f"{diag.delta_threshold:.3e}"
-            )
     final = linear_slab_solve(grid, omega_init, averages, t_lo, t_hi, nu, index)
     final.diagnostics = diag
     return final
@@ -369,7 +360,6 @@ class SlabRecord:
     iterations: int
     max_ratio: float
     kstar: float
-    delta_star: float | None = None
 
 
 @dataclass
@@ -388,7 +378,6 @@ def run_slab_scheme(
     tol=1e-10,
     max_iter=64,
     slab_samples=16,
-    small_mode_diagnostic=False,
     reference: Trajectory | None = None,
 ):
     """Chain the slabs over (0,T), sampling the closed-form trajectory.
@@ -420,7 +409,6 @@ def run_slab_scheme(
             tol=tol,
             max_iter=max_iter,
             index=k,
-            small_mode_diagnostic=small_mode_diagnostic,
             reference=reference,
         )
         sample_ts = np.linspace(t_lo, t_hi, slab_samples + 1)
@@ -444,7 +432,6 @@ def run_slab_scheme(
                 iterations=sol.diagnostics.iterations,
                 max_ratio=sol.diagnostics.max_ratio,
                 kstar=kstar,
-                delta_star=sol.diagnostics.delta_star,
             )
         )
         solutions.append(sol)
@@ -459,82 +446,61 @@ def run_slab_scheme(
     return SlabRunResult(trajectory=traj, partition=partition, solutions=solutions, records=records)
 
 
-# -- small-mode contraction diagnostic ----------------------------------------
+# -- contraction diagnostic ---------------------------------------------------
 
 
-def _retained_modes(grid: Grid):
-    """Indices of the nonzero modes kept by dealiasing, the diagnostic basis."""
-    idx = np.argwhere(grid.keep)
-    return [tuple(i) for i in idx if not (i[0] == 0 and i[1] == 0 and i[2] == 0)]
+def _coupling_block(grid: Grid, u_bar):
+    """The averaged transport/stretching operator at frozen ubar, in closed form.
 
+    The basis is e_p(k) exp(i k.x) over the retained nonzero modes k, with
+    two unit polarizations orthogonal to k: e1 = k x h and e2 = k x e1,
+    normalised, h the unit axis of the first smallest |k_i|.  Restricted to
+    retained modes the pseudo-spectral product is the circular convolution,
+    and e_p(k) is orthogonal to k, so the Leray projection drops out: the
+    entry (k,p),(q,r) is
 
-def _polarizations(kvec):
-    """Two unit vectors orthogonal to the wavevector (and to each other)."""
-    k = np.asarray(kvec, dtype=np.float64)
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(k)))] = 1.0
-    e1 = np.cross(k, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(k, e1)
-    e2 /= np.linalg.norm(e2)
-    return e1, e2
+        i [(e_p(k).ubar(k-q)) (k.e_r(q)) - (e_p(k).e_r(q)) (k.ubar(k-q))]
 
-
-def _apply_averaged_transport(grid: Grid, u_bar, v):
-    """Complex-linear apply of w -> -(ubar.grad) w + (w.grad) ubar at frozen ubar.
-
-    ``slab_forcing`` is real-linear in the vorticity argument and exact on real
-    fields, so it is applied to the Hermitian parts (v + Rv)/2 and (v - Rv)/2i
-    of v, with R the conjugate reflection.
+    with k-q taken mod n.  Returns the mode indices (a tuple of three index
+    arrays), the polarizations (m, 2, 3) and the (2m, 2m) block, whose row
+    and column (p, k) is p*m + k.
     """
-    real_part = slab_forcing(grid, SlabAverages(grid.symmetrize(v), u_bar))
-    imag_part = slab_forcing(grid, SlabAverages(grid.symmetrize(-1j * v), u_bar))
-    return real_part + 1j * imag_part
-
-
-def coupling_row_sums(grid: Grid, averages: SlabAverages, nu: float):
-    """Row data of the coefficient ODE system in the divergence-free mode basis.
-
-    Basis elements are e_p(k) exp(i k.x) for the retained nonzero modes k
-    with the two polarizations p orthogonal to k.  Diffusion is diagonal with
-    coefficient nu |k|^2; the averaged transport/stretching operator at
-    frozen ubar fills the coupling block, whose absolute row sums are
-    accumulated column by column.  Quadratic cost in the mode count: callers
-    must keep the grid tiny.
-    """
-    if grid.n > 8:
-        raise ValueError("row-sum diagnostic is restricted to grids up to 8^3")
-    modes = _retained_modes(grid)
-    m_count = len(modes)
-    pick = tuple(np.array([idx[d] for idx in modes]) for d in range(3))
-    pol = np.empty((2, 3, m_count))
-    for m, idx in enumerate(modes):
-        kvec = grid.k[:, idx[0], idx[1], idx[2]]
-        pol[0, :, m], pol[1, :, m] = _polarizations(kvec)
-    beta_rows = np.zeros(2 * m_count)
-    basis = np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128)
-    for m, idx in enumerate(modes):
-        for p in range(2):
-            basis[:] = 0.0
-            basis[(slice(None),) + idx] = pol[p, :, m]
-            col = _apply_averaged_transport(grid, averages.u_bar, basis)
-            picked = np.stack([col[c][pick] for c in range(3)])  # (3, m_count)
-            for pp in range(2):
-                beta_rows[pp * m_count : (pp + 1) * m_count] += np.abs(
-                    np.sum(pol[pp] * picked, axis=0)
-                )
-    alpha_rows = np.tile(nu * grid.ksq[pick], 2)
-    return alpha_rows, beta_rows
+    idx = np.argwhere(grid.keep)[1:]  # C order puts k = 0 first
+    pick = tuple(idx.T)
+    kv = grid.k[(slice(None),) + pick].T  # (m, 3)
+    helper = np.eye(3)[np.argmin(np.abs(kv), axis=1)]
+    e1 = np.cross(kv, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(kv, e1)
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    pol = np.stack((e1, e2), axis=1)
+    diff = tuple((idx[:, None, d] - idx[None, :, d]) % grid.n for d in range(3))
+    ub = np.moveaxis(u_bar[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
+    pu = np.einsum("kpc,kqc->pkq", pol, ub)
+    ke = np.einsum("kc,qrc->kqr", kv, pol)
+    pe = np.einsum("kpc,qrc->pkqr", pol, pol)
+    ku = np.einsum("kc,kqc->kq", kv, ub)
+    block = 1j * (pu[:, :, :, None] * ke[None] - pe * ku[None, :, :, None])
+    m = len(kv)
+    return pick, pol, block.transpose(0, 1, 3, 2).reshape(2 * m, 2 * m)
 
 
 def contraction_diagnostic(grid: Grid, averages: SlabAverages, nu: float):
     """(delta_star, delta): the printed contraction factor and slab-width rule.
 
-    delta_star = max_row(|alpha|+|beta|) / max_row(|alpha|+2|beta|) and
-    delta = 1 / max_row(|alpha|+|beta|).  When the coupling block vanishes
-    the ratio degenerates to 1; callers should treat that case separately.
+    The coefficient ODE system in the divergence-free mode basis has the
+    diagonal diffusion alpha = nu |k|^2 and the coupling block of
+    ``_coupling_block`` at the averaged velocity; beta are its absolute row
+    sums.  delta_star = max_row(alpha+beta) / max_row(alpha+2 beta) and
+    delta = 1 / max_row(alpha+beta).  When the coupling block vanishes the
+    ratio degenerates to 1; callers should treat that case separately.  The
+    block is quadratic in the mode count, so grids are limited to 8^3.
     """
-    alpha_rows, beta_rows = coupling_row_sums(grid, averages, nu)
+    if grid.n > 8:
+        raise ValueError("row-sum diagnostic is restricted to grids up to 8^3")
+    pick, _, block = _coupling_block(grid, averages.u_bar)
+    alpha_rows = np.tile(nu * grid.ksq[pick], 2)
+    beta_rows = np.sum(np.abs(block), axis=1)
     num = float(np.max(alpha_rows + beta_rows))
     den = float(np.max(alpha_rows + 2.0 * beta_rows))
     if den == 0.0:

@@ -111,7 +111,10 @@ def load_trajectory(snapdir, nu=1.0, with_series=True):
             raise SnapshotError(f"{name}: {exc}") from None
         times.append(t)
         fields.append(w)
-    order = np.argsort(times)
+    order = np.argsort(times, kind="stable")
+    for a, b in zip(order[:-1], order[1:]):
+        if times[a] == times[b]:
+            raise SnapshotError(f"{names[a]} and {names[b]}: same sample time {times[a]!r}")
     times = [times[i] for i in order]
     fields = [fields[i] for i in order]
     series = series_from_samples(grid, times, fields) if with_series else None

@@ -27,7 +27,7 @@ from vslab.estimates import (
 )
 from vslab.reference import StepperConfig, run_reference
 from vslab.reports import emit_reports, write_csv
-from vslab.slabs import run_slab_scheme, uniform_partition
+from vslab.slabs import contraction_diagnostic, run_slab_scheme, uniform_partition
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import (
     Grid,
@@ -174,19 +174,22 @@ def test_criterion_05_picard_contraction(slab_study, grid8):
         uniform_partition(0.25, 8),
         nu=1.0,
         tol=1e-10,
-        small_mode_diagnostic=True,
         reference=ref8,
     )
-    coupled = [r for r in diag_run.records if r.delta_star is not None and r.delta_star < 1.0 - 1e-12]
-    bound_ok = bool(coupled) and all(r.max_ratio <= r.delta_star + 0.05 for r in coupled)
-    stars = [r.delta_star for r in coupled]
+    pairs = [
+        (contraction_diagnostic(grid8, sol.averages, 1.0)[0], sol.diagnostics.max_ratio)
+        for sol in diag_run.solutions
+    ]
+    coupled = [(star, rho) for star, rho in pairs if star < 1.0 - 1e-12]
+    bound_ok = bool(coupled) and all(rho <= star + 0.05 for star, rho in coupled)
+    stars = [star for star, _ in coupled]
     ok = ratios_ok and iter_ok and bound_ok
     record(
         5,
         ok,
         f"N=32 run: max rho {worst_rho:.3f}, max iters {worst_iters}; "
         f"8^3 diagnostic: delta* in [{min(stars):.4f}, {max(stars):.4f}], "
-        f"max rho {max(r.max_ratio for r in coupled):.3f}",
+        f"max rho {max(rho for _, rho in coupled):.3f}",
     )
 
 

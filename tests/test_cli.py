@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 
+from vslab import snapshots
 from vslab.cli import cli_dispatch
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import Grid, random_divfree_field
@@ -174,6 +175,34 @@ def test_run_slab_adaptive_policy_needs_dir(tmp_path, capsys):
     assert err == ["error: reference_dir: required for policy = adaptive"]
 
 
+def test_run_slab_reference_closure_reads_no_norm_series(tmp_path, monkeypatch):
+    # only policy = adaptive reads the stored run's norm series
+    cfg_ref = write_cfg(tmp_path, name="r.cfg", outdir=str(tmp_path / "ref"))
+    assert cli_dispatch(["run-ref", "--config", cfg_ref]) == 0
+
+    def refuse(*args):
+        raise AssertionError("norm series of the reference built")
+
+    monkeypatch.setattr(snapshots, "series_from_samples", refuse)
+    cfg_slab = write_cfg(
+        tmp_path,
+        name="s.cfg",
+        outdir=str(tmp_path / "slab"),
+        provider="reference",
+        reference_dir=str(tmp_path / "ref" / "snapshots"),
+    )
+    assert cli_dispatch(["run-slab", "--config", cfg_slab]) == 0
+
+
+def test_run_slab_picard_non_convergence(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, picard_max_iter=1)
+    assert cli_dispatch(["run-slab", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "slab 0" in err[0]
+    assert "last change" in err[0]
+    assert "()" not in err[0] and " )" not in err[0]
+
+
 def test_study_reports_rate(tmp_path, capsys):
     cfg = write_cfg(tmp_path, study_levels="2,4,8")
     assert cli_dispatch(["study", "--config", cfg]) == 0
@@ -233,6 +262,18 @@ def test_monitor_rejects_nonzero_mean_snapshot(tmp_path, capsys):
     assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "mean vorticity" in err[0]
+
+
+def test_monitor_rejects_duplicate_snapshot_time(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snapdir = tmp_path / "out" / "snapshots"
+    (snapdir / "copy.vslb").write_bytes((snapdir / "snap_000001.vslb").read_bytes())
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "copy.vslb" in err[0] and "snap_000001.vslb" in err[0]
 
 
 def _nan_snapshot(path):

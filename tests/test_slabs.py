@@ -17,9 +17,10 @@ from vslab.slabs import (
     linear_slab_solve,
     picard_solve_slab,
     run_slab_scheme,
+    slab_forcing,
     uniform_partition,
 )
-from vslab.slabs import _phi
+from vslab.slabs import _coupling_block, _phi
 from vslab.spectral import BOX_VOLUME, abc_vorticity, random_divfree_field, taylor_green_vorticity
 from vslab.trajectory import Trajectory, series_from_samples
 
@@ -319,30 +320,36 @@ def test_contraction_diagnostic_degenerate_case(grid8):
 def test_contraction_diagnostic_bounds_measured_ratio(grid8):
     w0 = taylor_green_vorticity(grid8)
     ref = run_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3), field_every=25)
-    result = run_slab_scheme(
-        grid8, w0, uniform_partition(0.25, 8), small_mode_diagnostic=True, reference=ref
-    )
-    for record in result.records:
-        assert record.delta_star is not None
-        assert 0.0 < record.delta_star < 1.0
-        assert record.max_ratio <= record.delta_star + 0.05
+    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 8), reference=ref)
+    for sol in result.solutions:
+        delta_star, _ = contraction_diagnostic(grid8, sol.averages, nu=1.0)
+        assert 0.0 < delta_star < 1.0
+        assert sol.diagnostics.max_ratio <= delta_star + 0.05
 
 
-def test_contraction_threshold_enforcement(grid8):
-    # delta for pure diffusion at 8^3 is 1/12; a wider slab must be refused
-    w0 = 0.01 * taylor_green_vorticity(grid8)
-    zero = zero_trajectory(grid8, 1.0)
-    with pytest.raises(PartitionError, match="contraction threshold"):
-        picard_solve_slab(
-            grid8, w0, 0.0, 0.5,
-            small_mode_diagnostic=True, enforce_threshold=True, reference=zero,
-        )
-    sol = picard_solve_slab(
-        grid8, w0, 0.0, 0.05,
-        small_mode_diagnostic=True, enforce_threshold=True, reference=zero,
-    )
-    assert sol.diagnostics.delta_threshold is not None
-    assert 0.05 <= sol.diagnostics.delta_threshold
+@pytest.mark.parametrize("which", ["taylor-green", "random-5"])
+def test_coupling_block_is_the_slab_forcing_kernel(grid8, which):
+    w = taylor_green_vorticity(grid8) if which == "taylor-green" else random_divfree_field(grid8, 5)
+    u_bar = grid8.biot_savart(w)
+    pick, pol, block = _coupling_block(grid8, u_bar)
+
+    def components(f):  # e_r(q).f(q) at the retained modes, row r*m + q
+        return np.einsum("qrc,cq->rq", pol, f[(slice(None),) + pick]).ravel()
+
+    for seed in (1, 2, 3):
+        v = random_divfree_field(grid8, seed)
+        want = components(slab_forcing(grid8, SlabAverages(v, u_bar)))
+        got = block @ components(v)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_contraction_diagnostic_pinned_pairs(grid8):
+    w = random_divfree_field(grid8, 5)
+    frozen = contraction_diagnostic(grid8, SlabAverages(w, grid8.biot_savart(w)), nu=1.0)
+    assert frozen == pytest.approx((0.9788975345450147, 0.08153688505774054), rel=1e-13)
+    sol = picard_solve_slab(grid8, taylor_green_vorticity(grid8), 0.0, 1.0 / 32.0)
+    converged = contraction_diagnostic(grid8, sol.averages, nu=1.0)
+    assert converged == pytest.approx((0.9997102324635988, 0.08330917903950304), rel=1e-13)
 
 
 def test_contraction_diagnostic_rejects_large_grids(grid16):
