@@ -245,9 +245,10 @@ def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
 
     S(sigma) = sum_d G_d (2 cos(sigma d h) - [d = 0]) needs only the sums G_d
     of the lag-d diagonals of the snapshots' Gram matrix.  The snapshots are
-    Hermitian, so that Gram matrix is real: it is formed from the half
-    spectrum k_3 >= 0 viewed as real numbers, each plane other than k_3 = 0
-    and k_3 = -n/2 weighted by sqrt(2) to stand for its conjugate mirror.  On
+    Hermitian, so that Gram matrix is real: it is formed from the stored half
+    spectra viewed as real numbers, each plane weighted by the square root of
+    its ``Grid.plane_weight`` (sqrt(2) except on k_3 = 0 and k_3 = -n/2) to
+    stand for its conjugate mirror.  On
     the uniform frequency grid sigma_j = j pi / (h L), j = 0..L, the cosine
     sums are the real part of one real FFT of length 2L of the lag sums.
     """
@@ -265,13 +266,10 @@ def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     sigma_max = np.pi / h
     # hold values on [t_m, t_m + h): the last sample only closes the span
     M = len(fields) - 1
-    n = grid.n
-    half = n // 2 + 1
-    plane_weight = np.full(half, np.sqrt(2.0))
-    plane_weight[[0, n // 2]] = 1.0
-    stack = np.empty((M, 3, n, n, half), dtype=np.complex128)
+    plane_weight = np.sqrt(grid.plane_weight)
+    stack = np.empty((M,) + fields[0].shape, dtype=np.complex128)
     for m in range(M):
-        np.multiply(fields[m][..., :half], plane_weight, out=stack[m])
+        np.multiply(fields[m], plane_weight, out=stack[m])
     real = stack.reshape(M, -1).view(np.float64)
     gram = BOX_VOLUME * (real @ real.T)
     if not np.any(gram):

@@ -9,7 +9,7 @@ transport and stretching term in rotational form
 an identity for solenoidal u and w.  The product u x w is formed on the
 physical grid with real FFTs, then curled, dealiased by the 2/3 rule,
 Leray-projected and given a pinned zero mean; ``slab_forcing`` uses the same
-kernel.  ``velocity_rhs`` keeps the convective form as an independent check.
+kernel.  States are half spectra (see ``vslab.spectral``).
 Diffusion is handled exactly per mode by the integrating factor
 exp(-nu |k|^2 t) inside a classical four-stage Runge-Kutta step, so a
 pure-diffusion problem is advanced exactly.
@@ -61,35 +61,26 @@ def nonlinear_term(grid: Grid, u, w):
     """curl(u x w), dealiased and projected, with the k=0 amplitude pinned to zero.
 
     For solenoidal u and w this is the transport and stretching term
-    (w . grad) u - (u . grad) w.  Only the half spectrum k_3 >= 0 of the
-    Hermitian inputs is transformed, with real FFTs: six inverse, three
-    forward.  The half k_3 < 0 of the result is filled in by conjugate
-    reflection, so the output is a full Hermitian spectrum.
+    (w . grad) u - (u . grad) w.  The half spectra are transformed with real
+    FFTs: six inverse, three forward.
     """
     n = grid.n
-    h = n // 2 + 1
-    half = (Ellipsis, slice(0, h))
     scale = float(n**3)
-    stack = np.empty((6, n, n, h), dtype=np.complex128)
-    np.multiply(u[half], scale, out=stack[0:3])
-    np.multiply(w[half], scale, out=stack[3:6])
+    stack = np.empty((6, n, n, n // 2 + 1), dtype=np.complex128)
+    np.multiply(u, scale, out=stack[0:3])
+    np.multiply(w, scale, out=stack[3:6])
     phys = _fft.irfftn(stack, s=(n, n, n), axes=(-3, -2, -1), workers=_FFT_WORKERS, overwrite_x=True)
     uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
-    c = _fft.rfftn(uxw, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-    c *= (1.0 / scale) * grid.keep[half]
-    rot = _cross(grid.kd[half], c, np.empty_like(c))
+    rot = _fft.rfftn(uxw, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    rot *= (1.0 / scale) * grid.keep
+    rot = _cross(grid.kd, rot, np.empty_like(rot))
     rot *= 1j
-    k = grid.k[half]
+    k = grid.k
     kdotv = k[0] * rot[0] + k[1] * rot[1] + k[2] * rot[2]
-    kdotv *= grid.inv_ksq[half]
+    kdotv *= grid.inv_ksq
     rot -= k * kdotv
     rot[:, 0, 0, 0] = 0.0
-    out = np.empty((3, n, n, n), dtype=np.complex128)
-    out[half] = rot
-    # amplitude at k_3 < 0 is conj of the one at -k, whose k_3 = -k_3 lies in the half
-    mirror = np.roll(np.flip(rot[..., 1 : n // 2], axis=(-3, -2, -1)), 1, axis=(-3, -2))
-    np.conjugate(mirror, out=out[..., h:])
-    return out
+    return rot
 
 
 def vorticity_rhs(grid: Grid, w):
@@ -100,25 +91,6 @@ def vorticity_rhs(grid: Grid, w):
     conserved exactly.
     """
     return nonlinear_term(grid, grid.biot_savart(w), w)
-
-
-def velocity_rhs(grid: Grid, u):
-    """Projected, dealiased -(u . grad) u for the velocity-form cross-check."""
-    n = grid.n
-    stack = np.empty((12, n, n, n), dtype=np.complex128)
-    stack[0:3] = u
-    for j in range(3):
-        stack[3 + 3 * j : 6 + 3 * j] = 1j * grid.kd[j] * u
-    phys = _fft.ifftn(stack * n**3, axes=(-3, -2, -1), workers=_FFT_WORKERS).real
-    up = phys[0:3]
-    du = phys[3:12].reshape(3, 3, n, n, n)
-    out = np.empty((3, n, n, n))
-    for i in range(3):
-        out[i] = -(up[0] * du[0, i] + up[1] * du[1, i] + up[2] * du[2, i])
-    rhs = grid.to_spectral(out)
-    rhs = grid.leray_project(grid.dealias(rhs))
-    rhs[:, 0, 0, 0] = 0.0
-    return rhs
 
 
 def rk4_step(grid: Grid, w, cfg: StepperConfig, rhs=vorticity_rhs, t=0.0):
@@ -190,26 +162,3 @@ def run_reference(
             fields.append(w.copy())
     series = series_from_records(s_times, s_rows)
     return Trajectory(grid=grid, nu=cfg.nu, times=np.array(times), fields=fields, series=series)
-
-
-def run_reference_velocity(grid: Grid, u0, T: float, cfg: StepperConfig, field_every=10):
-    """Velocity-form integration used only to cross-check the vorticity solver.
-
-    Returns (times, velocity snapshots); the snapshots are spectral velocity
-    amplitudes, so curl of a snapshot compares against the vorticity run.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_steps = max(1, int(round(T / cfg.dt)))
-    dt = T / n_steps
-    cfg = StepperConfig(dt=dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
-    u = grid.symmetrize(grid.leray_project(np.array(u0, dtype=np.complex128)))
-    u[:, 0, 0, 0] = 0.0
-    times = [0.0]
-    snaps = [u.copy()]
-    for step in range(1, n_steps + 1):
-        u = rk4_step(grid, u, cfg, rhs=velocity_rhs, t=(step - 1) * dt)
-        if step % field_every == 0 or step == n_steps:
-            times.append(step * dt if step < n_steps else T)
-            snaps.append(u.copy())
-    return np.array(times), snaps

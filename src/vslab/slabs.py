@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from vslab.reference import nonlinear_term
-from vslab.spectral import Grid
+from vslab.spectral import Grid, full_spectrum
 from vslab.trajectory import ScalarSeries, Trajectory, scalar_record, series_from_records
 
 
@@ -461,21 +461,30 @@ def _coupling_block(grid: Grid, u_bar):
 
         i [(e_p(k).ubar(k-q)) (k.e_r(q)) - (e_p(k).e_r(q)) (k.ubar(k-q))]
 
-    with k-q taken mod n.  Returns the mode indices (a tuple of three index
-    arrays), the polarizations (m, 2, 3) and the (2m, 2m) block, whose row
-    and column (p, k) is p*m + k.
+    with k-q taken mod n.  The gather needs ubar on the whole cube, so the
+    half spectrum is expanded and the mode tables are built here for the
+    full cube; the block is quadratic in the mode count, so grids are
+    limited to 8^3.  Returns the full-cube mode indices (a tuple of three
+    index arrays), the polarizations (m, 2, 3) and the (2m, 2m) block, whose
+    row and column (p, k) is p*m + k.
     """
-    idx = np.argwhere(grid.keep)[1:]  # C order puts k = 0 first
+    n = grid.n
+    if n > 8:
+        raise ValueError("row-sum diagnostic is restricted to grids up to 8^3")
+    k1 = np.fft.fftfreq(n, d=1.0 / n)
+    k = np.array(np.meshgrid(k1, k1, k1, indexing="ij"))
+    keep = full_spectrum(grid.keep.astype(np.complex128)).real > 0  # the cut is even in k
+    idx = np.argwhere(keep)[1:]  # C order puts k = 0 first
     pick = tuple(idx.T)
-    kv = grid.k[(slice(None),) + pick].T  # (m, 3)
+    kv = k[(slice(None),) + pick].T  # (m, 3)
     helper = np.eye(3)[np.argmin(np.abs(kv), axis=1)]
     e1 = np.cross(kv, helper)
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(kv, e1)
     e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
     pol = np.stack((e1, e2), axis=1)
-    diff = tuple((idx[:, None, d] - idx[None, :, d]) % grid.n for d in range(3))
-    ub = np.moveaxis(u_bar[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
+    diff = tuple((idx[:, None, d] - idx[None, :, d]) % n for d in range(3))
+    ub = np.moveaxis(full_spectrum(u_bar)[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
     pu = np.einsum("kpc,kqc->pkq", pol, ub)
     ke = np.einsum("kc,qrc->kqr", kv, pol)
     pe = np.einsum("kpc,qrc->pkqr", pol, pol)
@@ -496,10 +505,9 @@ def contraction_diagnostic(grid: Grid, averages: SlabAverages, nu: float):
     ratio degenerates to 1; callers should treat that case separately.  The
     block is quadratic in the mode count, so grids are limited to 8^3.
     """
-    if grid.n > 8:
-        raise ValueError("row-sum diagnostic is restricted to grids up to 8^3")
     pick, _, block = _coupling_block(grid, averages.u_bar)
-    alpha_rows = np.tile(nu * grid.ksq[pick], 2)
+    k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    alpha_rows = np.tile(nu * sum(k1[i] ** 2 for i in pick), 2)
     beta_rows = np.sum(np.abs(block), axis=1)
     num = float(np.max(alpha_rows + beta_rows))
     den = float(np.max(alpha_rows + 2.0 * beta_rows))

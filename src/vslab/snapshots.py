@@ -13,8 +13,13 @@ Layout (all little-endian):
                   over -n/2 .. n/2-1; this is the C order of the
                   fftshift-ed (n, n, n) cube
 
-Round trips are bit-exact; loading revalidates Hermitian symmetry so a
-corrupt file cannot masquerade as a real field.
+The program keeps the half spectrum k_3 >= 0 (see ``vslab.spectral``); the
+file holds the whole cube.  Writing fills the k_3 < 0 half by conjugate
+reflection; loading checks the stored k_3 < 0 half against that reflection
+of the stored k_3 > 0 half, and the two self-conjugate planes k_3 = 0 and
+k_3 = -n/2 against their own reflections, so a corrupt file cannot
+masquerade as a real field, and then drops the k_3 < 0 half.  Round trips of
+Hermitian fields are bit-exact.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import struct
 
 import numpy as np
 
-from vslab.spectral import Grid, hermitian_defect
+from vslab.spectral import Grid, _mirror
 from vslab.trajectory import Trajectory, series_from_samples
 
 MAGIC = b"VSLB"
@@ -38,20 +43,26 @@ class SnapshotError(ValueError):
 
 
 def persist_field(path, coeffs, time):
-    """Write one spectral vector field; returns the byte count."""
+    """Write one half-spectrum vector field as the whole cube; returns the byte count."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.ndim != 4 or coeffs.shape[0] != 3 or len(set(coeffs.shape[1:])) != 1:
-        raise SnapshotError(f"expected a (3, n, n, n) field, got shape {coeffs.shape}")
-    n = coeffs.shape[1]
-    payload = np.fft.fftshift(coeffs, axes=(1, 2, 3)).astype("<c16", copy=False)
-    blob = HEADER.pack(MAGIC, VERSION, n, 3, float(time)) + payload.tobytes()
+    n = coeffs.shape[1] if coeffs.ndim == 4 else 0
+    if coeffs.shape != (3, n, n, n // 2 + 1) or n < 2 or n % 2:
+        raise SnapshotError(f"expected a (3, n, n, n//2+1) half spectrum, got shape {coeffs.shape}")
+    # fftshift-ed cube, filled once: k_3 = 0 .. n/2-1, then -n/2, then the mirror
+    half = np.fft.fftshift(coeffs, axes=(1, 2))
+    h = n // 2
+    payload = np.empty((3, n, n, n), dtype="<c16")
+    payload[..., h:] = half[..., :h]
+    payload[..., 0] = half[..., h]
+    _mirror(half[..., h - 1 : 0 : -1], payload[..., 1:h])
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+        fh.write(HEADER.pack(MAGIC, VERSION, n, 3, float(time)))
+        fh.write(payload.data)
+    return HEADER.size + payload.nbytes
 
 
 def load_field(path, symmetry_tol=1e-10):
-    """Read one snapshot; returns (n, time, coeffs)."""
+    """Read one snapshot; returns (n, time, coeffs) with coeffs the half spectrum."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < HEADER.size:
@@ -66,13 +77,23 @@ def load_field(path, symmetry_tol=1e-10):
     expected = HEADER.size + 3 * n**3 * 16
     if len(blob) != expected:
         raise SnapshotError(f"{path}: truncated payload ({len(blob)} of {expected} bytes)")
+    # fftshift-ed cube: index i on every axis holds k_i = i - n/2
     payload = np.frombuffer(blob, dtype="<c16", offset=HEADER.size).reshape(3, n, n, n)
-    coeffs = np.fft.ifftshift(payload, axes=(1, 2, 3))
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    defect = hermitian_defect(coeffs)
+    h = n // 2
+    negative = payload[..., 1:h]
+    positive = payload[..., h + 1 :]
+    planes = payload[..., [0, h]]
+    defect = max(
+        float(np.max(np.abs(negative - _mirror(positive[..., ::-1])), initial=0.0)),
+        float(np.max(np.abs(planes - _mirror(planes)))),
+    )
+    scale = max(1.0, float(np.max(np.abs(payload))))
     if defect > symmetry_tol * scale:
         raise SnapshotError(f"{path}: Hermitian symmetry violated (defect {defect:.3e})")
-    return int(n), float(time), coeffs
+    # k_3 = 0 .. n/2-1 and then -n/2, with k_1 and k_2 back in fftfreq order
+    order = (np.arange(n) + h) % n
+    coeffs = payload[:, order[:, None, None], order[None, :, None], order[None, None, : h + 1]]
+    return int(n), float(time), coeffs.astype(np.complex128, copy=False)
 
 
 def snapshot_name(index):

@@ -1,21 +1,30 @@
 """Spectral calculus on the periodic box [0, 2pi)^3.
 
-Fields are carried by their Fourier amplitudes: a scalar field is a complex
-array of shape (n, n, n), a vector field (3, n, n, n), with wavevectors in
-numpy ``fftfreq`` ordering and the normalization
+Fields are real and carried by their Fourier amplitudes
 
-    f(x) = sum_k  fhat[k] * exp(i k.x)
+    f(x) = sum_k  fhat[k] * exp(i k.x),
 
-so that a real field has Hermitian-symmetric amplitudes, fhat[-k] ==
-conj(fhat[k]).  All differential operators act modewise and are exact for
-band-limited fields.  Quadratic products go through physical space and are
-kept alias-free by the 2/3 truncation rule, so the discrete counterparts of
-the integration-by-parts identities used by the estimate monitors hold to
+which are Hermitian-symmetric, fhat[-k] == conj(fhat[k]).  Only the half
+spectrum k_3 >= 0 is stored: a scalar field is a complex array of shape
+(n, n, n//2+1), a vector field (3, n, n, n//2+1), with k_1 and k_2 in numpy
+``fftfreq`` ordering and k_3 = 0 .. n/2-1 followed by the Nyquist plane at
+index n/2 (stored as k_3 = -n/2, as ``fftfreq`` labels it).  This is the
+layout of ``rfftn``.  Hermitian symmetry then constrains only the two
+self-conjugate planes k_3 = 0 and k_3 = -n/2, where ``symmetrize`` restores
+it; ``full_spectrum`` rebuilds the whole cube where one is needed.  Sums over
+modes weight every plane by 2 for its conjugate mirror, except those two
+planes, which stand for themselves (``Grid.plane_weight``).
+
+All differential operators act modewise and are exact for band-limited
+fields.  Quadratic products go through physical space and are kept
+alias-free by the 2/3 truncation rule, so the discrete counterparts of the
+integration-by-parts identities used by the estimate monitors hold to
 rounding error.
 
 Conventions fixed here and relied on everywhere else:
 
 * the box edge is 2*pi, so ``l2sq`` carries the volume factor (2*pi)**3;
+* the 2/3 rule keeps the modes with every |k_i| < n/3;
 * odd-derivative operators (curl, divergence, gradient) use wavenumbers
   with the Nyquist plane zeroed, which keeps them Hermitian-safe;
 * norms and diffusion use the full |k|^2 including the Nyquist plane;
@@ -31,6 +40,7 @@ TWO_PI = 2.0 * np.pi
 BOX_VOLUME = TWO_PI**3
 
 _FFT_WORKERS = 2
+_AXES = (-3, -2, -1)
 
 # tolerances of the solenoidal check applied where fields enter the program
 DIV_TOL = 1e-8
@@ -50,28 +60,47 @@ class DivergenceError(ValueError):
 
 
 def conjugate_reflection(coeffs):
-    """Amplitudes of the conjugate-reflected field, index k -> -k.
+    """Amplitudes of the conjugate-reflected field of a full cube, index k -> -k.
 
     Works on any cube size, including grids too small for ``Grid``.
     """
-    rev = np.flip(coeffs, axis=(-3, -2, -1))
-    return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
+    rev = np.flip(coeffs, axis=_AXES)
+    return np.conj(np.roll(rev, 1, axis=_AXES))
 
 
-def hermitian_defect(coeffs):
-    """Max |fhat[k] - conj(fhat[-k])|, zero for a real field."""
-    return float(np.max(np.abs(coeffs - conjugate_reflection(coeffs))))
+def _mirror(a, out=None):
+    """conj(a) at (-k_1, -k_2), the reflection i -> -i mod n of the axes -3 and -2.
+
+    The index map is the same in ``fftfreq`` order and in ``fftshift`` order.
+    """
+    return np.conjugate(np.roll(np.flip(a, axis=(-3, -2)), 1, axis=(-3, -2)), out=out)
+
+
+def full_spectrum(half):
+    """Full (..., n, n, n) amplitudes of a real field from its k_3 >= 0 half."""
+    n = half.shape[-2]
+    h = n // 2 + 1
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    # k_3 = -(n/2-1) .. -1 are the mirrors of k_3 = n/2-1 .. 1
+    _mirror(half[..., h - 2 : 0 : -1], out[..., h:])
+    return out
 
 
 class Grid:
-    """Cubic periodic grid with n modes per axis and the operator tables on it."""
+    """Cubic periodic grid with n modes per axis and the operator tables on it.
+
+    The wavevector tables ``k``, ``kd``, ``ksq``, ``inv_ksq`` and ``keep``
+    cover the stored half spectrum; ``x`` is the full physical grid.
+    """
 
     def __init__(self, n: int):
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {n}")
         self.n = int(n)
+        h = n // 2 + 1
         k1 = np.fft.fftfreq(n, d=1.0 / n)  # integers 0..n/2-1, -n/2..-1
-        self.k = np.array(np.meshgrid(k1, k1, k1, indexing="ij"))
+        self.k = np.array(np.meshgrid(k1, k1, k1[:h], indexing="ij"))
         self.ksq = np.sum(self.k**2, axis=0)
         with np.errstate(divide="ignore"):
             inv = 1.0 / self.ksq
@@ -80,13 +109,13 @@ class Grid:
         # derivative wavenumbers: Nyquist zeroed so i*k keeps Hermitian symmetry
         kd1 = k1.copy()
         kd1[n // 2] = 0.0
-        self.kd = np.array(np.meshgrid(kd1, kd1, kd1, indexing="ij"))
-        cut = n / 3.0
-        self.keep = (
-            (np.abs(self.k[0]) <= cut)
-            & (np.abs(self.k[1]) <= cut)
-            & (np.abs(self.k[2]) <= cut)
-        )
+        self.kd = np.array(np.meshgrid(kd1, kd1, kd1[:h], indexing="ij"))
+        # strict: products of two |k_i| = n/3 modes would alias onto kept modes
+        self.keep = np.all(np.abs(self.k) < n / 3.0, axis=0)
+        # each stored plane also stands for its conjugate mirror, except the
+        # self-conjugate planes k_3 = 0 and k_3 = -n/2
+        self.plane_weight = np.full(h, 2.0)
+        self.plane_weight[[0, n // 2]] = 1.0
         x1 = TWO_PI * np.arange(n) / n
         self.x = np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
         self.cell_volume = (TWO_PI / n) ** 3
@@ -102,29 +131,40 @@ class Grid:
 
     # -- transforms ---------------------------------------------------------
 
-    def _check_shape(self, arr):
+    def _check_shape(self, arr, last=None):
         n = self.n
-        if arr.shape not in ((n, n, n), (3, n, n, n)):
+        last = n // 2 + 1 if last is None else last
+        if arr.shape not in ((n, n, last), (3, n, n, last)):
             raise FieldShapeError(
-                f"expected shape {(n, n, n)} or {(3, n, n, n)}, got {arr.shape}"
+                f"expected shape {(n, n, last)} or {(3, n, n, last)}, got {arr.shape}"
             )
 
     def to_spectral(self, values):
-        """Forward transform of real physical samples to mode amplitudes."""
-        self._check_shape(np.asarray(values))
+        """Forward real transform of physical samples to half-spectrum amplitudes."""
         vals = np.asarray(values, dtype=np.float64)
-        return _fft.fftn(vals, axes=(-3, -2, -1), workers=_FFT_WORKERS) / self.n**3
+        self._check_shape(vals, last=self.n)
+        return _fft.rfftn(vals, axes=_AXES, workers=_FFT_WORKERS) / self.n**3
 
     def to_physical(self, coeffs):
-        """Inverse transform; returns the real part of the synthesized field."""
+        """Inverse real transform of half-spectrum amplitudes to physical samples."""
         self._check_shape(coeffs)
-        out = _fft.ifftn(coeffs * self.n**3, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-        return out.real
+        n = self.n
+        return _fft.irfftn(coeffs * n**3, s=(n, n, n), axes=_AXES, workers=_FFT_WORKERS)
 
     # -- symmetry helpers ----------------------------------------------------
 
     def symmetrize(self, coeffs):
-        return 0.5 * (coeffs + conjugate_reflection(coeffs))
+        """Hermitian fix-up of the self-conjugate planes k_3 = 0 and k_3 = -n/2.
+
+        On each of them the amplitude at (k_1, k_2) is averaged with the
+        conjugate of the one at (-k_1, -k_2); the other planes have their
+        mirrors outside the stored half and are returned unchanged.
+        """
+        out = np.array(coeffs, dtype=np.complex128)
+        planes = [0, self.n // 2]
+        edge = out[..., planes]
+        out[..., planes] = 0.5 * (edge + _mirror(edge))
+        return out
 
     # -- differential operators ----------------------------------------------
 
@@ -158,8 +198,8 @@ class Grid:
 
     def divergence_rel(self, v):
         """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2."""
-        num = np.sum(np.abs(self.divergence(v)) ** 2)
-        den = np.sum(self.ksq * np.sum(np.abs(v) ** 2, axis=0))
+        num = self._mode_sum(np.abs(self.divergence(v)) ** 2)
+        den = self._mode_sum(self.ksq * np.sum(np.abs(v) ** 2, axis=0))
         if den == 0.0:
             return 0.0
         return float(np.sqrt(num / den))
@@ -192,51 +232,41 @@ class Grid:
         return self.curl(w) * self.inv_ksq[np.newaxis]
 
     def dealias(self, coeffs):
-        """Zero every mode with any |k_i| > n/3 (2/3 rule)."""
+        """Zero every mode with any |k_i| >= n/3 (2/3 rule)."""
         self._check_shape(coeffs)
         return coeffs * self.keep
 
     # -- norms ----------------------------------------------------------------
 
+    def _mode_sum(self, density):
+        """Sum over the full spectrum of a per-mode density given on the half."""
+        return float(np.sum(density.reshape(-1, density.shape[-1]) @ self.plane_weight))
+
     def l2sq(self, coeffs):
         """Squared L2 norm over the box, components summed (Parseval)."""
         self._check_shape(coeffs)
-        return BOX_VOLUME * float(np.sum(np.abs(coeffs) ** 2))
+        return BOX_VOLUME * self._mode_sum(np.abs(coeffs) ** 2)
 
     def h1sq(self, coeffs):
         """Squared L2 norm of the gradient, components summed."""
         self._check_shape(coeffs)
+        density = np.abs(coeffs) ** 2
         if coeffs.ndim == 4:
-            return BOX_VOLUME * float(np.sum(self.ksq * np.sum(np.abs(coeffs) ** 2, axis=0)))
-        return BOX_VOLUME * float(np.sum(self.ksq * np.abs(coeffs) ** 2))
+            density = np.sum(density, axis=0)
+        return BOX_VOLUME * self._mode_sum(self.ksq * density)
 
     def l4(self, coeffs):
-        """L4 norm of |field| evaluated on the physical grid quadrature.
-
-        The field must be real (Hermitian amplitudes): only the half
-        spectrum k_3 >= 0 is synthesized, with a real inverse FFT.
-        """
+        """L4 norm of |field| evaluated on the physical grid quadrature."""
         self._check_shape(coeffs)
         n = self.n
-        half = coeffs[..., : n // 2 + 1] * n**3
-        phys = _fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), workers=_FFT_WORKERS, overwrite_x=True)
+        phys = _fft.irfftn(
+            coeffs * n**3, s=(n, n, n), axes=_AXES, workers=_FFT_WORKERS, overwrite_x=True
+        )
         if phys.ndim == 4:
             mag_sq = np.sum(phys**2, axis=0)
         else:
             mag_sq = phys**2
         return float((np.sum(mag_sq**2) * self.cell_volume) ** 0.25)
-
-    def norm_suite(self, coeffs):
-        return {
-            "l2_sq": self.l2sq(coeffs),
-            "h1_semi_sq": self.h1sq(coeffs),
-            "l4": self.l4(coeffs),
-        }
-
-    def physical_l2sq(self, values):
-        """Direct physical-space L2 quadrature, for Parseval cross-checks."""
-        vals = np.asarray(values, dtype=np.float64)
-        return float(np.sum(vals**2) * self.cell_volume)
 
 
 # -- canonical initial fields ----------------------------------------------
@@ -305,8 +335,9 @@ def random_divfree_field(grid: Grid, seed: int, kmax: int | None = None):
 
     Amplitudes are drawn mode by mode in lexicographic wavevector order from
     the splitmix64 stream (six uniforms per mode: re/im for each component),
-    damped by 1/(1+|k|^2), Hermitian-symmetrized, projected, and dealiased,
-    so the construction is reproducible across implementations.
+    damped by 1/(1+|k|^2), Hermitian-symmetrized on the full cube, cut to
+    the half spectrum, projected, and dealiased, so the construction is
+    reproducible across implementations.
     """
     n = grid.n
     if kmax is None:
@@ -314,7 +345,7 @@ def random_divfree_field(grid: Grid, seed: int, kmax: int | None = None):
     kmax = min(kmax, n // 2 - 1)
     axis = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     order = np.argsort(axis)
-    coeffs = np.zeros((3, n, n, n), dtype=np.complex128)
+    full = np.zeros((3, n, n, n), dtype=np.complex128)
     modes = []
     for i1 in order:
         if abs(axis[i1]) > kmax:
@@ -331,9 +362,9 @@ def random_divfree_field(grid: Grid, seed: int, kmax: int | None = None):
     draws = splitmix64_uniform(seed, 6 * len(modes)).reshape(len(modes), 3, 2)
     amp = 2.0 * draws - 1.0
     for (i1, i2, i3), a in zip(modes, amp):
-        damp = 1.0 / (1.0 + grid.ksq[i1, i2, i3])
-        coeffs[:, i1, i2, i3] = damp * (a[:, 0] + 1j * a[:, 1])
-    coeffs = grid.symmetrize(coeffs)
+        damp = 1.0 / (1.0 + float(axis[i1] ** 2 + axis[i2] ** 2 + axis[i3] ** 2))
+        full[:, i1, i2, i3] = damp * (a[:, 0] + 1j * a[:, 1])
+    coeffs = 0.5 * (full + conjugate_reflection(full))[..., : n // 2 + 1]
     coeffs[:, 0, 0, 0] = 0.0
     coeffs = grid.dealias(grid.leray_project(coeffs))
     norm = np.sqrt(grid.l2sq(coeffs))

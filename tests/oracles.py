@@ -1,0 +1,95 @@
+"""Independent reference computations and file corruptions that only the tests use.
+
+The computations work on the whole (n, n, n) cube with complex transforms,
+apart from the half-spectrum layout the program keeps, so they check it
+rather than share its code.
+"""
+
+import struct
+
+import numpy as np
+import scipy.fft
+
+from vslab.reference import StepperConfig, rk4_step
+from vslab.spectral import conjugate_reflection, full_spectrum
+
+
+def hermitian_defect(coeffs):
+    """Max |fhat[k] - conj(fhat[-k])| of a full cube, zero for a real field."""
+    return float(np.max(np.abs(coeffs - conjugate_reflection(coeffs))))
+
+
+def full_tables(n):
+    """Wavevectors k and Nyquist-zeroed derivative wavevectors kd on the whole cube."""
+    k1 = np.fft.fftfreq(n, d=1.0 / n)
+    kd1 = k1.copy()
+    kd1[n // 2] = 0.0
+    k = np.array(np.meshgrid(k1, k1, k1, indexing="ij"))
+    kd = np.array(np.meshgrid(kd1, kd1, kd1, indexing="ij"))
+    return k, kd
+
+
+def velocity_rhs(grid, u):
+    """Projected, dealiased -(u . grad) u: the convective form of the velocity RHS.
+
+    Curled, it must agree with the rotational-form vorticity RHS.  The
+    products are formed from complex transforms of the full cube.
+    """
+    n = grid.n
+    _, kd = full_tables(n)
+    full = full_spectrum(u)
+    stack = np.empty((12, n, n, n), dtype=np.complex128)
+    stack[0:3] = full
+    for j in range(3):
+        stack[3 + 3 * j : 6 + 3 * j] = 1j * kd[j] * full
+    phys = scipy.fft.ifftn(stack * n**3, axes=(-3, -2, -1)).real
+    up = phys[0:3]
+    du = phys[3:12].reshape(3, 3, n, n, n)
+    out = np.empty((3, n, n, n))
+    for i in range(3):
+        out[i] = -(up[0] * du[0, i] + up[1] * du[1, i] + up[2] * du[2, i])
+    rhs = scipy.fft.fftn(out, axes=(-3, -2, -1))[..., : n // 2 + 1] / n**3
+    rhs = grid.leray_project(grid.dealias(rhs))
+    rhs[:, 0, 0, 0] = 0.0
+    return rhs
+
+
+def run_reference_velocity(grid, u0, T, cfg, field_every=10):
+    """Velocity-form integration to cross-check the vorticity solver.
+
+    Returns (times, velocity snapshots); curl of a snapshot compares against
+    the vorticity run.
+    """
+    n_steps = max(1, int(round(T / cfg.dt)))
+    dt = T / n_steps
+    cfg = StepperConfig(dt=dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
+    u = grid.symmetrize(grid.leray_project(np.array(u0, dtype=np.complex128)))
+    u[:, 0, 0, 0] = 0.0
+    times = [0.0]
+    snaps = [u.copy()]
+    for step in range(1, n_steps + 1):
+        u = rk4_step(grid, u, cfg, rhs=velocity_rhs, t=(step - 1) * dt)
+        if step % field_every == 0 or step == n_steps:
+            times.append(step * dt if step < n_steps else T)
+            snaps.append(u.copy())
+    return np.array(times), snaps
+
+
+def norm_suite(grid, coeffs):
+    return {"l2_sq": grid.l2sq(coeffs), "h1_semi_sq": grid.h1sq(coeffs), "l4": grid.l4(coeffs)}
+
+
+def physical_l2sq(grid, values):
+    """Direct physical-space L2 quadrature, for Parseval cross-checks."""
+    vals = np.asarray(values, dtype=np.float64)
+    return float(np.sum(vals**2) * grid.cell_volume)
+
+
+def corrupt_negative_half(path, n):
+    """Change one amplitude of a snapshot file at k = (1, -2, -1), in the half that loading drops."""
+    index = np.ravel_multi_index((1, 1 + n // 2, -2 + n // 2, -1 + n // 2), (3, n, n, n))
+    blob = bytearray(path.read_bytes())
+    offset = 24 + 16 * index
+    value = struct.unpack_from("<d", blob, offset)[0]
+    struct.pack_into("<d", blob, offset, value + 0.25)
+    path.write_bytes(bytes(blob))

@@ -248,7 +248,7 @@ def test_criterion_08_hgamma_boundedness(grid16):
         values[n] = hgamma_diagnostic(traj.times, traj.fields, 0.2, grid).value
     spread = abs(values[24] - values[16]) / values[16]
     with pytest.raises(ValueError):
-        zeros = np.zeros((3, 16, 16, 16), dtype=complex)
+        zeros = np.zeros((3, 16, 16, 9), dtype=complex)
         hgamma_diagnostic(np.linspace(0, 1, 5), [zeros] * 5, 0.3, grid16)
     ok = spread <= 0.10
     record(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+from oracles import corrupt_negative_half
 
 from vslab import snapshots
 from vslab.cli import cli_dispatch
@@ -300,6 +301,30 @@ def test_run_ref_rejects_nan_initial_file(tmp_path, capsys):
     assert cli_dispatch(["run-ref", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+
+
+def _monitor_one_error(tmp_path, capsys, damage):
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snapdir = tmp_path / "out" / "snapshots"
+    damage(snapdir / "snap_000001.vslb")
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "snap_000001.vslb" in err[0]
+    return err[0]
+
+
+def test_monitor_rejects_truncated_snapshot(tmp_path, capsys):
+    def truncate(path):
+        path.write_bytes(path.read_bytes()[:-16])
+
+    assert "truncated payload" in _monitor_one_error(tmp_path, capsys, truncate)
+
+
+def test_monitor_rejects_snapshot_corrupt_in_dropped_half(tmp_path, capsys):
+    line = _monitor_one_error(tmp_path, capsys, lambda path: corrupt_negative_half(path, 8))
+    assert "Hermitian symmetry violated" in line
 
 
 def test_set_override_changes_run(tmp_path):

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from oracles import corrupt_negative_half
 
 from vslab.config import ConfigError, echo_config, load_config, parse_config_text
 from vslab.estimates import enstrophy_ledger
@@ -117,6 +118,7 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     persist_field(path, w, 0.375)
     n, t, back = load_field(path)
     assert n == 8 and t == 0.375
+    assert back.shape == (3, 8, 8, 5)
     assert np.array_equal(back, w)
 
 
@@ -131,25 +133,32 @@ def test_snapshot_golden_bytes_2cubed(tmp_path):
 
 
 def test_snapshot_payload_order_is_lexicographic(tmp_path):
-    n = 4
-    coeffs = (np.arange(3 * n**3) + 1j * np.arange(3 * n**3, 6 * n**3)).reshape(3, n, n, n)
+    n, h = 4, 3
+    size = 3 * n * n * h
+    distinct = (np.arange(size) + 1j * np.arange(size, 2 * size)).reshape(3, n, n, h)
+    coeffs = Grid(n).symmetrize(distinct)  # Hermitian; distinct amplitudes up to conjugate pairs
     path = tmp_path / "order.vslb"
     persist_field(path, coeffs, 0.0)
     payload = np.frombuffer(path.read_bytes(), dtype="<f8", offset=24).reshape(3, n**3, 2)
     ks = range(-n // 2, n // 2)
+
+    def amplitude(c, k1, k2, k3):  # stored k_3 are 0, 1 and -2; k_3 = -1 mirrors k_3 = 1
+        if k3 == -1:
+            return np.conj(coeffs[c, -k1 % n, -k2 % n, 1])
+        return coeffs[c, k1 % n, k2 % n, k3 % n if k3 >= 0 else 2]
+
     want = np.array(
-        [[coeffs[c, k1 % n, k2 % n, k3 % n] for k1, k2, k3 in itertools.product(ks, ks, ks)]
-         for c in range(3)]
+        [[amplitude(c, *k) for k in itertools.product(ks, ks, ks)] for c in range(3)]
     )
     assert np.array_equal(payload[:, :, 0], want.real)
     assert np.array_equal(payload[:, :, 1], want.imag)
-    _, _, back = load_field(path, symmetry_tol=np.inf)  # distinct amplitudes are not Hermitian
+    _, _, back = load_field(path)
     assert np.array_equal(back, coeffs)
 
 
 def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "bad.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 4), dtype=complex), 0.0)
+    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
@@ -159,7 +168,7 @@ def test_snapshot_bad_magic(tmp_path):
 
 def test_snapshot_bad_version(tmp_path):
     path = tmp_path / "ver.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 4), dtype=complex), 0.0)
+    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
     blob = bytearray(path.read_bytes())
     blob[4:8] = struct.pack("<I", 9)
     path.write_bytes(bytes(blob))
@@ -169,7 +178,7 @@ def test_snapshot_bad_version(tmp_path):
 
 def test_snapshot_truncated(tmp_path):
     path = tmp_path / "short.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 4), dtype=complex), 0.0)
+    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(SnapshotError, match="truncated"):
         load_field(path)
@@ -177,11 +186,20 @@ def test_snapshot_truncated(tmp_path):
 
 def test_snapshot_symmetry_violation(tmp_path):
     grid = Grid(4)
-    w = np.zeros((3, 4, 4, 4), dtype=complex)
-    w[0, 1, 0, 0] = 1.0  # no conjugate partner
+    w = np.zeros((3, 4, 4, 3), dtype=complex)
+    w[0, 1, 0, 0] = 1.0  # no conjugate partner on the plane k_3 = 0
     path = tmp_path / "asym.vslb"
     persist_field(path, w, 0.0)
     with pytest.raises(SnapshotError, match="symmetry"):
+        load_field(path)
+
+
+def test_snapshot_symmetry_violation_in_dropped_half(tmp_path):
+    path = tmp_path / "neg.vslb"
+    persist_field(path, random_divfree_field(Grid(8), seed=41), 0.0)
+    load_field(path)
+    corrupt_negative_half(path, 8)
+    with pytest.raises(SnapshotError, match="neg.vslb: Hermitian symmetry violated"):
         load_field(path)
 
 
@@ -203,7 +221,7 @@ def test_trajectory_save_load(tmp_path):
 
 def _tiny_ledger(grid):
     times = np.linspace(0.0, 1.0, 11)
-    zeros = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     traj = Trajectory(grid=grid, nu=1.0, times=times, fields=[zeros] * 11)
     traj.series = ScalarSeries(
         times=times,

@@ -32,6 +32,7 @@ from vslab.spectral import (
     BOX_VOLUME,
     Grid,
     abc_velocity,
+    full_spectrum,
     random_divfree_field,
     taylor_green_vorticity,
 )
@@ -46,7 +47,7 @@ def single_mode_vorticity(grid):
 
 
 def synthetic_trajectory(grid, times, energy, enstrophy, dissipation, enstrophy_dissipation):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     times = np.asarray(times, dtype=np.float64)
     traj = Trajectory(grid=grid, nu=1.0, times=times, fields=[zeros] * len(times))
     traj.series = ScalarSeries(
@@ -126,7 +127,7 @@ def test_ladyzhenskaya_rejects_constant_and_zero(grid8):
     with pytest.raises(ValueError):
         ladyzhenskaya_ratio(grid8, grid8.to_spectral(np.ones((8, 8, 8))))
     with pytest.raises(ValueError):
-        ladyzhenskaya_ratio(grid8, np.zeros((8, 8, 8), dtype=complex))
+        ladyzhenskaya_ratio(grid8, np.zeros((8, 8, 5), dtype=complex))
 
 
 def test_ladyzhenskaya_sine_calibration(grid8, grid32):
@@ -201,12 +202,12 @@ def test_ledger_taylor_green_small(grid8):
 
 
 def _zero_averages(grid):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     return SlabAverages(zeros, zeros.copy())
 
 
 def test_average_cs_zero_trajectory(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     sol = linear_slab_solve(grid8, zeros, _zero_averages(grid8), 0.0, 0.1, nu=1.0)
     assert abs(average_cs_check(sol)) < 1e-14
 
@@ -244,7 +245,7 @@ def test_average_cs_margin_nonnegative(seed, width):
 
 
 def test_hgamma_zero_trajectory(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     times = np.linspace(0.0, 1.0, 17)
     diag = hgamma_diagnostic(times, [zeros] * 17, 0.2, grid8)
     assert diag.value == 0.0
@@ -252,13 +253,13 @@ def test_hgamma_zero_trajectory(grid8):
 
 @pytest.mark.parametrize("gamma", [0.3, 0.25, 0.0, -0.1])
 def test_hgamma_rejects_gamma_out_of_range(grid8, gamma):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     with pytest.raises(ValueError):
         hgamma_diagnostic(np.linspace(0, 1, 5), [zeros] * 5, gamma, grid8)
 
 
 def test_hgamma_needs_two_frequency_points(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     with pytest.raises(ValueError):
         hgamma_diagnostic(np.linspace(0, 1, 5), [zeros] * 5, 0.2, grid8, freq_points=1)
 
@@ -281,7 +282,7 @@ def test_hgamma_constant_mode_against_quadrature_oracle(grid8):
 def direct_hgamma(times, fields, gamma, freq_points):
     """The diagnostic from its definition: complex Gram matrix of the full
     spectra, lag sums, and the direct sum of their Fourier phases."""
-    data = np.stack([np.ravel(f) for f in fields[:-1]])
+    data = np.stack([np.ravel(full_spectrum(f)) for f in fields[:-1]])
     gram = BOX_VOLUME * (data @ data.conj().T)
     offsets = np.array([np.trace(gram, offset=d) for d in range(len(data))])
     h = times[1] - times[0]
@@ -318,7 +319,7 @@ def test_hgamma_monotone_in_gamma(grid8):
 
 
 def test_hgamma_needs_uniform_samples(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     with pytest.raises(ValueError):
         hgamma_diagnostic(np.array([0.0, 0.1, 0.5]), [zeros] * 3, 0.2, grid8)
 
@@ -327,7 +328,7 @@ def test_hgamma_needs_uniform_samples(grid8):
 
 
 def test_dt_monitor_zero_trajectory(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     mon = dt_u_monitor(np.linspace(0, 1, 9), [zeros] * 9, np.zeros(9), grid8)
     assert np.all(mon.margins == 0.0)
     assert mon.min_margin == 0.0
@@ -356,7 +357,7 @@ def test_dt_monitor_phi_is_the_enstrophy_series(grid8):
 
 
 def test_dt_monitor_needs_three_samples(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     with pytest.raises(ValueError):
         dt_u_monitor(np.array([0.0, 0.1]), [zeros] * 2, np.zeros(2), grid8)
 

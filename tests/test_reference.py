@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import sympy as sp
+from oracles import hermitian_defect, run_reference_velocity, velocity_rhs
 
 from vslab.reference import (
     BlowUpError,
@@ -11,15 +12,13 @@ from vslab.reference import (
     nonlinear_term,
     rk4_step,
     run_reference,
-    run_reference_velocity,
-    velocity_rhs,
     vorticity_rhs,
 )
 from vslab.slabs import SlabAverages, slab_forcing
 from vslab.spectral import (
     Grid,
     abc_vorticity,
-    hermitian_defect,
+    full_spectrum,
     random_divfree_field,
     taylor_green_velocity,
     taylor_green_vorticity,
@@ -27,7 +26,7 @@ from vslab.spectral import (
 
 
 def test_rhs_zero_field(grid16):
-    w = np.zeros((3, 16, 16, 16), dtype=complex)
+    w = np.zeros((3, 16, 16, 9), dtype=complex)
     assert np.all(vorticity_rhs(grid16, w) == 0.0)
 
 
@@ -65,13 +64,16 @@ def test_rhs_postconditions(grid8):
     rhs = vorticity_rhs(grid8, w)
     assert grid8.divergence_rel(rhs) < 1e-12
     assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0
-    assert hermitian_defect(rhs) < 1e-13
+    assert hermitian_defect(full_spectrum(rhs)) < 1e-13
 
 
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("seed, n", [(1, 8), (1, 16), (5, 8), (5, 16), (5, 24)])
 def test_rhs_matches_curl_of_convective_velocity_rhs(n, seed):
-    """Rotational-form vorticity RHS vs curl of the convective velocity RHS."""
+    """Rotational-form vorticity RHS vs curl of the convective velocity RHS.
+
+    At n = 24 the cut n/3 is a wavenumber: the two forms agree only if the
+    2/3 rule drops |k_i| = n/3, whose products alias onto kept modes.
+    """
     grid = Grid(n)
     u = random_divfree_field(grid, seed=seed)
     want = grid.curl(velocity_rhs(grid, u))
@@ -87,7 +89,7 @@ def test_slab_forcing_is_the_rhs_kernel(grid8):
 
 def test_kernel_output_is_hermitian(grid16):
     w = random_divfree_field(grid16, seed=13)
-    out = nonlinear_term(grid16, grid16.biot_savart(w), w)
+    out = full_spectrum(nonlinear_term(grid16, grid16.biot_savart(w), w))
     assert hermitian_defect(out) <= 1e-15 * np.max(np.abs(out))
 
 
@@ -114,7 +116,7 @@ def test_rhs_transform_count(grid8, monkeypatch):
 
 
 def test_step_pure_diffusion_is_exact(grid8):
-    w = np.zeros((3, 8, 8, 8), dtype=complex)
+    w = np.zeros((3, 8, 8, 5), dtype=complex)
     w[2, 1, 0, 0] = -0.5j
     w[2, -1, 0, 0] = 0.5j
     cfg = StepperConfig(dt=0.01, nu=1.0)
@@ -146,7 +148,7 @@ def test_step_order_four_richardson(grid16):
 
 
 def test_run_zero_initial_data(grid8):
-    traj = run_reference(grid8, np.zeros((3, 8, 8, 8), dtype=complex), 0.05, StepperConfig(dt=0.01))
+    traj = run_reference(grid8, np.zeros((3, 8, 8, 5), dtype=complex), 0.05, StepperConfig(dt=0.01))
     assert all(np.all(f == 0.0) for f in traj.fields)
     assert np.all(traj.series.enstrophy == 0.0)
 

@@ -21,12 +21,18 @@ from vslab.slabs import (
     uniform_partition,
 )
 from vslab.slabs import _coupling_block, _phi
-from vslab.spectral import BOX_VOLUME, abc_vorticity, random_divfree_field, taylor_green_vorticity
+from vslab.spectral import (
+    BOX_VOLUME,
+    abc_vorticity,
+    full_spectrum,
+    random_divfree_field,
+    taylor_green_vorticity,
+)
 from vslab.trajectory import Trajectory, series_from_samples
 
 
 def zero_trajectory(grid, T):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     times = np.array([0.0, T])
     fields = [zeros, zeros.copy()]
     return Trajectory(grid=grid, nu=1.0, times=times, fields=fields,
@@ -118,7 +124,7 @@ def test_adaptive_partition_reports_unsatisfiable_rule(grid8):
 
 
 def _zero_averages(grid):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n), dtype=complex)
+    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     return SlabAverages(omega_bar=zeros, u_bar=zeros.copy())
 
 
@@ -208,7 +214,7 @@ def test_slab_average_against_simpson(grid8):
 
 
 def test_picard_zero_initial_one_iteration(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     sol = picard_solve_slab(grid8, zeros, 0.0, 0.1)
     assert sol.diagnostics.converged
     assert sol.diagnostics.iterations == 1
@@ -258,7 +264,7 @@ def test_fixed_point_residual(grid8):
 
 
 def test_run_zero_initial(grid8):
-    zeros = np.zeros((3, 8, 8, 8), dtype=complex)
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
     result = run_slab_scheme(grid8, zeros, uniform_partition(0.5, 4))
     assert all(np.all(f == 0.0) for f in result.trajectory.fields)
     assert all(r.iterations == 1 for r in result.records)
@@ -280,6 +286,14 @@ def test_run_chains_endpoints_exactly(grid8):
     result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 4))
     for prev, nxt in zip(result.solutions[:-1], result.solutions[1:]):
         assert np.array_equal(prev.endpoint(), nxt.omega_init)
+
+
+def test_run_states_are_half_spectra(grid8):
+    w0 = taylor_green_vorticity(grid8)
+    ref = run_reference(grid8, w0, 0.02, StepperConfig(dt=0.01), field_every=1)
+    slab = run_slab_scheme(grid8, w0, uniform_partition(0.02, 2), slab_samples=2)
+    for f in ref.fields + slab.trajectory.fields:
+        assert f.shape == (3, 8, 8, 5)
 
 
 def test_run_preserves_field_invariants(grid8):
@@ -334,7 +348,7 @@ def test_coupling_block_is_the_slab_forcing_kernel(grid8, which):
     pick, pol, block = _coupling_block(grid8, u_bar)
 
     def components(f):  # e_r(q).f(q) at the retained modes, row r*m + q
-        return np.einsum("qrc,cq->rq", pol, f[(slice(None),) + pick]).ravel()
+        return np.einsum("qrc,cq->rq", pol, full_spectrum(f)[(slice(None),) + pick]).ravel()
 
     for seed in (1, 2, 3):
         v = random_divfree_field(grid8, seed)
@@ -354,7 +368,7 @@ def test_contraction_diagnostic_pinned_pairs(grid8):
 
 def test_contraction_diagnostic_rejects_large_grids(grid16):
     averages = SlabAverages(
-        np.zeros((3, 16, 16, 16), dtype=complex), np.zeros((3, 16, 16, 16), dtype=complex)
+        np.zeros((3, 16, 16, 9), dtype=complex), np.zeros((3, 16, 16, 9), dtype=complex)
     )
     with pytest.raises(ValueError):
         contraction_diagnostic(grid16, averages, nu=1.0)

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import full_tables, hermitian_defect, norm_suite, physical_l2sq
 
 from vslab.spectral import (
     BOX_VOLUME,
@@ -13,7 +14,9 @@ from vslab.spectral import (
     MeanModeError,
     abc_velocity,
     abc_vorticity,
-    hermitian_defect,
+    conjugate_reflection,
+    full_spectrum,
+    initial_vorticity,
     random_divfree_field,
     splitmix64,
     splitmix64_uniform,
@@ -51,26 +54,28 @@ def naive_dft(vals):
 
 
 def padded_product(grid, a_coeffs, b_coeffs):
-    """Alias-free pointwise product via 3/2 zero padding, back on the base grid."""
+    """Alias-free pointwise product via 3/2 zero padding, back on the base grid.
+
+    Works on full cubes with complex transforms; takes and returns half spectra.
+    """
     n = grid.n
     m = 3 * n // 2
-    big = Grid(m)
+    ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
 
-    def embed(coeffs):
+    def physical(coeffs):
+        full = full_spectrum(coeffs)
         out = np.zeros((m, m, m), dtype=complex)
-        ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
         for a, k1 in enumerate(ks):
             for b, k2 in enumerate(ks):
                 for c, k3 in enumerate(ks):
-                    out[k1 % m, k2 % m, k3 % m] = coeffs[a, b, c]
-        return out
+                    out[k1 % m, k2 % m, k3 % m] = full[a, b, c]
+        return np.fft.ifftn(out * m**3).real
 
-    prod = big.to_spectral(big.to_physical(embed(a_coeffs)) * big.to_physical(embed(b_coeffs)))
-    ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    out = np.zeros((n, n, n), dtype=complex)
+    prod = np.fft.fftn(physical(a_coeffs) * physical(b_coeffs)) / m**3
+    out = np.zeros((n, n, n // 2 + 1), dtype=complex)
     for a, k1 in enumerate(ks):
         for b, k2 in enumerate(ks):
-            for c, k3 in enumerate(ks):
+            for c, k3 in enumerate(ks[: n // 2 + 1]):
                 out[a, b, c] = prod[k1 % m, k2 % m, k3 % m]
     return out
 
@@ -110,7 +115,7 @@ def test_transform_single_mode_amplitudes(grid8):
 def test_transform_matches_naive_dft(grid4):
     vals = splitmix64_uniform(2024, 4**3).reshape(4, 4, 4) - 0.5
     got = grid4.to_spectral(vals)
-    want = naive_dft(vals)
+    want = naive_dft(vals)[..., :3]
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.max(np.abs(grid4.to_physical(got) - vals)) < 1e-12
 
@@ -188,7 +193,7 @@ def test_divergence_matches_modewise_loop(grid4):
     kd = [0 if abs(k) == 2 else k for k in ks]
     for a in range(4):
         for b in range(4):
-            for c in range(4):
+            for c in range(3):
                 want[a, b, c] = 1j * (
                     kd[a] * v[0, a, b, c] + kd[b] * v[1, a, b, c] + kd[c] * v[2, a, b, c]
                 )
@@ -232,7 +237,7 @@ def test_leray_idempotent(grid8):
 
 
 def test_biot_savart_zero(grid8):
-    assert np.all(grid8.biot_savart(np.zeros((3, 8, 8, 8), dtype=complex)) == 0.0)
+    assert np.all(grid8.biot_savart(np.zeros((3, 8, 8, 5), dtype=complex)) == 0.0)
 
 
 def test_biot_savart_single_mode(grid8):
@@ -270,13 +275,13 @@ def test_require_solenoidal_rejects_divergent_input(grid8):
 
 
 def test_dealias_keeps_low_mode(grid8):
-    c = np.zeros((8, 8, 8), dtype=complex)
+    c = np.zeros((8, 8, 5), dtype=complex)
     c[1, 0, 0] = 1.0 - 2.0j
     assert np.array_equal(grid8.dealias(c), c)
 
 
 def test_dealias_zeroes_nyquist(grid8):
-    c = np.zeros((8, 8, 8), dtype=complex)
+    c = np.zeros((8, 8, 5), dtype=complex)
     c[4, 0, 0] = 3.0
     assert np.all(grid8.dealias(c) == 0.0)
 
@@ -300,13 +305,13 @@ def test_dealias_pipeline_matches_padded_convolution_generic(grid8):
 
 
 def test_norms_single_mode(grid8):
-    suite = grid8.norm_suite(grid8.to_spectral(np.sin(grid8.x[0])))
+    suite = norm_suite(grid8, grid8.to_spectral(np.sin(grid8.x[0])))
     assert suite["l2_sq"] == pytest.approx(BOX_VOLUME / 2.0, rel=1e-13)
     assert suite["h1_semi_sq"] == pytest.approx(BOX_VOLUME / 2.0, rel=1e-13)
 
 
 def test_norms_constant_field(grid8):
-    suite = grid8.norm_suite(grid8.to_spectral(np.ones((8, 8, 8))))
+    suite = norm_suite(grid8, grid8.to_spectral(np.ones((8, 8, 8))))
     assert suite["l4"] == pytest.approx(TWO_PI**0.75, rel=1e-13)
     assert suite["h1_semi_sq"] == pytest.approx(0.0, abs=1e-14)
 
@@ -321,7 +326,7 @@ def test_l4_matches_full_spectrum_quadrature(n, seed, component):
     v = random_divfree_field(grid, seed)
     if component is not None:
         v = v[component]
-    phys = grid.to_physical(v)
+    phys = np.fft.ifftn(full_spectrum(v) * n**3, axes=(-3, -2, -1)).real
     mag_sq = np.sum(phys**2, axis=0) if phys.ndim == 4 else phys**2
     want = (np.sum(mag_sq**2) * grid.cell_volume) ** 0.25
     assert abs(grid.l4(v) - want) / want < 1e-13
@@ -337,7 +342,46 @@ def test_h1_equals_enstrophy_of_curl(grid8):
 def test_parseval(grid8):
     v = random_divfree_field(grid8, seed=37)
     phys = grid8.to_physical(v)
-    assert abs(grid8.physical_l2sq(phys) - grid8.l2sq(v)) / grid8.l2sq(v) < 1e-12
+    assert abs(physical_l2sq(grid8, phys) - grid8.l2sq(v)) / grid8.l2sq(v) < 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(8, 3), (8, 19), (16, 7), (16, 23)])
+def test_half_spectrum_sums_match_full_cube(n, seed):
+    grid = Grid(n)
+    v = random_divfree_field(grid, seed) + 0.3 * grid.gradient(
+        grid.to_spectral(np.sin(grid.x[0]) * np.cos(grid.x[2]))
+    )
+    full = full_spectrum(v)
+    k, kd = full_tables(n)
+    ksq = np.sum(k**2, axis=0)
+    mag_sq = np.sum(np.abs(full) ** 2, axis=0)
+    div_sq = np.abs(np.sum(kd * full, axis=0)) ** 2
+    assert grid.l2sq(v) == pytest.approx(BOX_VOLUME * np.sum(mag_sq), rel=1e-14)
+    assert grid.h1sq(v) == pytest.approx(BOX_VOLUME * np.sum(ksq * mag_sq), rel=1e-14)
+    want_div = np.sqrt(np.sum(div_sq) / np.sum(ksq * mag_sq))
+    assert grid.divergence_rel(v) == pytest.approx(want_div, rel=1e-14)
+
+
+def test_full_spectrum_of_real_transform_is_complex_transform(grid8):
+    vals = splitmix64_uniform(7, 3 * 8**3).reshape(3, 8, 8, 8) - 0.5
+    want = np.fft.fftn(vals, axes=(-3, -2, -1)) / 8**3
+    assert np.max(np.abs(full_spectrum(grid8.to_spectral(vals)) - want)) < 1e-16
+
+
+def test_symmetrize_is_the_full_cube_average_on_the_half(grid8):
+    amp = splitmix64_uniform(5, 2 * 3 * 8 * 8 * 5).reshape(2, 3, 8, 8, 5) - 0.5
+    half = amp[0] + 1j * amp[1]  # not Hermitian on the planes k_3 = 0 and -4
+    full = full_spectrum(half)
+    want = (0.5 * (full + conjugate_reflection(full)))[..., :5]
+    got = grid8.symmetrize(half)
+    assert np.array_equal(got, want)
+    assert hermitian_defect(full_spectrum(got)) == 0.0
+    assert not np.array_equal(got[..., 0], half[..., 0])
+
+
+@pytest.mark.parametrize("name", ["taylor-green", "abc-beltrami", "random-divfree"])
+def test_initial_vorticity_is_a_half_spectrum(grid8, name):
+    assert initial_vorticity(grid8, name, seed=3).shape == (3, 8, 8, 5)
 
 
 # -- property tests -----------------------------------------------------------------------------
@@ -354,7 +398,7 @@ def test_operations_preserve_hermitian_symmetry(seed):
         grid.biot_savart(v),
         grid.dealias(v),
     ):
-        assert hermitian_defect(out) < 1e-13
+        assert hermitian_defect(full_spectrum(out)) < 1e-13
 
 
 @settings(max_examples=15, deadline=None)
