@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -219,18 +220,47 @@ def cmd_study(cfg):
 
 
 def cmd_monitor(cfg, snapdir):
-    traj = snapshots.load_trajectory(snapdir, nu=cfg.nu, with_series=False)
-    grid = traj.grid
-    u_fields = [grid.biot_savart(w) for w in traj.fields]
-    s = series_from_records(
-        traj.times, [scalar_record(grid, w, u) for w, u in zip(traj.fields, u_fields)]
-    )
+    """One pass over the snapshots in time order.
+
+    Only the H^gamma stack (every snapshot but the last) is held whole; the
+    centered differences need a window of the last five velocities: dt u at
+    t_{m-1} from u_m - u_{m-2}, and at t_{m-2} on the every-other-sample grid
+    of the finite-difference band from u_m - u_{m-4} when m is even.
+    """
+    n, times, paths = snapshots.scan_snapshots(snapdir)
+    # a lone snapshot is still loaded and checked before the energy identity rejects it
+    h = estimates.uniform_step(times) if len(times) > 1 else None
+    h2 = times[2] - times[0] if len(times) > 2 else None  # spacing of times[::2]
+    grid = Grid(n)
+    stack = np.empty((len(times) - 1,) + grid.k.shape, dtype=np.complex128)
+    records, gaps, ratios = [], [], []
+    fine_l2, fine_h1, coarse_l2, coarse_h1 = [], [], [], []
+    window = deque(maxlen=5)
+    for m, w in enumerate(snapshots.read_snapshots(grid, paths)):
+        u = grid.biot_savart(w)
+        window.append(u)
+        records.append(scalar_record(grid, w, u))
+        gaps.append(estimates.grad_vorticity_check(grid, u))
+        if m < len(stack):
+            estimates.hgamma_row(grid, w, stack[m])
+        if m >= 2:
+            dtu = (u - window[-3]) / (2.0 * h)
+            fine_l2.append(grid.l2sq(dtu))
+            fine_h1.append(grid.h1sq(dtu))
+            try:
+                ratios.append(estimates.ladyzhenskaya_ratio(grid, dtu))
+            except ValueError:
+                pass
+        if m >= 4 and m % 2 == 0:
+            dtu = (u - window[-5]) / (2.0 * h2)
+            coarse_l2.append(grid.l2sq(dtu))
+            coarse_h1.append(grid.h1sq(dtu))
+    s = series_from_records(times, records)
     residual = estimates.energy_identity_residual(s.times, s.energy, s.dissipation, nu=cfg.nu)
-    grad_gap = max(estimates.grad_vorticity_check(grid, u) for u in u_fields)
-    rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", grad_gap)]
-    if len(traj.times) >= 3:
-        monitor = estimates.dt_u_monitor(traj.times, u_fields, s.enstrophy, grid)
-        half = estimates.dt_u_monitor(traj.times[::2], u_fields[::2], s.enstrophy[::2], grid)
+    rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", max(gaps))]
+    if len(times) >= 3:
+        monitor = estimates.dt_u_margins(times, fine_l2, fine_h1, s.enstrophy)
+        half = estimates.dt_u_margins(times[::2], coarse_l2, coarse_h1, s.enstrophy[::2])
         common = np.isin(monitor.times, half.times)
         band = float(np.max(np.abs(monitor.margins[common] - half.margins))) if np.any(common) else 0.0
         rows += [
@@ -238,14 +268,6 @@ def cmd_monitor(cfg, snapdir):
             ("dt_u_fd_band", band),
             ("dt_u_pass", int(monitor.min_margin >= -band)),
         ]
-        h = traj.times[1] - traj.times[0]
-        ratios = []
-        for m in range(1, len(traj.times) - 1):
-            dtu = (u_fields[m + 1] - u_fields[m - 1]) / (2.0 * h)
-            try:
-                ratios.append(estimates.ladyzhenskaya_ratio(grid, dtu))
-            except ValueError:
-                continue
         if ratios:
             worst = max(ratios)
             rows += [
@@ -253,7 +275,7 @@ def cmd_monitor(cfg, snapdir):
                 ("ladyzhenskaya_constant", cfg.ladyzhenskaya_c),
                 ("ladyzhenskaya_pass", int(worst <= cfg.ladyzhenskaya_c)),
             ]
-    hg = estimates.hgamma_diagnostic(traj.times, traj.fields, cfg.gamma, grid)
+    hg = estimates.hgamma_from_stack(times, stack, cfg.gamma)
     rows.append((f"hgamma_{cfg.gamma}", hg.value))
     os.makedirs(cfg.outdir, exist_ok=True)
     reports.write_csv(os.path.join(cfg.outdir, "monitors.csv"), ("quantity", "value"), rows)

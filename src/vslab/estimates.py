@@ -233,11 +233,43 @@ def _weighted_linear_integral(sigma, values, power):
     return float(np.sum(fa * i0 + slope * (i1 - a * i0)))
 
 
+def uniform_step(times):
+    """The common spacing h of uniformly spaced sample times (relative slack 1e-9)."""
+    times = np.asarray(times, dtype=np.float64)
+    if len(times) < 2:
+        raise ValueError("need at least two samples")
+    steps = np.diff(times)
+    h = float(steps[0])
+    if np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
+        raise ValueError("samples must be uniformly spaced")
+    return h
+
+
+def hgamma_row(grid: Grid, w, out):
+    """Write one snapshot's row of the H^gamma stack: w with each plane weighted
+    by the square root of its ``Grid.plane_weight``."""
+    np.multiply(w, np.sqrt(grid.plane_weight), out=out)
+
+
 def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     """Weighted time-frequency mass of the zero-extended trajectory.
 
-    The trajectory is extended by zero outside its span and held constant on
-    each sampling interval, whose transform is known in closed form; the
+    Stacks the rows of every snapshot but the last (``hgamma_row``) and hands
+    the stack to ``hgamma_from_stack``, which defines the value.
+    """
+    stack = np.empty((max(len(fields) - 1, 0),) + grid.k.shape, dtype=np.complex128)
+    for m, w in enumerate(fields[:-1]):
+        hgamma_row(grid, w, stack[m])
+    return hgamma_from_stack(times, stack, gamma, freq_points)
+
+
+def hgamma_from_stack(times, stack, gamma, freq_points=131073):
+    """H^gamma mass of the zero-extended trajectory from its weighted stack.
+
+    ``stack[m]`` is ``hgamma_row`` of the snapshot at ``times[m]``, for every
+    sample but the last, which only closes the span.  The trajectory is
+    extended by zero outside its span and held constant on each sampling
+    interval, whose transform is known in closed form; the
     spatially-resolved spectrum S(sigma) = sum over components and modes of
     the squared L2 amplitude is then integrated against |sigma|^(2 gamma)
     over the resolvable band |sigma| <= pi/h (angular frequency).  Requires
@@ -248,28 +280,22 @@ def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     Hermitian, so that Gram matrix is real: it is formed from the stored half
     spectra viewed as real numbers, each plane weighted by the square root of
     its ``Grid.plane_weight`` (sqrt(2) except on k_3 = 0 and k_3 = -n/2) to
-    stand for its conjugate mirror.  On
-    the uniform frequency grid sigma_j = j pi / (h L), j = 0..L, the cosine
-    sums are the real part of one real FFT of length 2L of the lag sums.
+    stand for its conjugate mirror.  On the uniform frequency grid
+    sigma_j = j pi / (h L), j = 0..L, the cosine sums are the real part of
+    one real FFT of length 2L of the lag sums.
     """
     if not 0.0 < gamma < 0.25:
         raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
     if freq_points < 2:
         raise ValueError(f"need at least two frequency points, got {freq_points}")
-    times = np.asarray(times, dtype=np.float64)
-    if len(times) < 2:
-        raise ValueError("need at least two samples")
-    steps = np.diff(times)
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
-        raise ValueError("samples must be uniformly spaced")
+    h = uniform_step(times)
     sigma_max = np.pi / h
     # hold values on [t_m, t_m + h): the last sample only closes the span
-    M = len(fields) - 1
-    plane_weight = np.sqrt(grid.plane_weight)
-    stack = np.empty((M,) + fields[0].shape, dtype=np.complex128)
-    for m in range(M):
-        np.multiply(fields[m], plane_weight, out=stack[m])
+    M = len(times) - 1
+    if len(stack) != M:
+        raise ValueError(
+            f"need one stack row per sample but the last, got {len(stack)} for {M + 1} samples"
+        )
     real = stack.reshape(M, -1).view(np.float64)
     gram = BOX_VOLUME * (real @ real.T)
     if not np.any(gram):
@@ -307,10 +333,27 @@ class DtMonitor:
 def dt_u_monitor(times, u_fields, enstrophy, grid: Grid):
     """Margins of the differential inequality for the velocity time derivative.
 
-    margin = phi |dt u|^2 - d/dt |dt u|^2 - |grad dt u|^2 per interior
-    sample, with dt u by centered differences of the stored snapshots and
-    phi = 27 (sum |w_i|^2)^2 from the enstrophy series sampled at the same
-    times (one value per velocity field).  The outer time derivative uses
+    dt u at each interior sample is the centered difference of the stored
+    velocities; its squared L2 and H1 norms go to ``dt_u_margins``, which
+    defines the margins.
+    """
+    dtu_l2, dtu_h1 = [], []
+    if len(times) >= 3:
+        h = uniform_step(times)
+        for m in range(1, len(times) - 1):
+            dtu = (u_fields[m + 1] - u_fields[m - 1]) / (2.0 * h)
+            dtu_l2.append(grid.l2sq(dtu))
+            dtu_h1.append(grid.h1sq(dtu))
+    return dt_u_margins(times, dtu_l2, dtu_h1, enstrophy)
+
+
+def dt_u_margins(times, dtu_l2sq, dtu_h1sq, enstrophy):
+    """Margins of phi |dt u|^2 - d/dt |dt u|^2 - |grad dt u|^2 >= 0.
+
+    ``dtu_l2sq`` and ``dtu_h1sq`` hold |dt u|^2 and |grad dt u|^2 at the
+    interior samples ``times[1:-1]``, with dt u the centered difference of
+    the neighbouring velocities; phi = 27 (sum |w_i|^2)^2 comes from the
+    enstrophy series sampled at every time.  The outer time derivative uses
     centered differences where possible and one-sided ones at the ends of
     the interior range.
     """
@@ -320,18 +363,11 @@ def dt_u_monitor(times, u_fields, enstrophy, grid: Grid):
     enstrophy = np.asarray(enstrophy, dtype=np.float64)
     if len(enstrophy) != len(times):
         raise ValueError("need one enstrophy value per sample")
-    steps = np.diff(times)
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
-        raise ValueError("samples must be uniformly spaced")
-    interior = range(1, len(times) - 1)
-    dtu_l2, dtu_h1 = [], []
-    for m in interior:
-        dtu = (u_fields[m + 1] - u_fields[m - 1]) / (2.0 * h)
-        dtu_l2.append(grid.l2sq(dtu))
-        dtu_h1.append(grid.h1sq(dtu))
-    dtu_l2 = np.array(dtu_l2)
-    dtu_h1 = np.array(dtu_h1)
+    h = uniform_step(times)
+    dtu_l2 = np.asarray(dtu_l2sq, dtype=np.float64)
+    dtu_h1 = np.asarray(dtu_h1sq, dtype=np.float64)
+    if len(dtu_l2) != len(times) - 2 or len(dtu_h1) != len(times) - 2:
+        raise ValueError("need one dt u norm per interior sample")
     phi = 27.0 * enstrophy[1:-1] ** 2
     ddt = np.zeros_like(dtu_l2)
     if len(dtu_l2) >= 2:

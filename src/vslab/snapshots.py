@@ -20,6 +20,10 @@ of the stored k_3 > 0 half, and the two self-conjugate planes k_3 = 0 and
 k_3 = -n/2 against their own reflections, so a corrupt file cannot
 masquerade as a real field, and then drops the k_3 < 0 half.  Round trips of
 Hermitian fields are bit-exact.
+
+A directory is read in two steps: ``scan_snapshots`` checks every header and
+orders the files by time, reading 24 bytes of each, and ``read_snapshots``
+then loads the payloads one at a time.
 """
 
 from __future__ import annotations
@@ -61,13 +65,11 @@ def persist_field(path, coeffs, time):
     return HEADER.size + payload.nbytes
 
 
-def load_field(path, symmetry_tol=1e-10):
-    """Read one snapshot; returns (n, time, coeffs) with coeffs the half spectrum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < HEADER.size:
-        raise SnapshotError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, version, n, ncomp, time = HEADER.unpack_from(blob)
+def _check_header(path, head, size):
+    """(n, time) from the first bytes ``head`` of a snapshot file of ``size`` bytes."""
+    if len(head) < HEADER.size:
+        raise SnapshotError(f"{path}: truncated header ({len(head)} bytes)")
+    magic, version, n, ncomp, time = HEADER.unpack_from(head)
     if magic != MAGIC:
         raise SnapshotError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
@@ -75,8 +77,16 @@ def load_field(path, symmetry_tol=1e-10):
     if ncomp != 3:
         raise SnapshotError(f"{path}: expected 3 components, got {ncomp}")
     expected = HEADER.size + 3 * n**3 * 16
-    if len(blob) != expected:
-        raise SnapshotError(f"{path}: truncated payload ({len(blob)} of {expected} bytes)")
+    if size != expected:
+        raise SnapshotError(f"{path}: truncated payload ({size} of {expected} bytes)")
+    return int(n), float(time)
+
+
+def load_field(path, symmetry_tol=1e-10):
+    """Read one snapshot; returns (n, time, coeffs) with coeffs the half spectrum."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    n, time = _check_header(path, blob, len(blob))
     # fftshift-ed cube: index i on every axis holds k_i = i - n/2
     payload = np.frombuffer(blob, dtype="<c16", offset=HEADER.size).reshape(3, n, n, n)
     h = n // 2
@@ -93,7 +103,7 @@ def load_field(path, symmetry_tol=1e-10):
     # k_3 = 0 .. n/2-1 and then -n/2, with k_1 and k_2 back in fftfreq order
     order = (np.arange(n) + h) % n
     coeffs = payload[:, order[:, None, None], order[None, :, None], order[None, None, : h + 1]]
-    return int(n), float(time), coeffs.astype(np.complex128, copy=False)
+    return n, time, coeffs.astype(np.complex128, copy=False)
 
 
 def snapshot_name(index):
@@ -111,32 +121,52 @@ def save_trajectory(outdir, trajectory: Trajectory):
     return paths
 
 
-def load_trajectory(snapdir, nu=1.0, with_series=True):
-    """Rebuild a trajectory from every .vslb file in a directory.
+def scan_snapshots(snapdir):
+    """Validated headers of every .vslb file in a directory, in time order.
 
-    Every snapshot must be a zero-mean divergence-free vorticity field.
+    Reads only the 24-byte header and the size of each file.  Returns
+    (n, times, paths); raises SnapshotError on an empty directory, a bad
+    header, a file whose grid size differs from the first one's, or two
+    files with the same sample time.
     """
     names = sorted(f for f in os.listdir(snapdir) if f.endswith(".vslb"))
     if not names:
         raise SnapshotError(f"no .vslb snapshots in {snapdir}")
-    times, fields, grid = [], [], None
+    first, times = None, []
     for name in names:
-        n, t, w = load_field(os.path.join(snapdir, name))
-        if grid is None:
-            grid = Grid(n)
-        elif n != grid.n:
-            raise SnapshotError(f"{name}: grid size {n} differs from {grid.n}")
-        try:
-            grid.require_solenoidal(w)
-        except ValueError as exc:
-            raise SnapshotError(f"{name}: {exc}") from None
+        path = os.path.join(snapdir, name)
+        with open(path, "rb") as fh:
+            n, t = _check_header(path, fh.read(HEADER.size), os.fstat(fh.fileno()).st_size)
+        if first is None:
+            first = n
+        elif n != first:
+            raise SnapshotError(f"{name}: grid size {n} differs from {first}")
         times.append(t)
-        fields.append(w)
     order = np.argsort(times, kind="stable")
     for a, b in zip(order[:-1], order[1:]):
         if times[a] == times[b]:
             raise SnapshotError(f"{names[a]} and {names[b]}: same sample time {times[a]!r}")
-    times = [times[i] for i in order]
-    fields = [fields[i] for i in order]
+    return first, [times[i] for i in order], [os.path.join(snapdir, names[i]) for i in order]
+
+
+def read_snapshots(grid: Grid, paths):
+    """Load the snapshots one at a time, in the given order; yields each vorticity.
+
+    Every snapshot must be a zero-mean divergence-free vorticity field.
+    """
+    for path in paths:
+        _, _, w = load_field(path)
+        try:
+            grid.require_solenoidal(w)
+        except ValueError as exc:
+            raise SnapshotError(f"{os.path.basename(path)}: {exc}") from None
+        yield w
+
+
+def load_trajectory(snapdir, nu=1.0, with_series=True):
+    """Rebuild a trajectory from every .vslb file in a directory (see scan_snapshots)."""
+    n, times, paths = scan_snapshots(snapdir)
+    grid = Grid(n)
+    fields = list(read_snapshots(grid, paths))
     series = series_from_samples(grid, times, fields) if with_series else None
     return Trajectory(grid=grid, nu=nu, times=np.array(times), fields=fields, series=series)

@@ -76,6 +76,11 @@ def _mirror(a, out=None):
     return np.conjugate(np.roll(np.flip(a, axis=(-3, -2)), 1, axis=(-3, -2)), out=out)
 
 
+def _density(c):
+    """|c|^2 per amplitude, without the hypot that np.abs would take."""
+    return c.real**2 + c.imag**2
+
+
 def full_spectrum(half):
     """Full (..., n, n, n) amplitudes of a real field from its k_3 >= 0 half."""
     n = half.shape[-2]
@@ -198,8 +203,8 @@ class Grid:
 
     def divergence_rel(self, v):
         """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2."""
-        num = self._mode_sum(np.abs(self.divergence(v)) ** 2)
-        den = self._mode_sum(self.ksq * np.sum(np.abs(v) ** 2, axis=0))
+        num = self._mode_sum(_density(self.divergence(v)))
+        den = self._mode_sum(self.ksq * np.sum(_density(v), axis=0))
         if den == 0.0:
             return 0.0
         return float(np.sqrt(num / den))
@@ -245,12 +250,12 @@ class Grid:
     def l2sq(self, coeffs):
         """Squared L2 norm over the box, components summed (Parseval)."""
         self._check_shape(coeffs)
-        return BOX_VOLUME * self._mode_sum(np.abs(coeffs) ** 2)
+        return BOX_VOLUME * self._mode_sum(_density(coeffs))
 
     def h1sq(self, coeffs):
         """Squared L2 norm of the gradient, components summed."""
         self._check_shape(coeffs)
-        density = np.abs(coeffs) ** 2
+        density = _density(coeffs)
         if coeffs.ndim == 4:
             density = np.sum(density, axis=0)
         return BOX_VOLUME * self._mode_sum(self.ksq * density)

@@ -10,8 +10,11 @@ import struct
 import numpy as np
 import scipy.fft
 
+from vslab import estimates
 from vslab.reference import StepperConfig, rk4_step
+from vslab.snapshots import load_trajectory
 from vslab.spectral import conjugate_reflection, full_spectrum
+from vslab.trajectory import scalar_record, series_from_records
 
 
 def hermitian_defect(coeffs):
@@ -93,3 +96,48 @@ def corrupt_negative_half(path, n):
     value = struct.unpack_from("<d", blob, offset)[0]
     struct.pack_into("<d", blob, offset, value + 0.25)
     path.write_bytes(bytes(blob))
+
+
+def monitor_rows(snapdir, nu, gamma, ladyzhenskaya_c):
+    """The (quantity, value) rows of ``vslab monitor`` from whole-trajectory lists.
+
+    Holds every vorticity and velocity at once and calls the list-taking
+    monitors, so the streamed command can be checked against it value for value.
+    """
+    traj = load_trajectory(snapdir, nu=nu, with_series=False)
+    grid = traj.grid
+    u_fields = [grid.biot_savart(w) for w in traj.fields]
+    s = series_from_records(
+        traj.times, [scalar_record(grid, w, u) for w, u in zip(traj.fields, u_fields)]
+    )
+    residual = estimates.energy_identity_residual(s.times, s.energy, s.dissipation, nu=nu)
+    grad_gap = max(estimates.grad_vorticity_check(grid, u) for u in u_fields)
+    rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", grad_gap)]
+    if len(traj.times) >= 3:
+        monitor = estimates.dt_u_monitor(traj.times, u_fields, s.enstrophy, grid)
+        half = estimates.dt_u_monitor(traj.times[::2], u_fields[::2], s.enstrophy[::2], grid)
+        common = np.isin(monitor.times, half.times)
+        band = float(np.max(np.abs(monitor.margins[common] - half.margins))) if np.any(common) else 0.0
+        rows += [
+            ("dt_u_min_margin", monitor.min_margin),
+            ("dt_u_fd_band", band),
+            ("dt_u_pass", int(monitor.min_margin >= -band)),
+        ]
+        h = traj.times[1] - traj.times[0]
+        ratios = []
+        for m in range(1, len(traj.times) - 1):
+            dtu = (u_fields[m + 1] - u_fields[m - 1]) / (2.0 * h)
+            try:
+                ratios.append(estimates.ladyzhenskaya_ratio(grid, dtu))
+            except ValueError:
+                continue
+        if ratios:
+            worst = max(ratios)
+            rows += [
+                ("ladyzhenskaya_max_ratio", worst),
+                ("ladyzhenskaya_constant", ladyzhenskaya_c),
+                ("ladyzhenskaya_pass", int(worst <= ladyzhenskaya_c)),
+            ]
+    hg = estimates.hgamma_diagnostic(traj.times, traj.fields, gamma, grid)
+    rows.append((f"hgamma_{gamma}", hg.value))
+    return rows

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
-from oracles import corrupt_negative_half
+import pytest
+from oracles import corrupt_negative_half, monitor_rows
 
-from vslab import snapshots
+from vslab import estimates, snapshots
 from vslab.cli import cli_dispatch
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import Grid, random_divfree_field
@@ -240,6 +242,97 @@ def test_monitor_inverts_each_snapshot_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Grid, "biot_savart", counting)
     assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
     assert len(calls) == len(list(snap.glob("*.vslb")))
+
+
+def _count_loads(monkeypatch):
+    calls = []
+    original = snapshots.load_field
+
+    def counting(path, *args, **kwargs):
+        calls.append(os.path.basename(path))
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(snapshots, "load_field", counting)
+    return calls
+
+
+def test_monitor_loads_each_snapshot_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, field_every=2)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    calls = _count_loads(monkeypatch)
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    assert sorted(calls) == sorted(p.name for p in snap.glob("*.vslb"))
+
+
+@pytest.mark.parametrize("field_every", [5, 2])  # 11 and 26 snapshots
+def test_monitor_matches_list_based_oracle(tmp_path, capsys, field_every):
+    cfg = write_cfg(tmp_path, field_every=field_every)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    assert len(list(snap.glob("*.vslb"))) == {5: 11, 2: 26}[field_every]
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    printed = [line for line in out if line.startswith("monitor: ")]
+    want = monitor_rows(snap, nu=1.0, gamma=0.2, ladyzhenskaya_c=2.0)
+    assert printed == [f"monitor: {name}={value}" for name, value in want]
+    assert len(want) == 9
+
+
+def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
+    # 33 snapshots at 16^3: the whole trajectory as vorticity and velocity
+    # lists would hold 66 states beyond the 32-row H^gamma stack
+    cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    count = len(list(snap.glob("*.vslb")))
+    assert count == 33
+    state = Grid(16).k.size * 16
+    w = random_divfree_field(Grid(4), seed=3)
+    tracemalloc.start()
+    try:
+        # the frequency-grid work of the diagnostic does not scale with n or M
+        base = tracemalloc.get_traced_memory()[0]
+        estimates.hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, Grid(4))
+        freq = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < (count - 1) * state + freq + 16 * state
+
+
+def _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, damage):
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snapdir = tmp_path / "out" / "snapshots"
+    damage(snapdir)
+    calls = _count_loads(monkeypatch)
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert calls == []
+    return err[0]
+
+
+def test_monitor_rejects_mixed_grid_sizes_before_reading(tmp_path, capsys, monkeypatch):
+    def add_4cubed(snapdir):  # named to sort after the 8^3 snap_ files
+        persist_field(snapdir / "stray.vslb", random_divfree_field(Grid(4), seed=8), 9.0)
+
+    line = _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, add_4cubed)
+    assert "stray.vslb" in line and "grid size 4" in line
+
+
+def test_monitor_rejects_nonuniform_times_before_reading(tmp_path, capsys, monkeypatch):
+    def drop_one(snapdir):
+        (snapdir / "snap_000003.vslb").unlink()
+
+    line = _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, drop_one)
+    assert "samples must be uniformly spaced" in line
 
 
 def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from vslab.snapshots import (
     load_trajectory,
     persist_field,
     save_trajectory,
+    scan_snapshots,
 )
 from vslab.spectral import Grid, random_divfree_field
 from vslab.trajectory import ScalarSeries, Trajectory
@@ -214,6 +215,27 @@ def test_trajectory_save_load(tmp_path):
     assert np.array_equal(back.times, times)
     assert all(np.array_equal(a, b) for a, b in zip(back.fields, fields))
     assert back.series is not None
+
+
+def test_scan_orders_by_time_from_headers_only(tmp_path):
+    w = random_divfree_field(Grid(8), seed=5)
+    for name, t in (("a.vslb", 1.0), ("b.vslb", 0.0), ("c.vslb", 0.5)):
+        persist_field(tmp_path / name, w, t)
+    (tmp_path / "notes.txt").write_text("not a snapshot")
+    corrupt_negative_half(tmp_path / "c.vslb", 8)
+    n, times, paths = scan_snapshots(tmp_path)
+    assert n == 8 and times == [0.0, 0.5, 1.0]
+    assert [os.path.basename(p) for p in paths] == ["b.vslb", "c.vslb", "a.vslb"]
+    with pytest.raises(SnapshotError, match="c.vslb: Hermitian symmetry violated"):
+        load_trajectory(tmp_path)
+
+
+def test_scan_rejects_truncated_payload(tmp_path):
+    path = tmp_path / "short.vslb"
+    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(SnapshotError, match="short.vslb: truncated payload"):
+        scan_snapshots(tmp_path)
 
 
 # -- reports ----------------------------------------------------------------------

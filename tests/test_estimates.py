@@ -12,11 +12,13 @@ from vslab.estimates import (
     _weighted_linear_integral,
     average_cs_check,
     convergence_study,
+    dt_u_margins,
     dt_u_monitor,
     energy_identity_residual,
     enstrophy_ledger,
     grad_vorticity_check,
     hgamma_diagnostic,
+    hgamma_from_stack,
     ladyzhenskaya_ratio,
     piecewise_average_distance,
     sup_l2_distance,
@@ -324,6 +326,12 @@ def test_hgamma_needs_uniform_samples(grid8):
         hgamma_diagnostic(np.array([0.0, 0.1, 0.5]), [zeros] * 3, 0.2, grid8)
 
 
+def test_hgamma_from_stack_needs_one_row_per_held_sample(grid8):
+    stack = np.zeros((5, 3, 8, 8, 5), dtype=complex)
+    with pytest.raises(ValueError, match="one stack row per sample but the last"):
+        hgamma_from_stack(np.linspace(0, 1, 5), stack, 0.2)
+
+
 # -- time-derivative monitor ---------------------------------------------------------------------------
 
 
@@ -354,6 +362,12 @@ def test_dt_monitor_phi_is_the_enstrophy_series(grid8):
     enstrophy = np.linspace(3.0, 1.0, 11)
     mon = dt_u_monitor(times, [np.exp(-t) * u0 for t in times], enstrophy, grid8)
     assert np.array_equal(mon.phi, 27 * enstrophy[1:-1] ** 2)
+
+
+def test_dt_u_margins_need_one_norm_per_interior_sample():
+    times = np.linspace(0.0, 1.0, 6)
+    with pytest.raises(ValueError, match="one dt u norm per interior sample"):
+        dt_u_margins(times, np.ones(3), np.ones(4), np.ones(6))
 
 
 def test_dt_monitor_needs_three_samples(grid8):
