@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from vslab.atomic import atomic_open
+
 INITIAL_CHOICES = ("taylor-green", "abc-beltrami", "random-divfree", "file")
 POLICY_CHOICES = ("uniform", "adaptive")
 PROVIDER_CHOICES = ("self-consistent", "reference")
@@ -157,7 +159,7 @@ def echo_config(cfg: RunConfig, outdir):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, ECHO_NAME)
     lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(RunConfig)]
-    with open(path, "w", newline="\n") as fh:
+    with atomic_open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
 

@@ -16,7 +16,7 @@ from scipy.integrate import simpson, trapezoid
 
 from vslab.slabs import TimePartition, SlabSolution, compute_kstar, slab_window
 from vslab.spectral import BOX_VOLUME, Grid
-from vslab.trajectory import Trajectory
+from vslab.trajectory import ScalarSeries, Trajectory
 
 
 # -- pointwise field identities ------------------------------------------------
@@ -117,10 +117,10 @@ class EstimateLedger:
         return [r.index for r in self.rows if not r.slab_rule_ok]
 
 
-def enstrophy_ledger(trajectory: Trajectory, partition: TimePartition, eps0, C, records=None):
+def enstrophy_ledger(series: ScalarSeries, partition: TimePartition, eps0, C, records=None):
     """Per-slab bookkeeping of the enstrophy bound chain.
 
-    Builds, from the recorded norm series, the slab loads kstar, the running
+    Builds, from a run's norm series, the slab loads kstar, the running
     sup/dissipation functional f_k, the slab sup M_k, and checks the
     recursion M_k <= M_{k-1} exp((1-eps0) dt_k) with M_0 = K0 together with
     the global cap sup E <= K0 exp((1-eps0) T).  FAIL rows are annotated,
@@ -130,9 +130,9 @@ def enstrophy_ledger(trajectory: Trajectory, partition: TimePartition, eps0, C, 
         raise ValueError("eps0 must lie in (0,1)")
     if C <= 0:
         raise ValueError("C must be positive")
-    s = trajectory.series
+    s = series
     if s is None or len(s) < 2:
-        raise ValueError("trajectory carries no usable norm series")
+        raise ValueError("no usable norm series")
     times = s.times
     K0 = float(s.enstrophy[0])
     T = partition.T

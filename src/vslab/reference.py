@@ -23,7 +23,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from vslab.spectral import Grid, _FFT_WORKERS
-from vslab.trajectory import Trajectory, scalar_record, series_from_records
+from vslab.trajectory import ScalarSeries, Trajectory, scalar_record, series_from_records
 
 
 @dataclass
@@ -123,13 +123,21 @@ def run_reference(
     field_every: int = 10,
     sample_times=None,
     rhs=vorticity_rhs,
-) -> Trajectory:
+    sink=None,
+) -> Trajectory | ScalarSeries:
     """Integrate to time T and record norm series plus field snapshots.
 
     The step count is round(T/dt) with the step size nudged so the run lands
     on T exactly.  Snapshots are taken every ``field_every`` steps, or, when
     ``sample_times`` is given, at the steps nearest the requested times;
     t=0 and t=T are always included.
+
+    Each snapshot is handed to ``sink(t, w)`` as it is taken, in time order
+    from t=0; the sink must not modify ``w``.  Without a sink the snapshots
+    are collected and a Trajectory is returned.  With one, the run keeps no
+    state past the step that made it and returns only the ScalarSeries, so a
+    run that raises has already handed over every snapshot before the
+    failing step.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -139,12 +147,14 @@ def run_reference(
     snap_steps = None
     if sample_times is not None:
         snap_steps = {min(n_steps, max(0, int(round(t / dt)))) for t in sample_times}
+    fields = []
+    emit = sink if sink is not None else (lambda t, w: fields.append(w))
 
     w = grid.symmetrize(grid.leray_project(np.array(w0, dtype=np.complex128)))
     w[:, 0, 0, 0] = 0.0
 
     times = [0.0]
-    fields = [w.copy()]
+    emit(0.0, w)
     s_times = [0.0]
     s_rows = [scalar_record(grid, w)]
     for step in range(1, n_steps + 1):
@@ -159,6 +169,8 @@ def run_reference(
         )
         if want_field or step == n_steps:
             times.append(t)
-            fields.append(w.copy())
+            emit(t, w)
     series = series_from_records(s_times, s_rows)
+    if sink is not None:
+        return series
     return Trajectory(grid=grid, nu=cfg.nu, times=np.array(times), fields=fields, series=series)

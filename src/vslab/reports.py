@@ -3,7 +3,8 @@
 CSV files are RFC-4180 style with a header row always present; binary64
 values are printed with 17 significant digits so every number parses back to
 the exact double that produced it.  SVG plots are single self-contained
-files, one polyline per series with one point per sample.
+files, one polyline per series with one point per sample.  Every file is
+written whole through ``vslab.atomic``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import csv
 import os
 
 import numpy as np
+
+from vslab.atomic import atomic_open
 
 SERIES_COLUMNS = ("t", "energy", "enstrophy", "dissipation", "enstrophy_dissipation")
 SLAB_COLUMNS = (
@@ -39,7 +42,7 @@ def fmt(value):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
@@ -147,7 +150,7 @@ def write_series_svg(path, title, xs, named_series):
             f'font-family="sans-serif" font-size="12" fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
+    with atomic_open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
     return path
 

@@ -364,10 +364,14 @@ class SlabRecord:
 
 @dataclass
 class SlabRunResult:
-    trajectory: Trajectory
+    """What a slab run returns.  ``series`` has one norm row per sample time;
+    ``trajectory`` and ``solutions`` are filled only when no sink was given."""
+
     partition: TimePartition
-    solutions: list
     records: list
+    series: ScalarSeries
+    trajectory: Trajectory | None = None
+    solutions: list = field(default_factory=list)
 
 
 def run_slab_scheme(
@@ -379,6 +383,7 @@ def run_slab_scheme(
     max_iter=64,
     slab_samples=16,
     reference: Trajectory | None = None,
+    sink=None,
 ):
     """Chain the slabs over (0,T), sampling the closed-form trajectory.
 
@@ -389,15 +394,23 @@ def run_slab_scheme(
     sample points: the sampled solution's own, or the reference's when one
     is given.  Each sample is inverted once: its scalar_record feeds both the
     norm series and, without a reference, kstar.
+
+    Every sample is handed to ``sink(t, w)`` as it is made, in time order
+    from t=0; the sink must not modify ``w``.  Without a sink the samples and
+    the slab solutions are collected into the result's ``trajectory`` and
+    ``solutions``.  With one, nothing state-sized outlives the slab that
+    made it, and a run that raises has already handed over every sample of
+    the slabs before the failing one.
     """
     if slab_samples < 2:
         raise ValueError("need at least two samples per slab")
     grid.require_solenoidal(omega0)
+    fields, solutions = [], []
+    emit = sink if sink is not None else (lambda t, w: fields.append(w))
     w = np.array(omega0, dtype=np.complex128)
     times = [0.0]
-    fields = [w.copy()]
+    emit(0.0, w)
     norm_rows = [scalar_record(grid, w)]
-    solutions = []
     records = []
     for k, t_lo, t_hi in partition:
         sol = picard_solve_slab(
@@ -414,10 +427,10 @@ def run_slab_scheme(
         sample_ts = np.linspace(t_lo, t_hi, slab_samples + 1)
         # the first sample is the slab's start state w, already recorded
         for t in sample_ts[1:]:
-            w_t = sol.at(t)
+            w = sol.at(t)  # the last sample, t_hi, is the next slab's start
             times.append(float(t))
-            fields.append(w_t)
-            norm_rows.append(scalar_record(grid, w_t))
+            emit(float(t), w)
+            norm_rows.append(scalar_record(grid, w))
         if reference is None:
             loads = [(e, d) for e, _, d, _ in norm_rows[-len(sample_ts) :]]
         else:
@@ -434,16 +447,17 @@ def run_slab_scheme(
                 kstar=kstar,
             )
         )
-        solutions.append(sol)
-        w = fields[-1]  # sol.endpoint(): the last sample is t_hi
-    traj = Trajectory(
-        grid=grid,
-        nu=nu,
-        times=np.array(times),
-        fields=fields,
-        series=series_from_records(times, norm_rows),
-    )
-    return SlabRunResult(trajectory=traj, partition=partition, solutions=solutions, records=records)
+        if sink is None:
+            solutions.append(sol)
+        del sol  # free this slab's states before the next slab's Picard loop
+    series = series_from_records(times, norm_rows)
+    result = SlabRunResult(partition=partition, records=records, series=series)
+    if sink is None:
+        result.trajectory = Trajectory(
+            grid=grid, nu=nu, times=np.array(times), fields=fields, series=series
+        )
+        result.solutions = solutions
+    return result
 
 
 # -- contraction diagnostic ---------------------------------------------------

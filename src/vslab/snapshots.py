@@ -23,7 +23,10 @@ Hermitian fields are bit-exact.
 
 A directory is read in two steps: ``scan_snapshots`` checks every header and
 orders the files by time, reading 24 bytes of each, and ``read_snapshots``
-then loads the payloads one at a time.
+then loads the payloads one at a time.  A directory is written one file at a
+time by ``snapshot_sink``; each file is written under a temporary name that
+does not end in ``.vslb`` and renamed when complete, so a scan never sees a
+partial file.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import struct
 
 import numpy as np
 
+from vslab.atomic import atomic_open
 from vslab.spectral import Grid, _mirror
 from vslab.trajectory import Trajectory, series_from_samples
 
@@ -47,7 +51,10 @@ class SnapshotError(ValueError):
 
 
 def persist_field(path, coeffs, time):
-    """Write one half-spectrum vector field as the whole cube; returns the byte count."""
+    """Write one half-spectrum vector field as the whole cube; returns the byte count.
+
+    The file appears at ``path`` only once it is complete (``vslab.atomic``).
+    """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     n = coeffs.shape[1] if coeffs.ndim == 4 else 0
     if coeffs.shape != (3, n, n, n // 2 + 1) or n < 2 or n % 2:
@@ -59,7 +66,7 @@ def persist_field(path, coeffs, time):
     payload[..., h:] = half[..., :h]
     payload[..., 0] = half[..., h]
     _mirror(half[..., h - 1 : 0 : -1], payload[..., 1:h])
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, n, 3, float(time)))
         fh.write(payload.data)
     return HEADER.size + payload.nbytes
@@ -110,15 +117,30 @@ def snapshot_name(index):
     return f"snap_{index:06d}.vslb"
 
 
-def save_trajectory(outdir, trajectory: Trajectory):
-    """Write every field snapshot of a trajectory; returns the paths."""
+def snapshot_sink(outdir):
+    """A ``sink(t, w)`` that writes each field it is handed as the next snapshot file.
+
+    The files are ``snap_000000.vslb``, ``snap_000001.vslb``, ... in the
+    order the fields arrive; each is written whole before the call returns
+    (see ``persist_field``), so a run that stops early leaves a readable
+    prefix.
+    """
     os.makedirs(outdir, exist_ok=True)
-    paths = []
-    for i, (t, w) in enumerate(zip(trajectory.times, trajectory.fields)):
-        path = os.path.join(outdir, snapshot_name(i))
-        persist_field(path, w, t)
-        paths.append(path)
-    return paths
+    count = 0
+
+    def sink(t, w):
+        nonlocal count
+        persist_field(os.path.join(outdir, snapshot_name(count)), w, t)
+        count += 1
+
+    return sink
+
+
+def save_trajectory(outdir, trajectory: Trajectory):
+    """Write every field snapshot of a trajectory through ``snapshot_sink``."""
+    sink = snapshot_sink(outdir)
+    for t, w in zip(trajectory.times, trajectory.fields):
+        sink(t, w)
 
 
 def scan_snapshots(snapdir):

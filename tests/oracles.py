@@ -115,9 +115,11 @@ def monitor_rows(snapdir, nu, gamma, ladyzhenskaya_c):
     rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", grad_gap)]
     if len(traj.times) >= 3:
         monitor = estimates.dt_u_monitor(traj.times, u_fields, s.enstrophy, grid)
-        half = estimates.dt_u_monitor(traj.times[::2], u_fields[::2], s.enstrophy[::2], grid)
-        common = np.isin(monitor.times, half.times)
-        band = float(np.max(np.abs(monitor.margins[common] - half.margins))) if np.any(common) else 0.0
+        band = 0.0  # below five samples times[::2] has fewer than three
+        if len(traj.times) >= 5:
+            half = estimates.dt_u_monitor(traj.times[::2], u_fields[::2], s.enstrophy[::2], grid)
+            common = np.isin(monitor.times, half.times)
+            band = float(np.max(np.abs(monitor.margins[common] - half.margins)))
         rows += [
             ("dt_u_min_margin", monitor.min_margin),
             ("dt_u_fd_band", band),

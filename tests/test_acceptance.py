@@ -194,7 +194,7 @@ def test_criterion_05_picard_contraction(slab_study, grid8):
 
 
 def test_criterion_06_enstrophy_ledger(tg32_run, tmp_path):
-    ledger = enstrophy_ledger(tg32_run, uniform_partition(1.0, 8), eps0=0.5, C=1.0)
+    ledger = enstrophy_ledger(tg32_run.series, uniform_partition(1.0, 8), eps0=0.5, C=1.0)
     rows_ok = all(r.recursion_ok for r in ledger.rows)
     emit_reports(tmp_path, ledger)
     proc = subprocess.run(

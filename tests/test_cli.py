@@ -12,7 +12,7 @@ from oracles import corrupt_negative_half, monitor_rows
 from vslab import estimates, snapshots
 from vslab.cli import cli_dispatch
 from vslab.snapshots import load_field, persist_field
-from vslab.spectral import Grid, random_divfree_field
+from vslab.spectral import Grid, random_divfree_field, taylor_green_vorticity
 
 HERE = os.path.dirname(__file__)
 REPO = os.path.dirname(HERE)
@@ -303,6 +303,68 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < (count - 1) * state + freq + 16 * state
+
+
+def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):
+    # 8 slabs of 16 samples at 16^3: collected, the run would hold 129 samples
+    # and 8 four-state slab solutions until the snapshots were written
+    cfg = write_cfg(tmp_path, n=16, T=0.25, slabs=8, slab_samples=16)
+    state = Grid(16).k.size * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli_dispatch(["run-slab", "--config", cfg]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(list((tmp_path / "out" / "snapshots").glob("*.vslb"))) == 129
+    assert peak < 32 * state
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_monitor_on_three_or_four_snapshots(tmp_path, capsys, count):
+    # times[::2] has two samples: no stride-2 band, which reads 0
+    cfg = write_cfg(tmp_path, dt=0.001, T=0.001 * (count - 1), field_every=1)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    assert len(list(snap.glob("*.vslb"))) == count
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("monitor: ")]
+    want = monitor_rows(snap, nu=1.0, gamma=0.2, ladyzhenskaya_c=2.0)
+    assert printed == [f"monitor: {name}={value}" for name, value in want]
+    assert len(want) == 9 and ("dt_u_fd_band", 0.0) in want
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
+def test_run_ref_blowup_leaves_a_readable_prefix(tmp_path, capsys):
+    # at nu = 1e-4 the Taylor-Green enstrophy grows and passes 186.1 near t = 0.06,
+    # after the snapshots at t = 0, 0.0125, ..., 0.05
+    cfg = write_cfg(tmp_path, nu=1e-4, enstrophy_ceiling=186.1)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 1
+    assert "blow-up" in _one_error_line(capsys)
+    out = tmp_path / "out"
+    assert not list(out.rglob("*.tmp"))
+    traj = snapshots.load_trajectory(out / "snapshots", nu=1e-4)
+    assert np.allclose(traj.times, 0.0125 * np.arange(5), rtol=0.0, atol=1e-15)
+    assert cli_dispatch(["monitor", "--config", cfg, str(out / "snapshots")]) == 0
+
+
+def test_run_slab_picard_failure_leaves_the_initial_snapshot(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, picard_max_iter=1)
+    assert cli_dispatch(["run-slab", "--config", cfg]) == 1
+    assert "slab 0" in _one_error_line(capsys)
+    out = tmp_path / "out"
+    assert not list(out.rglob("*.tmp"))
+    assert [p.name for p in (out / "snapshots").iterdir()] == ["snap_000000.vslb"]
+    n, t, w = load_field(out / "snapshots" / "snap_000000.vslb")
+    assert (n, t) == (8, 0.0)
+    assert w.tobytes() == taylor_green_vorticity(Grid(8)).tobytes()
 
 
 def _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, damage):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import corrupt_negative_half
 
+from vslab.atomic import atomic_open
 from vslab.config import ConfigError, echo_config, load_config, parse_config_text
 from vslab.estimates import enstrophy_ledger
 from vslab.reports import SERIES_COLUMNS, SLAB_COLUMNS, emit_reports, fmt, write_csv
@@ -217,6 +218,26 @@ def test_trajectory_save_load(tmp_path):
     assert back.series is not None
 
 
+def test_atomic_open_keeps_the_old_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "snap_000000.vslb"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "w") as fh:
+            fh.write("new")
+            assert fh.name == str(path) + ".tmp"  # not a .vslb name: scans skip it
+            raise RuntimeError("disk full")
+    assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["snap_000000.vslb"]
+
+
+def test_writers_leave_no_temporary_files(tmp_path):
+    persist_field(tmp_path / "snap_000000.vslb", random_divfree_field(Grid(4), seed=1), 0.0)
+    emit_reports(tmp_path, _tiny_ledger())
+    echo_config(parse_config_text("n = 8\n"), tmp_path)
+    names = os.listdir(tmp_path)
+    assert len(names) == 7 and not [n for n in names if n.endswith(".tmp")]
+
+
 def test_scan_orders_by_time_from_headers_only(tmp_path):
     w = random_divfree_field(Grid(8), seed=5)
     for name, t in (("a.vslb", 1.0), ("b.vslb", 0.0), ("c.vslb", 0.5)):
@@ -241,18 +262,15 @@ def test_scan_rejects_truncated_payload(tmp_path):
 # -- reports ----------------------------------------------------------------------
 
 
-def _tiny_ledger(grid):
-    times = np.linspace(0.0, 1.0, 11)
-    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
-    traj = Trajectory(grid=grid, nu=1.0, times=times, fields=[zeros] * 11)
-    traj.series = ScalarSeries(
-        times=times,
+def _tiny_ledger():
+    series = ScalarSeries(
+        times=np.linspace(0.0, 1.0, 11),
         energy=np.linspace(4.0, 3.0, 11),
         enstrophy=np.linspace(2.0, 1.0, 11),
         dissipation=np.linspace(1.0, 0.5, 11),
         enstrophy_dissipation=np.linspace(0.5, 0.25, 11),
     )
-    return enstrophy_ledger(traj, uniform_partition(1.0, 2), eps0=0.5, C=1.0)
+    return enstrophy_ledger(series, uniform_partition(1.0, 2), eps0=0.5, C=1.0)
 
 
 def test_float_formatting_round_trips():
@@ -275,8 +293,7 @@ def test_known_rows_exact_text(tmp_path):
 
 
 def test_emit_reports_layout(tmp_path):
-    grid = Grid(8)
-    paths = emit_reports(tmp_path, _tiny_ledger(grid))
+    paths = emit_reports(tmp_path, _tiny_ledger())
     with open(paths["series"]) as fh:
         header = fh.readline().strip()
     assert header == ",".join(SERIES_COLUMNS)
@@ -287,8 +304,7 @@ def test_emit_reports_layout(tmp_path):
 
 
 def test_svg_polyline_point_counts(tmp_path):
-    grid = Grid(8)
-    paths = emit_reports(tmp_path, _tiny_ledger(grid))
+    paths = emit_reports(tmp_path, _tiny_ledger())
     with open(paths["series_svg"]) as fh:
         svg = fh.read()
     polylines = [chunk.split('"')[0] for chunk in svg.split('points="')[1:]]
@@ -312,8 +328,7 @@ def test_emit_reports_empty_ledger(tmp_path):
 
 
 def test_csv_numbers_parse_back_to_doubles(tmp_path):
-    grid = Grid(8)
-    ledger = _tiny_ledger(grid)
+    ledger = _tiny_ledger()
     paths = emit_reports(tmp_path, ledger)
     import csv
 

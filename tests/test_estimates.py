@@ -48,18 +48,14 @@ def single_mode_vorticity(grid):
     return grid.to_spectral(w)
 
 
-def synthetic_trajectory(grid, times, energy, enstrophy, dissipation, enstrophy_dissipation):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
-    times = np.asarray(times, dtype=np.float64)
-    traj = Trajectory(grid=grid, nu=1.0, times=times, fields=[zeros] * len(times))
-    traj.series = ScalarSeries(
-        times=times,
+def synthetic_series(times, energy, enstrophy, dissipation, enstrophy_dissipation):
+    return ScalarSeries(
+        times=np.asarray(times, dtype=np.float64),
         energy=np.asarray(energy, dtype=np.float64),
         enstrophy=np.asarray(enstrophy, dtype=np.float64),
         dissipation=np.asarray(dissipation, dtype=np.float64),
         enstrophy_dissipation=np.asarray(enstrophy_dissipation, dtype=np.float64),
     )
-    return traj
 
 
 # -- energy identity ---------------------------------------------------------------
@@ -144,12 +140,10 @@ def test_ladyzhenskaya_sine_calibration(grid8, grid32):
 # -- enstrophy ledger ------------------------------------------------------------------------
 
 
-def test_ledger_constant_enstrophy(grid8):
+def test_ledger_constant_enstrophy():
     times = np.linspace(0.0, 1.0, 21)
-    traj = synthetic_trajectory(
-        grid8, times, np.full(21, 2.0), np.full(21, 2.0), np.zeros(21), np.zeros(21)
-    )
-    ledger = enstrophy_ledger(traj, uniform_partition(1.0, 4), eps0=0.5, C=1.0)
+    series = synthetic_series(times, np.full(21, 2.0), np.full(21, 2.0), np.zeros(21), np.zeros(21))
+    ledger = enstrophy_ledger(series, uniform_partition(1.0, 4), eps0=0.5, C=1.0)
     assert ledger.K0 == 2.0
     assert all(r.M_k == 2.0 for r in ledger.rows)
     assert all(r.recursion_ok for r in ledger.rows)
@@ -158,17 +152,16 @@ def test_ledger_constant_enstrophy(grid8):
     assert ledger.global_bound == pytest.approx(3.2974425414002564, rel=1e-12)
 
 
-def test_ledger_row_arithmetic_by_hand(grid8):
+def test_ledger_row_arithmetic_by_hand():
     times = np.array([0.0, 0.25, 0.5])
-    traj = synthetic_trajectory(
-        grid8,
+    series = synthetic_series(
         times,
         energy=[4.0, 3.0, 2.5],
         enstrophy=[2.0, 1.5, 1.25],
         dissipation=[1.0, 0.5, 0.25],
         enstrophy_dissipation=[0.8, 0.4, 0.2],
     )
-    ledger = enstrophy_ledger(traj, uniform_partition(0.5, 2), eps0=0.5, C=1.0)
+    ledger = enstrophy_ledger(series, uniform_partition(0.5, 2), eps0=0.5, C=1.0)
     r0, r1 = ledger.rows
     assert r0.M_k == 2.0
     assert r0.f_k == pytest.approx(2.0 + 0.5 * (0.25 * (0.8 + 0.4) / 2.0), rel=1e-15)
@@ -180,12 +173,12 @@ def test_ledger_row_arithmetic_by_hand(grid8):
     assert ledger.sup_enstrophy == 2.0
 
 
-def test_ledger_flags_violations(grid8):
+def test_ledger_flags_violations():
     # artificially growing enstrophy defeats the recursion and the global cap
     times = np.linspace(0.0, 1.0, 11)
     growth = 0.01 * np.exp(4.0 * times)
-    traj = synthetic_trajectory(grid8, times, growth, growth, np.zeros(11), np.zeros(11))
-    ledger = enstrophy_ledger(traj, uniform_partition(1.0, 5), eps0=0.5, C=1.0)
+    series = synthetic_series(times, growth, growth, np.zeros(11), np.zeros(11))
+    ledger = enstrophy_ledger(series, uniform_partition(1.0, 5), eps0=0.5, C=1.0)
     assert not all(r.recursion_ok for r in ledger.rows)
     assert not ledger.global_ok
     assert any(r.margin < 0 for r in ledger.rows)
@@ -194,7 +187,7 @@ def test_ledger_flags_violations(grid8):
 def test_ledger_taylor_green_small(grid8):
     w0 = taylor_green_vorticity(grid8)
     traj = run_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3), field_every=1000)
-    ledger = enstrophy_ledger(traj, uniform_partition(0.25, 4), eps0=0.5, C=1.0)
+    ledger = enstrophy_ledger(traj.series, uniform_partition(0.25, 4), eps0=0.5, C=1.0)
     assert all(r.recursion_ok for r in ledger.rows)
     assert ledger.global_ok
     assert ledger.all_rows_ok

@@ -204,3 +204,33 @@ def test_velocity_rhs_is_projected(grid8):
     rhs = velocity_rhs(grid8, u)
     assert grid8.divergence_rel(rhs) < 1e-12
     assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0
+
+
+def _assert_same_series(a, b):
+    for name in ("times", "energy", "enstrophy", "dissipation", "enstrophy_dissipation"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_run_sink_sees_the_collected_snapshots(grid8):
+    w0 = random_divfree_field(grid8, seed=3)
+    cfg = StepperConfig(dt=0.01, nu=0.1)
+    # field_every=3 does not divide the 10 steps: the last snapshot is off the cadence
+    traj = run_reference(grid8, w0, 0.1, cfg, scalar_every=2, field_every=3)
+    seen = []
+    series = run_reference(
+        grid8, w0, 0.1, cfg, scalar_every=2, field_every=3,
+        sink=lambda t, w: seen.append((t, w.copy())),
+    )
+    assert [t for t, _ in seen] == list(traj.times)
+    assert all(w.tobytes() == f.tobytes() for (_, w), f in zip(seen, traj.fields))
+    _assert_same_series(series, traj.series)
+
+
+def test_run_sink_has_every_snapshot_before_a_blowup(grid8):
+    w0 = taylor_green_vorticity(grid8)
+    # at nu = 1e-4 the Taylor-Green enstrophy grows; it passes 186.1 near t = 0.06
+    cfg = StepperConfig(dt=0.0025, nu=1e-4, enstrophy_ceiling=186.1)
+    seen = []
+    with pytest.raises(BlowUpError) as err:
+        run_reference(grid8, w0, 0.125, cfg, field_every=5, sink=lambda t, w: seen.append(t))
+    assert len(seen) == 5 and seen[-1] < err.value.time <= seen[-1] + 5 * 0.0025

@@ -321,6 +321,38 @@ def test_degenerate_coupling_converges_fast_regardless_of_width(grid8):
     assert all(r.iterations <= 2 for r in result.records)
 
 
+@pytest.mark.parametrize("closure", ["self-consistent", "reference"])
+def test_run_sink_sees_the_collected_samples(grid8, closure):
+    w0 = taylor_green_vorticity(grid8)
+    partition = uniform_partition(0.1, 3)
+    ref = None
+    if closure == "reference":
+        ref = run_reference(grid8, w0, 0.1, StepperConfig(dt=2.5e-3), field_every=4)
+    kept = run_slab_scheme(grid8, w0, partition, slab_samples=4, reference=ref)
+    seen = []
+    sunk = run_slab_scheme(
+        grid8, w0, partition, slab_samples=4, reference=ref,
+        sink=lambda t, w: seen.append((t, w.copy())),
+    )
+    assert [t for t, _ in seen] == list(kept.trajectory.times)
+    assert all(w.tobytes() == f.tobytes() for (_, w), f in zip(seen, kept.trajectory.fields))
+    assert sunk.records == kept.records
+    for name in ("times", "energy", "enstrophy", "dissipation", "enstrophy_dissipation"):
+        assert getattr(sunk.series, name).tobytes() == getattr(kept.series, name).tobytes()
+    assert kept.series is kept.trajectory.series and len(kept.solutions) == 3
+    assert sunk.trajectory is None and sunk.solutions == []
+
+
+def test_run_sink_has_the_samples_before_a_picard_failure(grid8):
+    w0 = taylor_green_vorticity(grid8)
+    seen = []
+    with pytest.raises(PicardError) as err:
+        run_slab_scheme(
+            grid8, w0, uniform_partition(0.25, 2), max_iter=1, sink=lambda t, w: seen.append(t)
+        )
+    assert err.value.slab_index == 0 and seen == [0.0]
+
+
 # -- contraction diagnostic -----------------------------------------------------------------
 
 
