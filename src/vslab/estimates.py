@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
 
-from vslab.slabs import TimePartition, SlabSolution, compute_kstar, slab_window
+from vslab.slabs import TimePartition, SlabSolution, compute_kstar, slab_window, trapezoid
 from vslab.spectral import BOX_VOLUME, Grid
 from vslab.trajectory import ScalarSeries, Trajectory
 
@@ -55,6 +54,52 @@ def ladyzhenskaya_ratio(grid: Grid, v):
     return grid.l4(v) ** 2 / (math.sqrt(l2) * h1**1.5)
 
 
+# -- quadrature ------------------------------------------------------------------
+
+
+def _guarded_ratio(num, den):
+    """num / den where den != 0, and 0 where den == 0."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def simpson(y, x):
+    """Composite Simpson's rule for samples ``y`` at the points ``x``.
+
+    Repeats the arithmetic of ``scipy.integrate.simpson`` (SciPy >= 1.11)
+    on 1-D data, so the two agree bit for bit up to the sign of a zero
+    result: Simpson's rule for irregular spacing over consecutive pairs of
+    intervals; for an even sample count, Cartwright's correction for the
+    last interval; for two samples, the trapezoid.  Exact for cubics on odd
+    uniform grids and for quadratics on any grid of three or more samples.
+    """
+    y = np.asarray(y)
+    h = np.diff(np.asarray(x, dtype=np.float64))
+    n = len(y)
+    if n == 2:
+        return 0.5 * h[-1] * (y[-1] + y[-2])
+    # the pairs of intervals the basic rule covers: all of them for odd n,
+    # all but the last interval for even n
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _guarded_ratio(h0, h1)
+    tmp = hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - _guarded_ratio(1.0, h0divh1))
+        + y[1 : stop + 1 : 2] * (hsum * _guarded_ratio(hsum, hprod))
+        + y[2 : stop + 2 : 2] * (2.0 - h0divh1)
+    )
+    result = np.sum(tmp)
+    if n % 2 == 0:
+        # Cartwright's correction: the last interval from the last three samples
+        hm2, hm1 = h[-2], h[-1]
+        alpha = _guarded_ratio(2 * hm1**2 + 3 * hm2 * hm1, 6 * (hm1 + hm2))
+        beta = _guarded_ratio(hm1**2 + 3.0 * hm2 * hm1, 6 * hm2)
+        eta = _guarded_ratio(hm1**3, 6 * hm2 * (hm2 + hm1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 # -- energy identity -----------------------------------------------------------
 
 
@@ -71,7 +116,7 @@ def energy_identity_residual(times, energy, dissipation, nu=1.0):
         raise ValueError("need at least two samples")
     if energy[0] == 0.0:
         return 0.0
-    integral = float(simpson(dissipation, x=times))
+    integral = float(simpson(dissipation, times))
     return abs(energy[-1] + 2.0 * nu * integral - energy[0]) / energy[0]
 
 
@@ -202,7 +247,7 @@ def average_cs_check(solution: SlabSolution, samples=257):
     grid = solution.grid
     ts = np.linspace(solution.t_lo, solution.t_hi, samples)
     values = np.array([grid.l2sq(solution.at(t)) for t in ts])
-    mean_sq = float(simpson(values, x=ts)) / solution.width
+    mean_sq = float(simpson(values, ts)) / solution.width
     return mean_sq - grid.l2sq(solution.average())
 
 
@@ -227,10 +272,20 @@ def _weighted_linear_integral(sigma, values, power):
     fa, fb = values[:-1], values[1:]
     p1 = power + 1.0
     p2 = power + 2.0
-    i0 = (b**p1 - a**p1) / p1
-    i1 = (b**p2 - a**p2) / p2
-    slope = (fb - fa) / (b - a)
-    return float(np.sum(fa * i0 + slope * (i1 - a * i0)))
+    # fa * i0 + slope * (i1 - a * i0), evaluated in place on three buffers
+    i0 = b**p1
+    i0 -= a**p1
+    i0 /= p1
+    i1 = b**p2
+    i1 -= a**p2
+    i1 /= p2
+    slope = fb - fa
+    slope /= b - a
+    i1 -= a * i0
+    slope *= i1
+    i0 *= fa
+    i0 += slope
+    return float(np.sum(i0))
 
 
 def uniform_step(times):
@@ -306,12 +361,22 @@ def hgamma_from_stack(times, stack, gamma, freq_points=131073):
     L = freq_points - 1
     pad = np.zeros(2 * L)
     np.add.at(pad, np.arange(M) % (2 * L), offsets)
-    spectrum = 2.0 * np.fft.rfft(pad).real - offsets[0]
-    # hold-kernel factor |(1 - e^{-i sigma h}) / sigma|^2 = h^2 sinc^2(sigma h / 2)
-    kernel = np.full_like(sigma, h**2)
-    nz = sigma > 0
-    kernel[nz] = (2.0 - 2.0 * np.cos(sigma[nz] * h)) / sigma[nz] ** 2
-    weighted = spectrum * kernel
+    spectrum = np.fft.rfft(pad).real
+    del pad
+    spectrum *= 2.0
+    spectrum -= offsets[0]
+    # hold-kernel factor |(1 - e^{-i sigma h}) / sigma|^2 = h^2 sinc^2(sigma h / 2),
+    # built in place; sigma_0 = 0 is the only zero frequency
+    weighted = np.empty_like(sigma)
+    weighted[0] = h**2
+    kernel = weighted[1:]
+    np.multiply(sigma[1:], h, out=kernel)
+    np.cos(kernel, out=kernel)
+    kernel *= 2.0
+    np.subtract(2.0, kernel, out=kernel)
+    kernel /= sigma[1:] ** 2
+    weighted *= spectrum
+    del spectrum
     # trajectory is real, so the spectrum is even: integrate one side twice
     value = 2.0 * _weighted_linear_integral(sigma, weighted, 2.0 * gamma)
     return HGammaDiagnostic(gamma=gamma, value=value, sigma_max=sigma_max, freq_points=freq_points)
@@ -443,5 +508,5 @@ def piecewise_average_distance(grid: Grid, trajectory: Trajectory, partition: Ti
         u_bar = trajectory.velocity_average_over(t_lo, t_hi)
         ts = np.linspace(t_lo, t_hi, samples_per_slab + 1)
         gaps = np.array([grid.l2sq(trajectory.velocity_at(t) - u_bar) for t in ts])
-        total += float(simpson(gaps, x=ts))
+        total += float(simpson(gaps, ts))
     return math.sqrt(total)

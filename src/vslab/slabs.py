@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from vslab.reference import nonlinear_term
 from vslab.spectral import Grid, full_spectrum
@@ -120,6 +119,16 @@ def slab_window(times, t_lo, t_hi, *arrays):
             )
         )
     return (ts, *clipped)
+
+
+def trapezoid(y, x):
+    """Trapezoid rule for samples ``y`` at the points ``x``.
+
+    The operation order is ``scipy.integrate.trapezoid``'s, so the sums
+    match it bit for bit.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    return np.sum(np.diff(np.asarray(x, dtype=np.float64)) * (y[1:] + y[:-1]) / 2.0)
 
 
 def compute_kstar(times, energy, dissipation, t_lo, t_hi):

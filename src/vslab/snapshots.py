@@ -24,9 +24,9 @@ Hermitian fields are bit-exact.
 A directory is read in two steps: ``scan_snapshots`` checks every header and
 orders the files by time, reading 24 bytes of each, and ``read_snapshots``
 then loads the payloads one at a time.  A directory is written one file at a
-time by ``snapshot_sink``; each file is written under a temporary name that
-does not end in ``.vslb`` and renamed when complete, so a scan never sees a
-partial file.
+time by ``snapshot_sink``, which first clears it of snapshots; each file is
+written under a temporary name that does not end in ``.vslb`` and renamed
+when complete, so a scan never sees a partial file.
 """
 
 from __future__ import annotations
@@ -120,12 +120,17 @@ def snapshot_name(index):
 def snapshot_sink(outdir):
     """A ``sink(t, w)`` that writes each field it is handed as the next snapshot file.
 
-    The files are ``snap_000000.vslb``, ``snap_000001.vslb``, ... in the
-    order the fields arrive; each is written whole before the call returns
-    (see ``persist_field``), so a run that stops early leaves a readable
-    prefix.
+    Creating the sink removes every ``*.vslb`` file, and every ``*.vslb.tmp``
+    a killed writer left, already in ``outdir``, so the directory never mixes
+    two runs.  The files are ``snap_000000.vslb``, ``snap_000001.vslb``, ...
+    in the order the fields arrive; each is written whole before the call
+    returns (see ``persist_field``), so a run that stops early leaves a
+    readable prefix.
     """
     os.makedirs(outdir, exist_ok=True)
+    for name in os.listdir(outdir):
+        if name.endswith((".vslb", ".vslb.tmp")):
+            os.remove(os.path.join(outdir, name))
     count = 0
 
     def sink(t, w):

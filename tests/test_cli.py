@@ -336,6 +336,45 @@ def test_monitor_on_three_or_four_snapshots(tmp_path, capsys, count):
     assert len(want) == 9 and ("dt_u_fd_band", 0.0) in want
 
 
+def test_rerun_into_a_used_outdir_leaves_only_its_own_snapshots(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    assert len(list(snap.glob("*.vslb"))) == 11
+    (snap / "snap_000011.vslb.tmp").write_bytes(b"partial")  # left by a killed writer
+    (snap / "notes.txt").write_text("kept")
+    assert cli_dispatch(["run-ref", "--config", cfg, "--set", "T=0.05"]) == 0
+    assert sorted(p.name for p in snap.iterdir()) == [
+        "notes.txt",
+        *(f"snap_{i:06d}.vslb" for i in range(5)),
+    ]
+    calls = _count_loads(monkeypatch)
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    assert len(calls) == 5
+
+
+# scipy subpackages that a command has no use for and that cost start-up time
+UNUSED_SCIPY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.spatial")
+
+
+def test_commands_import_no_unused_scipy_subpackage(tmp_path):
+    ref, slab = write_cfg(tmp_path, "ref.cfg"), write_cfg(tmp_path, "slab.cfg")
+    code = (
+        "import sys\n"
+        "import vslab.cli\n"
+        f"assert vslab.cli.cli_dispatch(['run-ref', '--config', {ref!r}]) == 0\n"
+        f"assert vslab.cli.cli_dispatch(['run-slab', '--config', {slab!r}]) == 0\n"
+        f"print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])\n"
+    )
+    path = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

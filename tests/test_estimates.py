@@ -1,9 +1,11 @@
 """Monitors and studies: identities, ledger arithmetic, diagnostics, rate fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -21,6 +23,7 @@ from vslab.estimates import (
     hgamma_from_stack,
     ladyzhenskaya_ratio,
     piecewise_average_distance,
+    simpson,
     sup_l2_distance,
 )
 from vslab.reference import StepperConfig, run_reference
@@ -28,6 +31,7 @@ from vslab.slabs import (
     SlabAverages,
     linear_slab_solve,
     picard_solve_slab,
+    trapezoid,
     uniform_partition,
 )
 from vslab.spectral import (
@@ -56,6 +60,55 @@ def synthetic_series(times, energy, enstrophy, dissipation, enstrophy_dissipatio
         dissipation=np.asarray(dissipation, dtype=np.float64),
         enstrophy_dissipation=np.asarray(enstrophy_dissipation, dtype=np.float64),
     )
+
+
+# -- quadrature ---------------------------------------------------------------------
+
+
+def quadrature_grids(n):
+    """Uniform, sorted random, and uniform with a short last interval (the grid
+    of a run whose last sample falls off the cadence)."""
+    rng = np.random.default_rng(n)
+    uniform = np.linspace(0.0, 0.5, n)
+    short_last = uniform.copy()
+    short_last[-1] = short_last[-2] + 0.3 * (uniform[1] - uniform[0])
+    return {
+        "uniform": uniform,
+        "sorted_random": np.sort(rng.uniform(0.0, 2.0, n)),
+        "short_last": short_last,
+    }
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_quadrature_matches_scipy_bitwise(n):
+    rng = np.random.default_rng(1000 + n)
+    for name, x in quadrature_grids(n).items():
+        y = rng.standard_normal(n)
+        assert same_bits(simpson(y, x), scipy.integrate.simpson(y, x=x)), name
+        assert same_bits(trapezoid(y, x), scipy.integrate.trapezoid(y, x)), name
+
+
+@pytest.mark.parametrize("n", range(3, 64, 2))
+def test_simpson_exact_for_cubics_on_odd_uniform_grids(n):
+    x = np.linspace(-0.5, 1.5, n)
+    got = simpson(2.0 * x**3 - x**2 + 3.0 * x - 1.0, x)
+    want = 0.5 * (1.5**4 - 0.5**4) - (1.5**3 + 0.5**3) / 3.0 + 1.5 * (1.5**2 - 0.5**2) - 2.0
+    assert abs(got - want) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_simpson_exact_for_quadratics_on_irregular_grids(n):
+    for name, x in quadrature_grids(n).items():
+        if name == "uniform":
+            continue
+        a, b = x[0], x[-1]
+        got = simpson(3.0 * x**2 - 2.0 * x + 0.5, x)
+        want = (b**3 - a**3) - (b**2 - a**2) + 0.5 * (b - a)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want)), name
 
 
 # -- energy identity ---------------------------------------------------------------
@@ -311,6 +364,19 @@ def test_hgamma_monotone_in_gamma(grid8):
         for g in (0.05, 0.1, 0.15, 0.2, 0.24)
     ]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_hgamma_frequency_grid_transients_are_bounded():
+    # three 4^3 snapshots: nearly all the memory is the 131073-point frequency grid
+    w = random_divfree_field(Grid(4), seed=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, Grid(4))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_hgamma_needs_uniform_samples(grid8):
