@@ -80,9 +80,13 @@ def _partition_for(cfg, trajectory):
     )
 
 
+def _reads_reference(cfg):
+    return cfg.provider == "reference" or cfg.policy == "adaptive"
+
+
 def _reference_trajectory(cfg, grid):
     """The run stored in reference_dir, or None when no setting needs one."""
-    if cfg.provider != "reference" and cfg.policy != "adaptive":
+    if not _reads_reference(cfg):
         return None
     if not cfg.reference_dir:
         need = "provider = reference" if cfg.provider == "reference" else "policy = adaptive"
@@ -97,7 +101,27 @@ def _reference_trajectory(cfg, grid):
     return traj
 
 
+def _snapshot_dir(cfg, reads_reference=False):
+    """OUTDIR/snapshots, which the run's sink clears, checked against the run's inputs.
+
+    An ``initial_path`` (with ``initial = file``) or a ``reference_dir`` the
+    command reads that resolves inside it is refused before anything runs.
+    """
+    snapdir = os.path.join(cfg.outdir, "snapshots")
+    inside = os.path.join(os.path.realpath(snapdir), "")
+    inputs = [("initial_path", cfg.initial == "file"), ("reference_dir", reads_reference)]
+    for key, read in inputs:
+        path = getattr(cfg, key)
+        if read and path and os.path.join(os.path.realpath(path), "").startswith(inside):
+            raise ConfigError(
+                f"{key}: {path!r} lies inside the output snapshot directory {snapdir!r}, "
+                "which the run clears"
+            )
+    return snapdir
+
+
 def cmd_run_ref(cfg):
+    snapdir = _snapshot_dir(cfg)
     grid = Grid(cfg.n)
     w0 = _initial(grid, cfg)
     series = run_reference(
@@ -107,7 +131,7 @@ def cmd_run_ref(cfg):
         StepperConfig(dt=cfg.dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling),
         scalar_every=cfg.scalar_every,
         field_every=cfg.field_every,
-        sink=snapshots.snapshot_sink(os.path.join(cfg.outdir, "snapshots")),
+        sink=snapshots.snapshot_sink(snapdir),
     )
     partition = slabs.uniform_partition(cfg.T, cfg.slabs)
     ledger = estimates.enstrophy_ledger(series, partition, cfg.epsilon0, cfg.sobolev_c)
@@ -120,6 +144,7 @@ def cmd_run_ref(cfg):
 
 
 def cmd_run_slab(cfg):
+    snapdir = _snapshot_dir(cfg, reads_reference=_reads_reference(cfg))
     grid = Grid(cfg.n)
     w0 = _initial(grid, cfg)
     stored = _reference_trajectory(cfg, grid)
@@ -133,7 +158,7 @@ def cmd_run_slab(cfg):
         max_iter=cfg.picard_max_iter,
         slab_samples=cfg.slab_samples,
         reference=stored if cfg.provider == "reference" else None,
-        sink=snapshots.snapshot_sink(os.path.join(cfg.outdir, "snapshots")),
+        sink=snapshots.snapshot_sink(snapdir),
     )
     ledger = estimates.enstrophy_ledger(
         result.series, partition, cfg.epsilon0, cfg.sobolev_c, records=result.records

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
+from vslab import _fft
 from vslab.spectral import Grid, _FFT_WORKERS
 from vslab.trajectory import ScalarSeries, Trajectory, scalar_record, series_from_records
 
@@ -69,9 +69,9 @@ def nonlinear_term(grid: Grid, u, w):
     stack = np.empty((6, n, n, n // 2 + 1), dtype=np.complex128)
     np.multiply(u, scale, out=stack[0:3])
     np.multiply(w, scale, out=stack[3:6])
-    phys = _fft.irfftn(stack, s=(n, n, n), axes=(-3, -2, -1), workers=_FFT_WORKERS, overwrite_x=True)
+    phys = _fft.irfftn(stack, (n, n, n), (-3, -2, -1), _FFT_WORKERS)
     uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
-    rot = _fft.rfftn(uxw, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    rot = _fft.rfftn(uxw, (-3, -2, -1), _FFT_WORKERS)
     rot *= (1.0 / scale) * grid.keep
     rot = _cross(grid.kd, rot, np.empty_like(rot))
     rot *= 1j

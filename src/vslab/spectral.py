@@ -34,7 +34,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as _fft
+
+from vslab import _fft
 
 TWO_PI = 2.0 * np.pi
 BOX_VOLUME = TWO_PI**3
@@ -148,13 +149,13 @@ class Grid:
         """Forward real transform of physical samples to half-spectrum amplitudes."""
         vals = np.asarray(values, dtype=np.float64)
         self._check_shape(vals, last=self.n)
-        return _fft.rfftn(vals, axes=_AXES, workers=_FFT_WORKERS) / self.n**3
+        return _fft.rfftn(vals, _AXES, _FFT_WORKERS) / self.n**3
 
     def to_physical(self, coeffs):
         """Inverse real transform of half-spectrum amplitudes to physical samples."""
         self._check_shape(coeffs)
         n = self.n
-        return _fft.irfftn(coeffs * n**3, s=(n, n, n), axes=_AXES, workers=_FFT_WORKERS)
+        return _fft.irfftn(coeffs * n**3, (n, n, n), _AXES, _FFT_WORKERS)
 
     # -- symmetry helpers ----------------------------------------------------
 
@@ -264,9 +265,7 @@ class Grid:
         """L4 norm of |field| evaluated on the physical grid quadrature."""
         self._check_shape(coeffs)
         n = self.n
-        phys = _fft.irfftn(
-            coeffs * n**3, s=(n, n, n), axes=_AXES, workers=_FFT_WORKERS, overwrite_x=True
-        )
+        phys = _fft.irfftn(coeffs * n**3, (n, n, n), _AXES, _FFT_WORKERS)
         if phys.ndim == 4:
             mag_sq = np.sum(phys**2, axis=0)
         else:

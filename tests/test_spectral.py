@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import full_tables, hermitian_defect, norm_suite, physical_l2sq
 
+from vslab import _fft
 from vslab.spectral import (
+    _FFT_WORKERS,
     BOX_VOLUME,
     DivergenceError,
     Grid,
@@ -129,6 +132,61 @@ def test_transform_round_trip_relative(grid8):
 def test_transform_shape_mismatch(grid8):
     with pytest.raises(ValueError):
         grid8.to_spectral(np.zeros((4, 4, 4)))
+
+
+# -- FFT binding -------------------------------------------------------------------
+
+AXES = (-3, -2, -1)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def samples(n, fields, seed):
+    shape = (n, n, n) if fields == 1 else (fields, n, n, n)
+    return splitmix64_uniform(seed, int(np.prod(shape))).reshape(shape) - 0.5
+
+
+@pytest.mark.parametrize("fields", [1, 6])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_fft_binding_matches_scipy_fft_bit_for_bit(n, fields):
+    vals = samples(n, fields, seed=n + fields)
+    half = scipy.fft.rfftn(vals, axes=AXES, workers=_FFT_WORKERS)
+    assert same_bits(_fft.rfftn(vals, AXES, _FFT_WORKERS), half)
+    half = half * (1.0 + 0.25j)  # not Hermitian on the self-conjugate planes
+    want = scipy.fft.irfftn(half, s=(n, n, n), axes=AXES, workers=_FFT_WORKERS)
+    assert same_bits(_fft.irfftn(half, (n, n, n), AXES, _FFT_WORKERS), want)
+
+
+def test_fft_binding_is_the_extension_where_it_exists():
+    if _fft.extension_path() is None:
+        pytest.skip("the installed SciPy has no pocketfft extension file")
+    assert _fft.rfftn is not _fft._scipy_rfftn
+    assert _fft.irfftn is not _fft._scipy_irfftn
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        None,  # a missing file
+        "c2r = None\n",  # a module without r2c
+        "def r2c(x, axes):\n    return x\n\ndef c2r(x, axes):\n    return x\n",  # changed signatures
+        "def r2c(*args):\n    return 0.0\n\ndef c2r(*args):\n    return 0.0\n",  # wrong numbers
+    ],
+)
+def test_fft_binding_falls_back_to_public_scipy_fft(tmp_path, source):
+    path = tmp_path / "pypocketfft.py"
+    if source is not None:
+        path.write_text(source)
+    rfftn, irfftn = _fft.bind(str(path))
+    assert (rfftn, irfftn) == (_fft._scipy_rfftn, _fft._scipy_irfftn)
+    vals = samples(8, 6, seed=3)
+    half = rfftn(vals, AXES, _FFT_WORKERS)
+    assert same_bits(half, _fft.rfftn(vals, AXES, _FFT_WORKERS))
+    assert same_bits(
+        irfftn(half, (8, 8, 8), AXES, _FFT_WORKERS), _fft.irfftn(half, (8, 8, 8), AXES, _FFT_WORKERS)
+    )
 
 
 # -- curl --------------------------------------------------------------------------
