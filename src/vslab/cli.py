@@ -265,21 +265,26 @@ def cmd_monitor(cfg, snapdir):
         u = grid.biot_savart(w)
         window.append(u)
         records.append(scalar_record(grid, w, u))
-        gaps.append(estimates.grad_vorticity_check(grid, u))
+        # the record's dissipation is h1sq(u)
+        gaps.append(estimates.grad_vorticity_check(grid, u, h1sq=records[-1][2]))
         if m < len(stack):
             estimates.hgamma_row(grid, w, stack[m])
         if m >= 2:
-            dtu = (u - window[-3]) / (2.0 * h)
-            fine_l2.append(grid.l2sq(dtu))
-            fine_h1.append(grid.h1sq(dtu))
+            dtu = u - window[-3]
+            dtu /= 2.0 * h
+            l2, h1 = grid.l2sq_h1sq(dtu)
+            fine_l2.append(l2)
+            fine_h1.append(h1)
             try:
-                ratios.append(estimates.ladyzhenskaya_ratio(grid, dtu))
+                ratios.append(estimates.ladyzhenskaya_ratio(grid, dtu, (l2, h1)))
             except ValueError:
                 pass
         if m >= 4 and m % 2 == 0:
-            dtu = (u - window[-5]) / (2.0 * h2)
-            coarse_l2.append(grid.l2sq(dtu))
-            coarse_h1.append(grid.h1sq(dtu))
+            dtu = u - window[-5]
+            dtu /= 2.0 * h2
+            l2, h1 = grid.l2sq_h1sq(dtu)
+            coarse_l2.append(l2)
+            coarse_h1.append(h1)
     s = series_from_records(times, records)
     residual = estimates.energy_identity_residual(s.times, s.energy, s.dissipation, nu=cfg.nu)
     rows = [("energy_identity_residual", residual), ("grad_vorticity_max_gap", max(gaps))]

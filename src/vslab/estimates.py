@@ -21,17 +21,18 @@ from vslab.trajectory import ScalarSeries, Trajectory
 # -- pointwise field identities ------------------------------------------------
 
 
-def grad_vorticity_check(grid: Grid, u, div_tol=1e-8):
+def grad_vorticity_check(grid: Grid, u, div_tol=1e-8, h1sq=None):
     """Relative gap between sum|grad u_i|^2 and sum|w_i|^2 for w = curl u.
 
     A modewise algebraic identity for divergence-free fields: |k|^2 |uhat|^2
     = |k x uhat|^2 whenever k.uhat = 0.  The mean mode contributes to neither
-    side, so constants pass with both sides zero.
+    side, so constants pass with both sides zero.  ``h1sq`` is
+    ``grid.h1sq(u)``, computed here unless the caller has it.
     """
     rel = grid.divergence_rel(u)
     if rel > div_tol:
         raise ValueError(f"field must be divergence-free, residual {rel:.3e}")
-    lhs = grid.h1sq(u)
+    lhs = grid.h1sq(u) if h1sq is None else h1sq
     rhs = grid.l2sq(grid.curl(u))
     denom = max(lhs, rhs)
     if denom == 0.0:
@@ -39,16 +40,18 @@ def grad_vorticity_check(grid: Grid, u, div_tol=1e-8):
     return abs(lhs - rhs) / denom
 
 
-def ladyzhenskaya_ratio(grid: Grid, v):
+def ladyzhenskaya_ratio(grid: Grid, v, norms=None):
     """|v|_{L4}^2 / (|v|_{L2}^{1/2} |grad v|_{L2}^{3/2}).
 
     Undefined for constants (zero gradient) and for the zero field; on the
     torus the interpolation inequality needs zero mean, which is why the
     ratio is reported against a configurable constant instead of asserting
-    the whole-space one.
+    the whole-space one.  ``norms`` is ``grid.l2sq_h1sq(v)``, computed here
+    unless the caller has it.
     """
-    l2 = math.sqrt(grid.l2sq(v))
-    h1 = math.sqrt(grid.h1sq(v))
+    l2sq, h1sq = grid.l2sq_h1sq(v) if norms is None else norms
+    l2 = math.sqrt(l2sq)
+    h1 = math.sqrt(h1sq)
     if l2 == 0.0 or h1 == 0.0:
         raise ValueError("ratio undefined for zero or constant fields")
     return grid.l4(v) ** 2 / (math.sqrt(l2) * h1**1.5)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from vslab import _fft
-from vslab.spectral import Grid, _FFT_WORKERS
+from vslab.spectral import Grid, _FFT_WORKERS, _cross
 from vslab.trajectory import ScalarSeries, Trajectory, scalar_record, series_from_records
 
 
@@ -48,15 +48,6 @@ class BlowUpError(RuntimeError):
         super().__init__(f"blow-up at t={time:.6g}: enstrophy={enstrophy:.6g}")
 
 
-def _cross(a, b, out):
-    """Pointwise a x b over the leading axis of length 3, written to ``out``."""
-    for i in range(3):
-        j, l = (i + 1) % 3, (i + 2) % 3
-        np.multiply(a[j], b[l], out=out[i])
-        out[i] -= a[l] * b[j]
-    return out
-
-
 def nonlinear_term(grid: Grid, u, w):
     """curl(u x w), dealiased and projected, with the k=0 amplitude pinned to zero.
 
@@ -73,8 +64,7 @@ def nonlinear_term(grid: Grid, u, w):
     uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
     rot = _fft.rfftn(uxw, (-3, -2, -1), _FFT_WORKERS)
     rot *= (1.0 / scale) * grid.keep
-    rot = _cross(grid.kd, rot, np.empty_like(rot))
-    rot *= 1j
+    rot = grid.curl(rot)
     k = grid.k
     kdotv = k[0] * rot[0] + k[1] * rot[1] + k[2] * rot[2]
     kdotv *= grid.inv_ksq

@@ -107,10 +107,15 @@ def load_field(path, symmetry_tol=1e-10):
     scale = max(1.0, float(np.max(np.abs(payload))))
     if defect > symmetry_tol * scale:
         raise SnapshotError(f"{path}: Hermitian symmetry violated (defect {defect:.3e})")
-    # k_3 = 0 .. n/2-1 and then -n/2, with k_1 and k_2 back in fftfreq order
-    order = (np.arange(n) + h) % n
-    coeffs = payload[:, order[:, None, None], order[None, :, None], order[None, None, : h + 1]]
-    return n, time, coeffs.astype(np.complex128, copy=False)
+    # k_3 = 0 .. n/2-1 and then -n/2, with the k_1 and k_2 halves swapped
+    # back into fftfreq order, one C-contiguous block copy at a time
+    coeffs = np.empty((3, n, n, h + 1), dtype=np.complex128)
+    swap = ((slice(None, h), slice(h, None)), (slice(h, None), slice(None, h)))
+    for a, from_a in swap:
+        for b, from_b in swap:
+            coeffs[:, a, b, :h] = payload[:, from_a, from_b, h:]
+            coeffs[:, a, b, h] = payload[:, from_a, from_b, 0]
+    return n, time, coeffs
 
 
 def snapshot_name(index):

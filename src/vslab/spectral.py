@@ -82,6 +82,15 @@ def _density(c):
     return c.real**2 + c.imag**2
 
 
+def _cross(a, b, out):
+    """Pointwise a x b over the leading axis of length 3, written to ``out``."""
+    for i in range(3):
+        j, l = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[l], out=out[i])
+        out[i] -= a[l] * b[j]
+    return out
+
+
 def full_spectrum(half):
     """Full (..., n, n, n) amplitudes of a real field from its k_3 >= 0 half."""
     n = half.shape[-2]
@@ -187,14 +196,9 @@ class Grid:
     def curl(self, v):
         """Vector -> vector, modewise i*k x vhat."""
         self._check_shape(v)
-        kd = self.kd
-        return 1j * np.stack(
-            [
-                kd[1] * v[2] - kd[2] * v[1],
-                kd[2] * v[0] - kd[0] * v[2],
-                kd[0] * v[1] - kd[1] * v[0],
-            ]
-        )
+        out = _cross(self.kd, v, np.empty(v.shape, dtype=np.complex128))
+        out *= 1j
+        return out
 
     def leray_project(self, v):
         """Remove the gradient part: vhat - k (k.vhat)/|k|^2, identity at k=0."""
@@ -256,8 +260,17 @@ class Grid:
     def h1sq(self, coeffs):
         """Squared L2 norm of the gradient, components summed."""
         self._check_shape(coeffs)
+        return self._gradient_sum(_density(coeffs))
+
+    def l2sq_h1sq(self, coeffs):
+        """(l2sq, h1sq) of one field from a single density pass, bit for bit the two methods."""
+        self._check_shape(coeffs)
         density = _density(coeffs)
-        if coeffs.ndim == 4:
+        return BOX_VOLUME * self._mode_sum(density), self._gradient_sum(density)
+
+    def _gradient_sum(self, density):
+        """h1sq from the per-mode density of the field."""
+        if density.ndim == 4:
             density = np.sum(density, axis=0)
         return BOX_VOLUME * self._mode_sum(self.ksq * density)
 

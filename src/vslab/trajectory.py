@@ -45,10 +45,6 @@ class Trajectory:
         if len(self.times) and np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
 
-    @property
-    def t_end(self):
-        return float(self.times[-1])
-
     def _bracket(self, t):
         times = self.times
         if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
@@ -99,7 +95,9 @@ def scalar_record(grid: Grid, w, u=None):
     """
     if u is None:
         u = grid.biot_savart(w)
-    return grid.l2sq(u), grid.l2sq(w), grid.h1sq(u), grid.h1sq(w)
+    energy, dissipation = grid.l2sq_h1sq(u)
+    enstrophy, enstrophy_dissipation = grid.l2sq_h1sq(w)
+    return energy, enstrophy, dissipation, enstrophy_dissipation
 
 
 def series_from_samples(grid: Grid, times, fields):

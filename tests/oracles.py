@@ -88,14 +88,41 @@ def physical_l2sq(grid, values):
     return float(np.sum(vals**2) * grid.cell_volume)
 
 
-def corrupt_negative_half(path, n):
-    """Change one amplitude of a snapshot file at k = (1, -2, -1), in the half that loading drops."""
+def corrupt_negative_half(path, n, delta=0.25):
+    """Add ``delta`` to the real part of component 1 of a snapshot file at k = (1, -2, -1),
+    in the half that loading drops."""
     index = np.ravel_multi_index((1, 1 + n // 2, -2 + n // 2, -1 + n // 2), (3, n, n, n))
     blob = bytearray(path.read_bytes())
     offset = 24 + 16 * index
     value = struct.unpack_from("<d", blob, offset)[0]
-    struct.pack_into("<d", blob, offset, value + 0.25)
+    struct.pack_into("<d", blob, offset, value + delta)
     path.write_bytes(bytes(blob))
+
+
+def gathered_half(path):
+    """The half spectrum of a snapshot file by one fancy-index gather of the stored cube.
+
+    Loading used to return this array; it keeps the component axis innermost
+    in memory.
+    """
+    blob = path.read_bytes()
+    n = struct.unpack_from("<I", blob, 8)[0]
+    payload = np.frombuffer(blob, dtype="<c16", offset=24).reshape(3, n, n, n)
+    order = (np.arange(n) + n // 2) % n
+    coeffs = payload[:, order[:, None, None], order[None, :, None], order[None, None, : n // 2 + 1]]
+    return coeffs.astype(np.complex128, copy=False)
+
+
+def stacked_curl(grid, v):
+    """i k x vhat as three component expressions stacked into a new array."""
+    kd = grid.kd
+    return 1j * np.stack(
+        [
+            kd[1] * v[2] - kd[2] * v[1],
+            kd[2] * v[0] - kd[0] * v[2],
+            kd[0] * v[1] - kd[1] * v[0],
+        ]
+    )
 
 
 def monitor_rows(snapdir, nu, gamma, ladyzhenskaya_c):

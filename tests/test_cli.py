@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import corrupt_negative_half, monitor_rows
 
-from vslab import estimates, snapshots
+from vslab import estimates, snapshots, spectral
 from vslab.cli import cli_dispatch
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import Grid, random_divfree_field, taylor_green_vorticity
@@ -276,6 +276,26 @@ def test_monitor_inverts_each_snapshot_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Grid, "biot_savart", counting)
     assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
     assert len(calls) == len(list(snap.glob("*.vslb")))
+
+
+def test_monitor_density_passes_per_snapshot(tmp_path, monkeypatch):
+    # 11 snapshots; every norm of a field is one pass over its per-mode density
+    cfg = write_cfg(tmp_path, field_every=5)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    calls = []
+    original = spectral._density
+
+    def counting(c):
+        calls.append(1)
+        return original(c)
+
+    monkeypatch.setattr(spectral, "_density", counting)
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    # per snapshot: 2 in the solenoidal check, one each for the norms of u and
+    # w, 2 in the divergence check of u and 1 for |curl u|^2; one per dt u
+    # (9 interior samples and 4 on the stride-2 grid)
+    assert len(calls) == 7 * 11 + 9 + 4
 
 
 def _count_loads(monkeypatch):

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import corrupt_negative_half
+from oracles import corrupt_negative_half, gathered_half
 
 from vslab.atomic import atomic_open
 from vslab.config import ConfigError, echo_config, load_config, parse_config_text
@@ -203,6 +203,33 @@ def test_snapshot_symmetry_violation_in_dropped_half(tmp_path):
     corrupt_negative_half(path, 8)
     with pytest.raises(SnapshotError, match="neg.vslb: Hermitian symmetry violated"):
         load_field(path)
+
+
+def test_snapshot_huge_defect_in_dropped_half(tmp_path):
+    # squared magnitudes of 1e200 overflow, so only a check on |a - b| and |a| sees this
+    w = np.zeros((3, 8, 8, 5), dtype=complex)
+    w[1, -1, 2, 1] = 1e200  # its mirror is the amplitude at k = (1, -2, -1)
+    path = tmp_path / "huge.vslb"
+    persist_field(path, w, 0.0)
+    load_field(path)
+    corrupt_negative_half(path, 8, delta=1e200)
+    with pytest.raises(SnapshotError, match="huge.vslb: Hermitian symmetry violated"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("n", [4, 32])
+def test_snapshot_load_is_contiguous_and_equals_the_gather(tmp_path, n):
+    h = n // 2 + 1
+    rng = np.random.default_rng(n)
+    draws = rng.standard_normal((2, 3, n, n, h))
+    coeffs = Grid(n).symmetrize(draws[0] + 1j * draws[1])  # Hermitian, nonzero Nyquist planes
+    coeffs[:, 1, 2, 1] = complex(-0.0, -0.0)
+    path = tmp_path / "layout.vslb"
+    persist_field(path, coeffs, 0.0)
+    _, _, back = load_field(path)
+    assert back.flags.c_contiguous
+    assert back.tobytes() == gathered_half(path).tobytes()
+    assert back.tobytes() == coeffs.tobytes()
 
 
 def test_trajectory_save_load(tmp_path):

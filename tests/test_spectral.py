@@ -6,7 +6,7 @@ import scipy.fft
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import full_tables, hermitian_defect, norm_suite, physical_l2sq
+from oracles import full_tables, hermitian_defect, norm_suite, physical_l2sq, stacked_curl
 
 from vslab import _fft
 from vslab.spectral import (
@@ -206,6 +206,24 @@ def test_curl_of_gradient_vanishes(grid8):
     assert np.max(np.abs(grid8.curl(grid8.gradient(s)))) < 1e-14
 
 
+def _layouts(v):
+    """v as a C-contiguous array, with its leading axis innermost in memory, and as a strided view."""
+    inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(v, 0, -1)), -1, 0)
+    wide = np.zeros(v.shape[:-1] + (2 * v.shape[-1],), dtype=v.dtype)
+    wide[..., ::2] = v
+    return [np.ascontiguousarray(v), inner, wide[..., ::2]]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_curl_is_the_stacked_formula_bit_for_bit(n):
+    grid = Grid(n)
+    v = random_divfree_field(grid, seed=n) + 0.5 * grid.gradient(random_divfree_field(grid, 3)[0])
+    for layout in _layouts(v):
+        got = grid.curl(layout)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == stacked_curl(grid, layout).tobytes()
+
+
 def test_curl_taylor_green_symbolic_oracle(grid16):
     x1, x2, x3 = sp.symbols("x1 x2 x3")
     u_sym = (
@@ -388,6 +406,16 @@ def test_l4_matches_full_spectrum_quadrature(n, seed, component):
     mag_sq = np.sum(phys**2, axis=0) if phys.ndim == 4 else phys**2
     want = (np.sum(mag_sq**2) * grid.cell_volume) ** 0.25
     assert abs(grid.l4(v) - want) / want < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_l2sq_h1sq_is_the_two_norms_bit_for_bit(n):
+    grid = Grid(n)
+    v = random_divfree_field(grid, seed=n + 1) * 1e3
+    v += grid.gradient(random_divfree_field(grid, seed=5)[2])
+    for field in (v, v[1]):
+        for layout in _layouts(field):
+            assert grid.l2sq_h1sq(layout) == (grid.l2sq(layout), grid.h1sq(layout))
 
 
 def test_h1_equals_enstrophy_of_curl(grid8):
