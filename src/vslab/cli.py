@@ -19,7 +19,7 @@ from vslab import estimates, reports, slabs, snapshots
 from vslab.config import ConfigError, load_config
 from vslab.reference import BlowUpError, StepperConfig, run_reference
 from vslab.spectral import Grid, initial_vorticity
-from vslab.trajectory import scalar_record, series_from_records
+from vslab.trajectory import Trajectory, scalar_record, series_from_records
 
 
 class UsageError(Exception):
@@ -129,9 +129,9 @@ def cmd_run_ref(cfg):
         w0,
         cfg.T,
         StepperConfig(dt=cfg.dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling),
+        snapshots.snapshot_sink(snapdir),
         scalar_every=cfg.scalar_every,
         field_every=cfg.field_every,
-        sink=snapshots.snapshot_sink(snapdir),
     )
     partition = slabs.uniform_partition(cfg.T, cfg.slabs)
     ledger = estimates.enstrophy_ledger(series, partition, cfg.epsilon0, cfg.sobolev_c)
@@ -153,12 +153,12 @@ def cmd_run_slab(cfg):
         grid,
         w0,
         partition,
+        snapshots.snapshot_sink(snapdir),
         nu=cfg.nu,
         tol=cfg.picard_tol,
         max_iter=cfg.picard_max_iter,
         slab_samples=cfg.slab_samples,
         reference=stored if cfg.provider == "reference" else None,
-        sink=snapshots.snapshot_sink(snapdir),
     )
     ledger = estimates.enstrophy_ledger(
         result.series, partition, cfg.epsilon0, cfg.sobolev_c, records=result.records
@@ -198,30 +198,26 @@ def cmd_study(cfg):
     grid = Grid(cfg.n)
     w0 = _initial(grid, cfg)
     stepper = StepperConfig(dt=cfg.dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
-    reference = run_reference(
-        grid, w0, cfg.T, stepper, scalar_every=cfg.scalar_every, field_every=cfg.field_every
-    )
+    reference = Trajectory(grid, cfg.nu)
+    run_reference(grid, w0, cfg.T, stepper, reference.append, cfg.scalar_every, cfg.field_every)
     closure = reference if cfg.provider == "reference" else None
     levels = cfg.parsed_levels()
-    widths, errors = [], []
     rows = []
     for n_slabs in levels:
         partition = slabs.uniform_partition(cfg.T, n_slabs)
+        samples = Trajectory(grid, cfg.nu)
         result = slabs.run_slab_scheme(
             grid,
             w0,
             partition,
+            samples.append,
             nu=cfg.nu,
             tol=cfg.picard_tol,
             max_iter=cfg.picard_max_iter,
             slab_samples=cfg.slab_samples,
             reference=closure,
         )
-        err = estimates.sup_l2_distance(
-            grid, result.trajectory, reference, reference.times
-        )
-        widths.append(cfg.T / n_slabs)
-        errors.append(err)
+        err = estimates.sup_l2_distance(grid, samples, reference, reference.times)
         worst_rho = max(r.max_ratio for r in result.records)
         worst_iters = max(r.iterations for r in result.records)
         rows.append((n_slabs, cfg.T / n_slabs, err, worst_rho, worst_iters))
@@ -230,6 +226,7 @@ def cmd_study(cfg):
             result.series, partition, cfg.epsilon0, cfg.sobolev_c, records=result.records
         )
         reports.emit_reports(subdir, ledger)
+    _, widths, errors, _, _ = zip(*rows)
     fit = estimates.convergence_study(widths, errors)
     os.makedirs(cfg.outdir, exist_ok=True)
     reports.write_csv(

@@ -94,6 +94,8 @@ class RunConfig:
             bad("study_levels", f"must be comma-separated integers, got {self.study_levels!r}")
         if any(l < 1 for l in levels):
             bad("study_levels", "levels must be >= 1")
+        if len(set(levels)) < max(3, len(levels)):
+            bad("study_levels", f"need three or more distinct levels, got {self.study_levels!r}")
         return self
 
     def parsed_levels(self):

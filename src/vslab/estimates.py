@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vslab.slabs import TimePartition, SlabSolution, compute_kstar, slab_window, trapezoid
-from vslab.spectral import BOX_VOLUME, Grid
+from vslab.spectral import BOX_VOLUME, DIV_TOL, Grid
 from vslab.trajectory import ScalarSeries, Trajectory
 
 
 # -- pointwise field identities ------------------------------------------------
 
 
-def grad_vorticity_check(grid: Grid, u, div_tol=1e-8, h1sq=None):
+def grad_vorticity_check(grid: Grid, u, h1sq=None):
     """Relative gap between sum|grad u_i|^2 and sum|w_i|^2 for w = curl u.
 
     A modewise algebraic identity for divergence-free fields: |k|^2 |uhat|^2
@@ -30,7 +30,7 @@ def grad_vorticity_check(grid: Grid, u, div_tol=1e-8, h1sq=None):
     ``grid.h1sq(u)``, computed here unless the caller has it.
     """
     rel = grid.divergence_rel(u)
-    if rel > div_tol:
+    if rel > DIV_TOL:
         raise ValueError(f"field must be divergence-free, residual {rel:.3e}")
     lhs = grid.h1sq(u) if h1sq is None else h1sq
     rhs = grid.l2sq(grid.curl(u))
@@ -499,17 +499,17 @@ def sup_l2_distance(grid: Grid, traj_a: Trajectory, traj_b: Trajectory, times):
     return worst
 
 
-def piecewise_average_distance(grid: Grid, trajectory: Trajectory, partition: TimePartition, samples_per_slab=32):
+def piecewise_average_distance(grid: Grid, trajectory: Trajectory, partition: TimePartition):
     """L2(Q) distance between a velocity trajectory and its slab averages.
 
     For each slab the average of u is taken over the slab and the squared
-    pointwise-in-time L2 gap is integrated with Simpson on a per-slab grid;
-    slab contributions add up over the partition.
+    pointwise-in-time L2 gap is integrated with Simpson on 32 equal
+    intervals of the slab; slab contributions add up over the partition.
     """
     total = 0.0
     for _, t_lo, t_hi in partition:
         u_bar = trajectory.velocity_average_over(t_lo, t_hi)
-        ts = np.linspace(t_lo, t_hi, samples_per_slab + 1)
+        ts = np.linspace(t_lo, t_hi, 33)
         gaps = np.array([grid.l2sq(trajectory.velocity_at(t) - u_bar) for t in ts])
         total += float(simpson(gaps, ts))
     return math.sqrt(total)

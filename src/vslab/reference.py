@@ -23,7 +23,7 @@ import numpy as np
 
 from vslab import _fft
 from vslab.spectral import Grid, _FFT_WORKERS, _cross
-from vslab.trajectory import ScalarSeries, Trajectory, scalar_record, series_from_records
+from vslab.trajectory import ScalarSeries, scalar_record, series_from_records
 
 
 @dataclass
@@ -109,58 +109,40 @@ def run_reference(
     w0,
     T: float,
     cfg: StepperConfig,
+    sink,
     scalar_every: int = 1,
     field_every: int = 10,
-    sample_times=None,
-    rhs=vorticity_rhs,
-    sink=None,
-) -> Trajectory | ScalarSeries:
-    """Integrate to time T and record norm series plus field snapshots.
+) -> ScalarSeries:
+    """Integrate to time T, hand field snapshots to ``sink`` and return the norm series.
 
     The step count is round(T/dt) with the step size nudged so the run lands
-    on T exactly.  Snapshots are taken every ``field_every`` steps, or, when
-    ``sample_times`` is given, at the steps nearest the requested times;
-    t=0 and t=T are always included.
+    on T exactly.  Snapshots are taken every ``field_every`` steps; t=0 and
+    t=T are always included.
 
     Each snapshot is handed to ``sink(t, w)`` as it is taken, in time order
-    from t=0; the sink must not modify ``w``.  Without a sink the snapshots
-    are collected and a Trajectory is returned.  With one, the run keeps no
-    state past the step that made it and returns only the ScalarSeries, so a
-    run that raises has already handed over every snapshot before the
-    failing step.
+    from t=0; the sink must not modify ``w``.  The run keeps no state past
+    the step that made it, so a run that raises has already handed over
+    every snapshot before the failing step.  A caller that wants the
+    snapshots together collects them with ``Trajectory.append``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     n_steps = max(1, int(round(T / cfg.dt)))
     dt = T / n_steps
     cfg = StepperConfig(dt=dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
-    snap_steps = None
-    if sample_times is not None:
-        snap_steps = {min(n_steps, max(0, int(round(t / dt)))) for t in sample_times}
-    fields = []
-    emit = sink if sink is not None else (lambda t, w: fields.append(w))
 
     w = grid.symmetrize(grid.leray_project(np.array(w0, dtype=np.complex128)))
     w[:, 0, 0, 0] = 0.0
 
-    times = [0.0]
-    emit(0.0, w)
+    sink(0.0, w)
     s_times = [0.0]
     s_rows = [scalar_record(grid, w)]
     for step in range(1, n_steps + 1):
-        t_prev = (step - 1) * dt
-        w = rk4_step(grid, w, cfg, rhs=rhs, t=t_prev)
+        w = rk4_step(grid, w, cfg, t=(step - 1) * dt)
         t = step * dt if step < n_steps else T
         if step % scalar_every == 0 or step == n_steps:
             s_times.append(t)
             s_rows.append(scalar_record(grid, w))
-        want_field = (
-            step in snap_steps if snap_steps is not None else step % field_every == 0
-        )
-        if want_field or step == n_steps:
-            times.append(t)
-            emit(t, w)
-    series = series_from_records(s_times, s_rows)
-    if sink is not None:
-        return series
-    return Trajectory(grid=grid, nu=cfg.nu, times=np.array(times), fields=fields, series=series)
+        if step % field_every == 0 or step == n_steps:
+            sink(t, w)
+    return series_from_records(s_times, s_rows)

@@ -373,26 +373,22 @@ class SlabRecord:
 
 @dataclass
 class SlabRunResult:
-    """What a slab run returns.  ``series`` has one norm row per sample time;
-    ``trajectory`` and ``solutions`` are filled only when no sink was given."""
+    """What a slab run returns: one record per slab and one norm row per sample time."""
 
-    partition: TimePartition
     records: list
     series: ScalarSeries
-    trajectory: Trajectory | None = None
-    solutions: list = field(default_factory=list)
 
 
 def run_slab_scheme(
     grid: Grid,
     omega0,
     partition: TimePartition,
+    sink,
     nu=1.0,
     tol=1e-10,
     max_iter=64,
     slab_samples=16,
     reference: Trajectory | None = None,
-    sink=None,
 ):
     """Chain the slabs over (0,T), sampling the closed-form trajectory.
 
@@ -405,20 +401,16 @@ def run_slab_scheme(
     norm series and, without a reference, kstar.
 
     Every sample is handed to ``sink(t, w)`` as it is made, in time order
-    from t=0; the sink must not modify ``w``.  Without a sink the samples and
-    the slab solutions are collected into the result's ``trajectory`` and
-    ``solutions``.  With one, nothing state-sized outlives the slab that
-    made it, and a run that raises has already handed over every sample of
-    the slabs before the failing one.
+    from t=0; the sink must not modify ``w``.  Nothing state-sized outlives
+    the slab that made it, and a run that raises has already handed over
+    every sample of the slabs before the failing one.
     """
     if slab_samples < 2:
         raise ValueError("need at least two samples per slab")
     grid.require_solenoidal(omega0)
-    fields, solutions = [], []
-    emit = sink if sink is not None else (lambda t, w: fields.append(w))
     w = np.array(omega0, dtype=np.complex128)
     times = [0.0]
-    emit(0.0, w)
+    sink(0.0, w)
     norm_rows = [scalar_record(grid, w)]
     records = []
     for k, t_lo, t_hi in partition:
@@ -438,7 +430,7 @@ def run_slab_scheme(
         for t in sample_ts[1:]:
             w = sol.at(t)  # the last sample, t_hi, is the next slab's start
             times.append(float(t))
-            emit(float(t), w)
+            sink(float(t), w)
             norm_rows.append(scalar_record(grid, w))
         if reference is None:
             loads = [(e, d) for e, _, d, _ in norm_rows[-len(sample_ts) :]]
@@ -456,17 +448,8 @@ def run_slab_scheme(
                 kstar=kstar,
             )
         )
-        if sink is None:
-            solutions.append(sol)
         del sol  # free this slab's states before the next slab's Picard loop
-    series = series_from_records(times, norm_rows)
-    result = SlabRunResult(partition=partition, records=records, series=series)
-    if sink is None:
-        result.trajectory = Trajectory(
-            grid=grid, nu=nu, times=np.array(times), fields=fields, series=series
-        )
-        result.solutions = solutions
-    return result
+    return SlabRunResult(records=records, series=series_from_records(times, norm_rows))
 
 
 # -- contraction diagnostic ---------------------------------------------------

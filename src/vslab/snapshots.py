@@ -44,6 +44,7 @@ MAGIC = b"VSLB"
 VERSION = 1
 HEADER = struct.Struct("<4sIIId")
 assert HEADER.size == 24
+SYMMETRY_TOL = 1e-10  # Hermitian defect a loaded file may carry, relative to its largest amplitude
 
 
 class SnapshotError(ValueError):
@@ -89,7 +90,7 @@ def _check_header(path, head, size):
     return int(n), float(time)
 
 
-def load_field(path, symmetry_tol=1e-10):
+def load_field(path):
     """Read one snapshot; returns (n, time, coeffs) with coeffs the half spectrum."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -105,7 +106,7 @@ def load_field(path, symmetry_tol=1e-10):
         float(np.max(np.abs(planes - _mirror(planes)))),
     )
     scale = max(1.0, float(np.max(np.abs(payload))))
-    if defect > symmetry_tol * scale:
+    if defect > SYMMETRY_TOL * scale:
         raise SnapshotError(f"{path}: Hermitian symmetry violated (defect {defect:.3e})")
     # k_3 = 0 .. n/2-1 and then -n/2, with the k_1 and k_2 halves swapped
     # back into fftfreq order, one C-contiguous block copy at a time
@@ -144,13 +145,6 @@ def snapshot_sink(outdir):
         count += 1
 
     return sink
-
-
-def save_trajectory(outdir, trajectory: Trajectory):
-    """Write every field snapshot of a trajectory through ``snapshot_sink``."""
-    sink = snapshot_sink(outdir)
-    for t, w in zip(trajectory.times, trajectory.fields):
-        sink(t, w)
 
 
 def scan_snapshots(snapdir):

@@ -34,7 +34,7 @@ class ScalarSeries:
 class Trajectory:
     grid: Grid
     nu: float
-    times: np.ndarray  # field snapshot times, strictly increasing
+    times: np.ndarray = field(default_factory=lambda: np.empty(0))  # strictly increasing
     fields: list = field(default_factory=list)  # vorticity amplitudes per time
     series: ScalarSeries | None = None
 
@@ -44,6 +44,13 @@ class Trajectory:
             raise ValueError("one field snapshot per sample time required")
         if len(self.times) and np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
+
+    def append(self, t, w):
+        """Add the snapshot ``w`` at time ``t``, after the last one; a runner's sink."""
+        if len(self.times) and not t > self.times[-1]:
+            raise ValueError(f"snapshot time {t} is not after the last one, {self.times[-1]}")
+        self.times = np.append(self.times, t)
+        self.fields.append(w)
 
     def _bracket(self, t):
         times = self.times

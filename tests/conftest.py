@@ -2,8 +2,9 @@ import time
 
 import numpy as np
 import pytest
+from oracles import collect_reference
 
-from vslab.reference import StepperConfig, run_reference
+from vslab.reference import StepperConfig
 from vslab.spectral import Grid, taylor_green_vorticity
 
 
@@ -32,7 +33,7 @@ def tg16_run(grid16):
     """Taylor-Green 16^3 reference run over (0, 0.5), the workhorse oracle."""
     w0 = taylor_green_vorticity(grid16)
     start = time.perf_counter()
-    traj = run_reference(
+    traj = collect_reference(
         grid16, w0, 0.5, StepperConfig(dt=1e-3, nu=1.0), scalar_every=1, field_every=10
     )
     traj.elapsed = time.perf_counter() - start
@@ -44,7 +45,7 @@ def tg32_run(grid32):
     """Taylor-Green 32^3 reference run over (0, 1), shared by the acceptance suite."""
     w0 = taylor_green_vorticity(grid32)
     start = time.perf_counter()
-    traj = run_reference(
+    traj = collect_reference(
         grid32, w0, 1.0, StepperConfig(dt=1e-3, nu=1.0), scalar_every=1, field_every=10
     )
     traj.elapsed = time.perf_counter() - start

@@ -8,13 +8,43 @@ rather than share its code.
 import struct
 
 import numpy as np
+import pytest
 import scipy.fft
 
-from vslab import estimates
-from vslab.reference import StepperConfig, rk4_step
+from vslab import estimates, slabs
+from vslab.reference import StepperConfig, rk4_step, run_reference
 from vslab.snapshots import load_trajectory
 from vslab.spectral import conjugate_reflection, full_spectrum
-from vslab.trajectory import scalar_record, series_from_records
+from vslab.trajectory import Trajectory, scalar_record, series_from_records
+
+
+def collect_reference(grid, w0, T, cfg, **kwargs):
+    """``run_reference`` with its snapshots collected into a Trajectory through the sink."""
+    traj = Trajectory(grid, cfg.nu)
+    traj.series = run_reference(grid, w0, T, cfg, traj.append, **kwargs)
+    return traj
+
+
+def collect_slabs(grid, omega0, partition, **kwargs):
+    """``run_slab_scheme`` with its samples collected through the sink.
+
+    Returns (result, trajectory, solutions): the run's result, its samples as
+    a Trajectory carrying the run's series, and the SlabSolution that
+    ``picard_solve_slab`` returned to the run for each slab, in slab order.
+    """
+    traj = Trajectory(grid, kwargs.get("nu", 1.0))
+    solutions = []
+    solve = slabs.picard_solve_slab
+
+    def recording(*args, **kw):
+        solutions.append(solve(*args, **kw))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slabs, "picard_solve_slab", recording)
+        result = slabs.run_slab_scheme(grid, omega0, partition, traj.append, **kwargs)
+    traj.series = result.series
+    return result, traj, solutions
 
 
 def hermitian_defect(coeffs):

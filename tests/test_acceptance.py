@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import collect_reference, collect_slabs
 
 from vslab.cli import cli_dispatch
 from vslab.estimates import (
@@ -25,9 +26,9 @@ from vslab.estimates import (
     piecewise_average_distance,
     sup_l2_distance,
 )
-from vslab.reference import StepperConfig, run_reference
+from vslab.reference import StepperConfig
 from vslab.reports import emit_reports, write_csv
-from vslab.slabs import contraction_diagnostic, run_slab_scheme, uniform_partition
+from vslab.slabs import contraction_diagnostic, uniform_partition
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import (
     Grid,
@@ -61,9 +62,9 @@ def _write_report():
 def slab_study(grid16, tg16_run):
     """Self-consistent slab runs against the 16^3 reference, N in {4,8,16,32}."""
     w0 = taylor_green_vorticity(grid16)
-    results, errors = {}, {}
+    solutions, errors = {}, {}
     for n_slabs in (4, 8, 16, 32):
-        res = run_slab_scheme(
+        _, traj, solutions[n_slabs] = collect_slabs(
             grid16,
             w0,
             uniform_partition(0.5, n_slabs),
@@ -71,9 +72,8 @@ def slab_study(grid16, tg16_run):
             tol=1e-10,
             max_iter=20,
         )
-        results[n_slabs] = res
-        errors[n_slabs] = sup_l2_distance(grid16, res.trajectory, tg16_run, tg16_run.times)
-    return results, errors
+        errors[n_slabs] = sup_l2_distance(grid16, traj, tg16_run, tg16_run.times)
+    return solutions, errors
 
 
 def test_criterion_01_spectral_identity_suite(grid8):
@@ -111,12 +111,10 @@ def test_criterion_02_beltrami_exactness(grid16):
     w0 = abc_vorticity(grid16)
     scale = math.sqrt(grid16.l2sq(w0))
     want = math.exp(-0.5) * w0
-    ref = run_reference(grid16, w0, 0.5, StepperConfig(dt=1e-3, nu=1.0), field_every=100)
+    ref = collect_reference(grid16, w0, 0.5, StepperConfig(dt=1e-3, nu=1.0), field_every=100)
     err_ref = math.sqrt(grid16.l2sq(ref.fields[-1] - want)) / scale
-    slab = run_slab_scheme(
-        grid16, w0, uniform_partition(0.5, 4), nu=1.0, tol=1e-10
-    )
-    err_slab = math.sqrt(grid16.l2sq(slab.trajectory.fields[-1] - want)) / scale
+    _, slab, _ = collect_slabs(grid16, w0, uniform_partition(0.5, 4), nu=1.0, tol=1e-10)
+    err_slab = math.sqrt(grid16.l2sq(slab.fields[-1] - want)) / scale
     elapsed = time.perf_counter() - start
     ok = err_ref <= 1e-10 and err_slab <= 1e-10 and elapsed < 30.0
     record(
@@ -156,19 +154,17 @@ def test_criterion_04_slab_convergence(slab_study):
 
 
 def test_criterion_05_picard_contraction(slab_study, grid8):
-    results, _ = slab_study
-    res32 = results[32]
-    ratios_ok = all(
-        all(r < 1.0 for r in sol.diagnostics.ratios) for sol in res32.solutions
-    )
-    iter_ok = all(sol.diagnostics.iterations <= 20 for sol in res32.solutions)
-    worst_iters = max(sol.diagnostics.iterations for sol in res32.solutions)
-    worst_rho = max(sol.diagnostics.max_ratio for sol in res32.solutions)
+    solutions, _ = slab_study
+    sols32 = solutions[32]
+    ratios_ok = all(all(r < 1.0 for r in sol.diagnostics.ratios) for sol in sols32)
+    iter_ok = all(sol.diagnostics.iterations <= 20 for sol in sols32)
+    worst_iters = max(sol.diagnostics.iterations for sol in sols32)
+    worst_rho = max(sol.diagnostics.max_ratio for sol in sols32)
 
     # small-mode diagnostic: evaluate the printed contraction bound at 8^3
     w0 = taylor_green_vorticity(grid8)
-    ref8 = run_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3, nu=1.0), field_every=5)
-    diag_run = run_slab_scheme(
+    ref8 = collect_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3, nu=1.0), field_every=5)
+    _, _, diag_solutions = collect_slabs(
         grid8,
         w0,
         uniform_partition(0.25, 8),
@@ -178,7 +174,7 @@ def test_criterion_05_picard_contraction(slab_study, grid8):
     )
     pairs = [
         (contraction_diagnostic(grid8, sol.averages, 1.0)[0], sol.diagnostics.max_ratio)
-        for sol in diag_run.solutions
+        for sol in diag_solutions
     ]
     coupled = [(star, rho) for star, rho in pairs if star < 1.0 - 1e-12]
     bound_ok = bool(coupled) and all(rho <= star + 0.05 for star, rho in coupled)
@@ -244,7 +240,7 @@ def test_criterion_08_hgamma_boundedness(grid16):
     for n in (16, 24):
         grid = Grid(n)
         w0 = taylor_green_vorticity(grid)
-        traj = run_reference(grid, w0, 0.25, StepperConfig(dt=2.5e-3, nu=1.0), field_every=2)
+        traj = collect_reference(grid, w0, 0.25, StepperConfig(dt=2.5e-3, nu=1.0), field_every=2)
         values[n] = hgamma_diagnostic(traj.times, traj.fields, 0.2, grid).value
     spread = abs(values[24] - values[16]) / values[16]
     with pytest.raises(ValueError):

@@ -238,6 +238,14 @@ def test_study_reports_rate(tmp_path, capsys):
     assert (tmp_path / "out" / "N4" / "slabs.csv").exists()
 
 
+@pytest.mark.parametrize("levels", ["4,8", "4,4,8"])
+def test_study_rejects_levels_before_running(tmp_path, capsys, levels):
+    cfg = write_cfg(tmp_path, study_levels=levels)
+    assert cli_dispatch(["study", "--config", cfg]) == 1
+    assert "study_levels" in _one_error_line(capsys)
+    assert not list(tmp_path.glob("out/N*"))
+
+
 @pytest.mark.parametrize("provider", ["self-consistent", "reference"])
 def test_study_measures_second_order_in_the_slab_width(tmp_path, provider):
     # halving the slab width cuts the sup-L2 error about fourfold (ratios 0.26-0.27

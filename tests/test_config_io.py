@@ -19,11 +19,11 @@ from vslab.snapshots import (
     load_field,
     load_trajectory,
     persist_field,
-    save_trajectory,
     scan_snapshots,
+    snapshot_sink,
 )
 from vslab.spectral import Grid, random_divfree_field
-from vslab.trajectory import ScalarSeries, Trajectory
+from vslab.trajectory import ScalarSeries
 
 HERE = os.path.dirname(__file__)
 REPO = os.path.dirname(HERE)
@@ -48,6 +48,12 @@ def test_config_range_error_names_key():
 def test_config_rejects_unknown_choice(key):
     with pytest.raises(ConfigError, match=f"{key}: must be one of"):
         parse_config_text(f"{key} = mystery\n")
+
+
+@pytest.mark.parametrize("levels", ["4,8", "4,4,8", "4,8,8,16", ""])
+def test_config_rejects_study_levels_without_three_distinct_levels(levels):
+    with pytest.raises(ConfigError, match="study_levels: "):
+        parse_config_text(f"study_levels = {levels}\n")
 
 
 def test_config_unknown_key_carries_line_number():
@@ -237,8 +243,9 @@ def test_trajectory_save_load(tmp_path):
     w = random_divfree_field(grid, seed=5)
     times = np.array([0.0, 0.5, 1.0])
     fields = [w, 0.5 * w, 0.25 * w]
-    traj = Trajectory(grid=grid, nu=1.0, times=times, fields=fields)
-    save_trajectory(tmp_path, traj)
+    sink = snapshot_sink(tmp_path)
+    for t, w in zip(times, fields):
+        sink(t, w)
     back = load_trajectory(tmp_path)
     assert np.array_equal(back.times, times)
     assert all(np.array_equal(a, b) for a, b in zip(back.fields, fields))

@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import collect_reference
 from scipy.integrate import quad
 
 from vslab.estimates import (
@@ -26,7 +27,7 @@ from vslab.estimates import (
     simpson,
     sup_l2_distance,
 )
-from vslab.reference import StepperConfig, run_reference
+from vslab.reference import StepperConfig
 from vslab.slabs import (
     SlabAverages,
     linear_slab_solve,
@@ -132,7 +133,7 @@ def test_energy_identity_converges_with_step(grid8):
     w0 = taylor_green_vorticity(grid8)
     residuals = []
     for dt in (8e-3, 4e-3):
-        traj = run_reference(grid8, w0, 0.2, StepperConfig(dt=dt), field_every=1000)
+        traj = collect_reference(grid8, w0, 0.2, StepperConfig(dt=dt), field_every=1000)
         s = traj.series
         residuals.append(energy_identity_residual(s.times, s.energy, s.dissipation))
     assert residuals[1] < residuals[0] / 4.0  # observed order >= 2
@@ -239,7 +240,7 @@ def test_ledger_flags_violations():
 
 def test_ledger_taylor_green_small(grid8):
     w0 = taylor_green_vorticity(grid8)
-    traj = run_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3), field_every=1000)
+    traj = collect_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3), field_every=1000)
     ledger = enstrophy_ledger(traj.series, uniform_partition(0.25, 4), eps0=0.5, C=1.0)
     assert all(r.recursion_ok for r in ledger.rows)
     assert ledger.global_ok
@@ -358,7 +359,7 @@ def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
 
 def test_hgamma_monotone_in_gamma(grid8):
     w0 = taylor_green_vorticity(grid8)
-    traj = run_reference(grid8, w0, 0.25, StepperConfig(dt=2.5e-3), field_every=2)
+    traj = collect_reference(grid8, w0, 0.25, StepperConfig(dt=2.5e-3), field_every=2)
     values = [
         hgamma_diagnostic(traj.times, traj.fields, g, grid8).value
         for g in (0.05, 0.1, 0.15, 0.2, 0.24)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import sympy as sp
-from oracles import hermitian_defect, run_reference_velocity, velocity_rhs
+from oracles import collect_reference, hermitian_defect, run_reference_velocity, velocity_rhs
 
 from vslab import _fft
 from vslab.reference import (
@@ -137,25 +137,25 @@ def test_step_order_four_richardson(grid16):
     # generic smooth data: evolve Taylor-Green off its initial symmetry first
     cfg0 = StepperConfig(dt=1e-3, nu=1.0)
     w = taylor_green_vorticity(grid16)
-    start = run_reference(grid16, w, 0.02, cfg0, field_every=1000).fields[-1]
+    start = collect_reference(grid16, w, 0.02, cfg0, field_every=1000).fields[-1]
     T = 0.05
     finals = {}
     for dt in (5e-3, 2.5e-3, 6.25e-4):
-        finals[dt] = run_reference(grid16, start, T, StepperConfig(dt=dt), field_every=1000).fields[-1]
+        finals[dt] = collect_reference(grid16, start, T, StepperConfig(dt=dt), field_every=1000).fields[-1]
     err1 = np.sqrt(grid16.l2sq(finals[5e-3] - finals[6.25e-4]))
     err2 = np.sqrt(grid16.l2sq(finals[2.5e-3] - finals[6.25e-4]))
     assert 12.0 <= err1 / err2 <= 20.0
 
 
 def test_run_zero_initial_data(grid8):
-    traj = run_reference(grid8, np.zeros((3, 8, 8, 5), dtype=complex), 0.05, StepperConfig(dt=0.01))
+    traj = collect_reference(grid8, np.zeros((3, 8, 8, 5), dtype=complex), 0.05, StepperConfig(dt=0.01))
     assert all(np.all(f == 0.0) for f in traj.fields)
     assert np.all(traj.series.enstrophy == 0.0)
 
 
 def test_run_beltrami_exact_decay(grid16):
     w0 = abc_vorticity(grid16)
-    traj = run_reference(grid16, w0, 0.1, StepperConfig(dt=1e-3), field_every=100)
+    traj = collect_reference(grid16, w0, 0.1, StepperConfig(dt=1e-3), field_every=100)
     want = np.exp(-0.1) * w0
     rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(w0))
     assert rel < 1e-10
@@ -169,19 +169,11 @@ def test_run_invariants_on_taylor_green(tg16_run, grid16):
     assert np.all(np.diff(tg16_run.series.enstrophy) <= 0.0)
 
 
-def test_run_samples_requested_times(grid8):
-    w0 = random_divfree_field(grid8, seed=3)
-    traj = run_reference(
-        grid8, w0, 0.1, StepperConfig(dt=0.01), sample_times=[0.03, 0.07]
-    )
-    assert np.allclose(traj.times, [0.0, 0.03, 0.07, 0.1])
-
-
 def test_blowup_report(grid8):
     w = random_divfree_field(grid8, seed=7)
     cfg = StepperConfig(dt=0.01, nu=1.0, enstrophy_ceiling=grid8.l2sq(w) * 0.5)
     with pytest.raises(BlowUpError) as err:
-        run_reference(grid8, w, 0.05, cfg)
+        run_reference(grid8, w, 0.05, cfg, lambda t, w: None)
     assert err.value.time > 0.0
     assert np.isfinite(err.value.enstrophy)
 
@@ -192,7 +184,7 @@ def test_velocity_form_cross_check(grid16):
     w0 = grid16.curl(u0)
     T = 0.1
     times, snaps = run_reference_velocity(grid16, u0, T, StepperConfig(dt=1e-3), field_every=100)
-    traj = run_reference(grid16, w0, T, StepperConfig(dt=1e-3), field_every=100)
+    traj = collect_reference(grid16, w0, T, StepperConfig(dt=1e-3), field_every=100)
     rel = np.sqrt(
         grid16.l2sq(grid16.curl(snaps[-1]) - traj.fields[-1]) / grid16.l2sq(traj.fields[-1])
     )
@@ -206,24 +198,21 @@ def test_velocity_rhs_is_projected(grid8):
     assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0
 
 
-def _assert_same_series(a, b):
-    for name in ("times", "energy", "enstrophy", "dissipation", "enstrophy_dissipation"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-
-
-def test_run_sink_sees_the_collected_snapshots(grid8):
+def test_run_hands_the_sink_each_snapshot_and_the_last_off_the_cadence(grid8):
     w0 = random_divfree_field(grid8, seed=3)
     cfg = StepperConfig(dt=0.01, nu=0.1)
-    # field_every=3 does not divide the 10 steps: the last snapshot is off the cadence
-    traj = run_reference(grid8, w0, 0.1, cfg, scalar_every=2, field_every=3)
     seen = []
+    # field_every=3 does not divide the 10 steps: the last snapshot is off the cadence
     series = run_reference(
-        grid8, w0, 0.1, cfg, scalar_every=2, field_every=3,
-        sink=lambda t, w: seen.append((t, w.copy())),
+        grid8, w0, 0.1, cfg, lambda t, w: seen.append((t, w)), scalar_every=2, field_every=3
     )
-    assert [t for t, _ in seen] == list(traj.times)
-    assert all(w.tobytes() == f.tobytes() for (_, w), f in zip(seen, traj.fields))
-    _assert_same_series(series, traj.series)
+    assert np.allclose([t for t, _ in seen], [0.0, 0.03, 0.06, 0.09, 0.1], rtol=0, atol=1e-15)
+    assert seen[-1][0] == 0.1
+    assert np.allclose(series.times, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1], rtol=0, atol=1e-15)
+    # the states the sink kept, uncopied, are the ones the norm series measured
+    norms = dict(zip(series.times, series.enstrophy))
+    assert [t for t, _ in seen if t in norms] == [0.0, seen[2][0], 0.1]
+    assert all(norms[t] == grid8.l2sq(w) for t, w in seen if t in norms)
 
 
 def test_run_sink_has_every_snapshot_before_a_blowup(grid8):
@@ -232,5 +221,5 @@ def test_run_sink_has_every_snapshot_before_a_blowup(grid8):
     cfg = StepperConfig(dt=0.0025, nu=1e-4, enstrophy_ceiling=186.1)
     seen = []
     with pytest.raises(BlowUpError) as err:
-        run_reference(grid8, w0, 0.125, cfg, field_every=5, sink=lambda t, w: seen.append(t))
+        run_reference(grid8, w0, 0.125, cfg, lambda t, w: seen.append(t), field_every=5)
     assert len(seen) == 5 and seen[-1] < err.value.time <= seen[-1] + 5 * 0.0025

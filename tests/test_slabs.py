@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles import collect_reference, collect_slabs
 from scipy.integrate import simpson
 
-from vslab.reference import StepperConfig, rk4_step, run_reference
+from vslab.reference import StepperConfig, rk4_step
 from vslab.slabs import (
     PartitionError,
     PicardError,
@@ -81,7 +82,7 @@ def test_kstar_constant_single_mode():
 def test_kstar_against_simpson_oracle(grid8):
     # dense samples so the trapezoid/Simpson gap sits far below the tolerance
     w0 = taylor_green_vorticity(grid8)
-    traj = run_reference(grid8, w0, 0.125, StepperConfig(dt=2.5e-4), field_every=1000)
+    traj = collect_reference(grid8, w0, 0.125, StepperConfig(dt=2.5e-4), field_every=1000)
     s = traj.series
     got = compute_kstar(s.times, s.energy, s.dissipation, 0.0, 0.125)
     want = 0.125 * np.max(s.energy) + simpson(s.dissipation, x=s.times)
@@ -96,7 +97,7 @@ def test_kstar_empty_samples():
 def test_adaptive_partition_on_scaled_taylor_green(grid8):
     # amplitude chosen so the slab rule is satisfiable at the sampling cadence
     w0 = 0.05 * taylor_green_vorticity(grid8)
-    traj = run_reference(grid8, w0, 0.5, StepperConfig(dt=1e-3), field_every=1000)
+    traj = collect_reference(grid8, w0, 0.5, StepperConfig(dt=1e-3), field_every=1000)
     s = traj.series
     eps0, C = 0.5, 1.0
     part = adaptive_partition(0.5, eps0, C, s, dt_floor=1e-4)
@@ -115,7 +116,7 @@ def test_adaptive_partition_on_scaled_taylor_green(grid8):
 def test_adaptive_partition_reports_unsatisfiable_rule(grid8):
     # full-amplitude Taylor-Green: the rule would need slabs below the sampling
     w0 = taylor_green_vorticity(grid8)
-    traj = run_reference(grid8, w0, 0.05, StepperConfig(dt=1e-3), field_every=1000)
+    traj = collect_reference(grid8, w0, 0.05, StepperConfig(dt=1e-3), field_every=1000)
     with pytest.raises(PartitionError):
         adaptive_partition(0.05, 0.5, 1.0, traj.series, dt_floor=1e-4)
 
@@ -265,41 +266,42 @@ def test_fixed_point_residual(grid8):
 
 def test_run_zero_initial(grid8):
     zeros = np.zeros((3, 8, 8, 5), dtype=complex)
-    result = run_slab_scheme(grid8, zeros, uniform_partition(0.5, 4))
-    assert all(np.all(f == 0.0) for f in result.trajectory.fields)
+    result, traj, _ = collect_slabs(grid8, zeros, uniform_partition(0.5, 4))
+    assert all(np.all(f == 0.0) for f in traj.fields)
     assert all(r.iterations == 1 for r in result.records)
     assert all(r.kstar == 0.0 for r in result.records)
 
 
 def test_run_beltrami_cancellation(grid16):
     w0 = abc_vorticity(grid16)
-    result = run_slab_scheme(grid16, w0, uniform_partition(0.5, 4))
+    _, traj, solutions = collect_slabs(grid16, w0, uniform_partition(0.5, 4))
     want = np.exp(-0.5) * w0
-    rel = np.sqrt(grid16.l2sq(result.trajectory.fields[-1] - want) / grid16.l2sq(w0))
+    rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(w0))
     assert rel < 1e-10
     # transport and stretching cancel; only transform roundoff survives
-    assert all(np.sqrt(grid16.l2sq(sol.forcing)) < 1e-12 for sol in result.solutions)
+    assert all(np.sqrt(grid16.l2sq(sol.forcing)) < 1e-12 for sol in solutions)
 
 
 def test_run_chains_endpoints_exactly(grid8):
     w0 = taylor_green_vorticity(grid8)
-    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 4))
-    for prev, nxt in zip(result.solutions[:-1], result.solutions[1:]):
+    _, _, solutions = collect_slabs(grid8, w0, uniform_partition(0.25, 4))
+    assert len(solutions) == 4
+    for prev, nxt in zip(solutions[:-1], solutions[1:]):
         assert np.array_equal(prev.endpoint(), nxt.omega_init)
 
 
 def test_run_states_are_half_spectra(grid8):
     w0 = taylor_green_vorticity(grid8)
-    ref = run_reference(grid8, w0, 0.02, StepperConfig(dt=0.01), field_every=1)
-    slab = run_slab_scheme(grid8, w0, uniform_partition(0.02, 2), slab_samples=2)
-    for f in ref.fields + slab.trajectory.fields:
+    ref = collect_reference(grid8, w0, 0.02, StepperConfig(dt=0.01), field_every=1)
+    _, slab, _ = collect_slabs(grid8, w0, uniform_partition(0.02, 2), slab_samples=2)
+    for f in ref.fields + slab.fields:
         assert f.shape == (3, 8, 8, 5)
 
 
 def test_run_preserves_field_invariants(grid8):
     w0 = taylor_green_vorticity(grid8)
-    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 4))
-    for f in result.trajectory.fields:
+    _, traj, _ = collect_slabs(grid8, w0, uniform_partition(0.25, 4))
+    for f in traj.fields:
         assert grid8.divergence_rel(f) < 1e-10
         assert np.max(np.abs(f[:, 0, 0, 0])) == 0.0
 
@@ -308,39 +310,47 @@ def test_picard_monotone_under_slab_halving(grid8):
     w0 = taylor_green_vorticity(grid8)
     worst = {}
     for n_slabs in (4, 8):
-        result = run_slab_scheme(grid8, w0, uniform_partition(0.25, n_slabs))
+        result, _, _ = collect_slabs(grid8, w0, uniform_partition(0.25, n_slabs))
         worst[n_slabs] = max(r.max_ratio for r in result.records)
     assert worst[8] <= worst[4] + 1e-12
 
 
 def test_degenerate_coupling_converges_fast_regardless_of_width(grid8):
     w0 = random_divfree_field(grid8, seed=109)
-    result = run_slab_scheme(
+    result, _, _ = collect_slabs(
         grid8, w0, uniform_partition(2.0, 1), reference=zero_trajectory(grid8, 2.0)
     )
     assert all(r.iterations <= 2 for r in result.records)
 
 
 @pytest.mark.parametrize("closure", ["self-consistent", "reference"])
-def test_run_sink_sees_the_collected_samples(grid8, closure):
+def test_run_hands_the_sink_each_sample_with_its_series_and_records(grid8, closure):
     w0 = taylor_green_vorticity(grid8)
     partition = uniform_partition(0.1, 3)
     ref = None
     if closure == "reference":
-        ref = run_reference(grid8, w0, 0.1, StepperConfig(dt=2.5e-3), field_every=4)
-    kept = run_slab_scheme(grid8, w0, partition, slab_samples=4, reference=ref)
+        ref = collect_reference(grid8, w0, 0.1, StepperConfig(dt=2.5e-3), field_every=4)
     seen = []
-    sunk = run_slab_scheme(
-        grid8, w0, partition, slab_samples=4, reference=ref,
-        sink=lambda t, w: seen.append((t, w.copy())),
+    result = run_slab_scheme(
+        grid8, w0, partition, lambda t, w: seen.append((t, w)), slab_samples=4, reference=ref
     )
-    assert [t for t, _ in seen] == list(kept.trajectory.times)
-    assert all(w.tobytes() == f.tobytes() for (_, w), f in zip(seen, kept.trajectory.fields))
-    assert sunk.records == kept.records
-    for name in ("times", "energy", "enstrophy", "dissipation", "enstrophy_dissipation"):
-        assert getattr(sunk.series, name).tobytes() == getattr(kept.series, name).tobytes()
-    assert kept.series is kept.trajectory.series and len(kept.solutions) == 3
-    assert sunk.trajectory is None and sunk.solutions == []
+    times = [t for t, _ in seen]
+    assert len(times) == 13 and times[0] == 0.0 and np.all(np.diff(times) > 0)
+    assert all(t in times for t in partition.breakpoints)
+    # one norm row per sample, of the state the sink kept uncopied
+    assert list(result.series.times) == times
+    assert [grid8.l2sq(w) for _, w in seen] == list(result.series.enstrophy)
+    assert [(r.index, r.t_lo, r.t_hi) for r in result.records] == list(partition)
+    assert all(1 <= r.iterations and 0.0 <= r.max_ratio < 1.0 for r in result.records)
+    # kstar comes from the velocity the closure uses: the samples', or the reference's
+    if ref is None:
+        s = result.series
+        kstar = compute_kstar(s.times[:5], s.energy[:5], s.dissipation[:5], *partition.slab(0))
+    else:
+        ts = np.linspace(*partition.slab(0), 5)
+        loads = [(grid8.l2sq(u), grid8.h1sq(u)) for u in map(ref.velocity_at, ts)]
+        kstar = compute_kstar(ts, *zip(*loads), *partition.slab(0))
+    assert result.records[0].kstar == kstar
 
 
 def test_run_sink_has_the_samples_before_a_picard_failure(grid8):
@@ -348,7 +358,7 @@ def test_run_sink_has_the_samples_before_a_picard_failure(grid8):
     seen = []
     with pytest.raises(PicardError) as err:
         run_slab_scheme(
-            grid8, w0, uniform_partition(0.25, 2), max_iter=1, sink=lambda t, w: seen.append(t)
+            grid8, w0, uniform_partition(0.25, 2), lambda t, w: seen.append(t), max_iter=1
         )
     assert err.value.slab_index == 0 and seen == [0.0]
 
@@ -365,9 +375,9 @@ def test_contraction_diagnostic_degenerate_case(grid8):
 
 def test_contraction_diagnostic_bounds_measured_ratio(grid8):
     w0 = taylor_green_vorticity(grid8)
-    ref = run_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3), field_every=25)
-    result = run_slab_scheme(grid8, w0, uniform_partition(0.25, 8), reference=ref)
-    for sol in result.solutions:
+    ref = collect_reference(grid8, w0, 0.25, StepperConfig(dt=1e-3), field_every=25)
+    _, _, solutions = collect_slabs(grid8, w0, uniform_partition(0.25, 8), reference=ref)
+    for sol in solutions:
         delta_star, _ = contraction_diagnostic(grid8, sol.averages, nu=1.0)
         assert 0.0 < delta_star < 1.0
         assert sol.diagnostics.max_ratio <= delta_star + 0.05

@@ -51,3 +51,16 @@ def test_times_must_increase(grid8):
     w0 = random_divfree_field(grid8, seed=2)
     with pytest.raises(ValueError):
         Trajectory(grid=grid8, nu=1.0, times=np.array([0.0, 0.0]), fields=[w0, w0])
+
+
+def test_append_collects_in_time_order_and_rejects_a_repeated_or_earlier_time(grid8):
+    w0 = random_divfree_field(grid8, seed=2)
+    traj = Trajectory(grid8, 1.0)
+    traj.append(0.0, w0)
+    traj.append(0.5, 2.0 * w0)
+    assert traj.times.tolist() == [0.0, 0.5]
+    for t in (0.5, 0.25):
+        with pytest.raises(ValueError, match="not after"):
+            traj.append(t, w0)
+    assert traj.times.tolist() == [0.0, 0.5] and len(traj.fields) == 2
+    assert np.array_equal(traj.field_at(0.25), 1.5 * w0)
