@@ -7,8 +7,8 @@ transport and stretching term in rotational form
     N(w) = (w . grad) u - (u . grad) w = curl(u x w),
 
 an identity for solenoidal u and w.  The product u x w is formed on the
-physical grid with real FFTs, then curled, dealiased by the 2/3 rule,
-Leray-projected and given a pinned zero mean; ``slab_forcing`` uses the same
+physical grid with real FFTs, dealiased by the 2/3 rule and curled, which
+leaves it divergence-free with zero mean; ``slab_forcing`` uses the same
 kernel.  States are half spectra (see ``vslab.spectral``).
 Diffusion is handled exactly per mode by the integrating factor
 exp(-nu |k|^2 t) inside a classical four-stage Runge-Kutta step, so a
@@ -49,11 +49,12 @@ class BlowUpError(RuntimeError):
 
 
 def nonlinear_term(grid: Grid, u, w):
-    """curl(u x w), dealiased and projected, with the k=0 amplitude pinned to zero.
+    """curl(u x w), dealiased: divergence-free, with a zero k=0 amplitude.
 
     For solenoidal u and w this is the transport and stretching term
-    (w . grad) u - (u . grad) w.  The half spectra are transformed with real
-    FFTs: six inverse, three forward.
+    (w . grad) u - (u . grad) w.  The 2/3 cut comes before the curl, and on
+    the kept modes kd == k, so the curl needs no projection.  The half
+    spectra are transformed with real FFTs: six inverse, three forward.
     """
     n = grid.n
     scale = float(n**3)
@@ -64,20 +65,14 @@ def nonlinear_term(grid: Grid, u, w):
     uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
     rot = _fft.rfftn(uxw, (-3, -2, -1), _FFT_WORKERS)
     rot *= (1.0 / scale) * grid.keep
-    rot = grid.curl(rot)
-    k = grid.k
-    kdotv = k[0] * rot[0] + k[1] * rot[1] + k[2] * rot[2]
-    kdotv *= grid.inv_ksq
-    rot -= k * kdotv
-    rot[:, 0, 0, 0] = 0.0
-    return rot
+    return grid.curl(rot)
 
 
 def vorticity_rhs(grid: Grid, w):
-    """Projected, dealiased nonlinear term of the vorticity equation.
+    """Dealiased nonlinear term of the vorticity equation (``nonlinear_term``).
 
     Diffusion is excluded; the stepper applies it through the integrating
-    factor.  The k=0 amplitude is pinned to zero so the mean vorticity is
+    factor.  The term has no k=0 amplitude, so the mean vorticity is
     conserved exactly.
     """
     return nonlinear_term(grid, grid.biot_savart(w), w)

@@ -274,11 +274,11 @@ class SlabSolution:
 
 
 def slab_forcing(grid: Grid, averages: SlabAverages):
-    """Constant forcing curl(ubar x wbar), projected and dealiased.
+    """Constant forcing curl(ubar x wbar), dealiased (``nonlinear_term``).
 
     This is the transport and stretching term (wbar.grad) ubar - (ubar.grad)
     wbar only when both averages are solenoidal, which the scheme guarantees:
-    ubar is a Biot-Savart velocity and wbar a combination of projected
+    ubar is a Biot-Savart velocity and wbar a combination of divergence-free
     fields.
     """
     return nonlinear_term(grid, averages.u_bar, averages.omega_bar)
