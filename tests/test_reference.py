@@ -144,14 +144,16 @@ def test_step_order_four_richardson(grid16):
     T = 0.05
     finals = {}
     for dt in (5e-3, 2.5e-3, 6.25e-4):
-        finals[dt] = collect_reference(grid16, start, T, StepperConfig(dt=dt), field_every=1000).fields[-1]
+        run = collect_reference(grid16, start, T, StepperConfig(dt=dt), field_every=1000)
+        finals[dt] = run.fields[-1]
     err1 = np.sqrt(grid16.l2sq(finals[5e-3] - finals[6.25e-4]))
     err2 = np.sqrt(grid16.l2sq(finals[2.5e-3] - finals[6.25e-4]))
     assert 12.0 <= err1 / err2 <= 20.0
 
 
 def test_run_zero_initial_data(grid8):
-    traj = collect_reference(grid8, np.zeros((3, 8, 8, 5), dtype=complex), 0.05, StepperConfig(dt=0.01))
+    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
+    traj = collect_reference(grid8, zeros, 0.05, StepperConfig(dt=0.01))
     assert all(np.all(f == 0.0) for f in traj.fields)
     assert np.all(traj.series.enstrophy == 0.0)
 
