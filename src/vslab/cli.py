@@ -19,7 +19,7 @@ from vslab import estimates, reports, slabs, snapshots
 from vslab.config import ConfigError, load_config
 from vslab.reference import BlowUpError, StepperConfig, run_reference
 from vslab.spectral import Grid, initial_vorticity
-from vslab.trajectory import Trajectory, scalar_record, series_from_records
+from vslab.trajectory import Trajectory, scalar_record, series_from_records, series_from_samples
 
 
 class UsageError(Exception):
@@ -75,9 +75,8 @@ def _initial(grid, cfg):
 def _partition_for(cfg, trajectory):
     if cfg.policy == "uniform":
         return slabs.uniform_partition(cfg.T, cfg.slabs)
-    return slabs.adaptive_partition(
-        cfg.T, cfg.epsilon0, cfg.sobolev_c, trajectory.series, cfg.dt_floor
-    )
+    series = series_from_samples(trajectory.grid, trajectory.times, trajectory.fields)
+    return slabs.adaptive_partition(cfg.T, cfg.epsilon0, cfg.sobolev_c, series, cfg.dt_floor)
 
 
 def _reads_reference(cfg):
@@ -91,9 +90,7 @@ def _reference_trajectory(cfg, grid):
     if not cfg.reference_dir:
         need = "provider = reference" if cfg.provider == "reference" else "policy = adaptive"
         raise ConfigError(f"reference_dir: required for {need}")
-    traj = snapshots.load_trajectory(
-        cfg.reference_dir, nu=cfg.nu, with_series=cfg.policy == "adaptive"
-    )
+    traj = snapshots.load_trajectory(cfg.reference_dir, nu=cfg.nu)
     if traj.grid != grid:
         raise ConfigError(
             f"reference_dir: snapshot grid {traj.grid.n} does not match configured n={grid.n}"
@@ -175,8 +172,8 @@ def cmd_run_slab(cfg):
 
 
 def cmd_compare(cfg, dir_a, dir_b):
-    traj_a = snapshots.load_trajectory(dir_a, nu=cfg.nu, with_series=False)
-    traj_b = snapshots.load_trajectory(dir_b, nu=cfg.nu, with_series=False)
+    traj_a = snapshots.load_trajectory(dir_a, nu=cfg.nu)
+    traj_b = snapshots.load_trajectory(dir_b, nu=cfg.nu)
     if traj_a.grid != traj_b.grid:
         raise ConfigError(
             f"compare: grid sizes differ ({traj_a.grid.n} vs {traj_b.grid.n})"

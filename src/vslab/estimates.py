@@ -9,7 +9,7 @@ confirmation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,8 +153,7 @@ class EstimateLedger:
     global_bound: float  # K0 * exp((1-eps0) * T)
     sup_enstrophy: float
     global_ok: bool
-    series_times: np.ndarray = field(default_factory=lambda: np.array([]))
-    series: dict = field(default_factory=dict)
+    series: ScalarSeries  # the norm series the ledger was built from
 
     @property
     def all_rows_ok(self):
@@ -179,7 +178,7 @@ def enstrophy_ledger(series: ScalarSeries, partition: TimePartition, eps0, C, re
     if C <= 0:
         raise ValueError("C must be positive")
     s = series
-    if s is None or len(s) < 2:
+    if len(s) < 2:
         raise ValueError("no usable norm series")
     times = s.times
     K0 = float(s.enstrophy[0])
@@ -227,13 +226,7 @@ def enstrophy_ledger(series: ScalarSeries, partition: TimePartition, eps0, C, re
         global_bound=global_bound,
         sup_enstrophy=sup_e,
         global_ok=sup_e <= global_bound,
-        series_times=times,
-        series={
-            "energy": s.energy,
-            "enstrophy": s.enstrophy,
-            "dissipation": s.dissipation,
-            "enstrophy_dissipation": s.enstrophy_dissipation,
-        },
+        series=s,
     )
 
 

@@ -51,15 +51,8 @@ def write_csv(path, header, rows):
 
 
 def write_series_csv(path, ledger):
-    times = ledger.series_times
     s = ledger.series
-    rows = zip(
-        times,
-        s.get("energy", []),
-        s.get("enstrophy", []),
-        s.get("dissipation", []),
-        s.get("enstrophy_dissipation", []),
-    )
+    rows = zip(s.times, s.energy, s.enstrophy, s.dissipation, s.enstrophy_dissipation)
     return write_csv(path, SERIES_COLUMNS, rows)
 
 
@@ -167,12 +160,8 @@ def emit_reports(outdir, ledger, extra_summary=()):
     paths["series_svg"] = write_series_svg(
         os.path.join(outdir, "series.svg"),
         "norm series",
-        ledger.series_times,
-        [
-            ("energy", s.get("energy", [])),
-            ("enstrophy", s.get("enstrophy", [])),
-            ("dissipation", s.get("dissipation", [])),
-        ],
+        s.times,
+        [("energy", s.energy), ("enstrophy", s.enstrophy), ("dissipation", s.dissipation)],
     )
     paths["slabs_svg"] = write_series_svg(
         os.path.join(outdir, "slabs.svg"),

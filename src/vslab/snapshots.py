@@ -38,7 +38,7 @@ import numpy as np
 
 from vslab.atomic import atomic_open
 from vslab.spectral import Grid, _mirror
-from vslab.trajectory import Trajectory, series_from_samples
+from vslab.trajectory import Trajectory
 
 MAGIC = b"VSLB"
 VERSION = 1
@@ -189,10 +189,9 @@ def read_snapshots(grid: Grid, paths):
         yield w
 
 
-def load_trajectory(snapdir, nu=1.0, with_series=True):
+def load_trajectory(snapdir, nu=1.0):
     """Rebuild a trajectory from every .vslb file in a directory (see scan_snapshots)."""
     n, times, paths = scan_snapshots(snapdir)
     grid = Grid(n)
     fields = list(read_snapshots(grid, paths))
-    series = series_from_samples(grid, times, fields) if with_series else None
-    return Trajectory(grid=grid, nu=nu, times=np.array(times), fields=fields, series=series)
+    return Trajectory(grid=grid, nu=nu, times=np.array(times), fields=fields)

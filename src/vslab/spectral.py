@@ -10,8 +10,8 @@ spectrum k_3 >= 0 is stored: a scalar field is a complex array of shape
 ``fftfreq`` ordering and k_3 = 0 .. n/2-1 followed by the Nyquist plane at
 index n/2 (stored as k_3 = -n/2, as ``fftfreq`` labels it).  This is the
 layout of ``rfftn``.  Hermitian symmetry then constrains only the two
-self-conjugate planes k_3 = 0 and k_3 = -n/2, where ``symmetrize`` restores
-it; ``full_spectrum`` rebuilds the whole cube where one is needed.  Sums over
+self-conjugate planes k_3 = 0 and k_3 = -n/2, which the real transforms
+keep; ``full_spectrum`` rebuilds the whole cube where one is needed.  Sums over
 modes weight every plane by 2 for its conjugate mirror, except those two
 planes, which stand for themselves (``Grid.plane_weight``).
 
@@ -28,7 +28,8 @@ Conventions fixed here and relied on everywhere else:
 * odd-derivative operators (curl, divergence, gradient) use wavenumbers
   with the Nyquist plane zeroed, which keeps them Hermitian-safe;
 * norms and diffusion use the full |k|^2 including the Nyquist plane;
-* the mean mode k=0 of velocities and vorticities is pinned to zero.
+* the mean mode k=0 of velocities and vorticities is zero: checked where a
+  field enters (``Grid.require_solenoidal``) and kept by every operation after.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Sampled vorticity trajectories shared by the solvers and the monitors.
 
-A trajectory keeps two records: spectral vorticity snapshots at the field
-cadence, and scalar norm series at the (denser) scalar cadence.  Field values
-between snapshots are defined by linear interpolation in time, which makes
-time averages over arbitrary windows exactly computable.
+A trajectory keeps the spectral vorticity snapshots at the field cadence; the
+norm series at the (denser) scalar cadence is a separate ``ScalarSeries``,
+which the runners return and the ledger keeps.  Field values between
+snapshots are defined by linear interpolation in time, which makes time
+averages over arbitrary windows exactly computable.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class Trajectory:
     nu: float
     times: np.ndarray = field(default_factory=lambda: np.empty(0))  # strictly increasing
     fields: list = field(default_factory=list)  # vorticity amplitudes per time
-    series: ScalarSeries | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)

@@ -161,7 +161,7 @@ def monitor_rows(snapdir, nu, gamma, ladyzhenskaya_c):
     Holds every vorticity and velocity at once and calls the list-taking
     monitors, so the streamed command can be checked against it value for value.
     """
-    traj = load_trajectory(snapdir, nu=nu, with_series=False)
+    traj = load_trajectory(snapdir, nu=nu)
     grid = traj.grid
     u_fields = [grid.biot_savart(w) for w in traj.fields]
     s = series_from_records(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import corrupt_negative_half, monitor_rows
 
-from vslab import estimates, snapshots, spectral
+from vslab import cli, estimates, snapshots, spectral
 from vslab.cli import cli_dispatch
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import Grid, random_divfree_field, taylor_green_vorticity
@@ -186,7 +186,7 @@ def test_run_slab_reference_closure_reads_no_norm_series(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("norm series of the reference built")
 
-    monkeypatch.setattr(snapshots, "series_from_samples", refuse)
+    monkeypatch.setattr(cli, "series_from_samples", refuse)
     cfg_slab = write_cfg(
         tmp_path,
         name="s.cfg",
@@ -513,14 +513,30 @@ def test_monitor_rejects_nonuniform_times_before_reading(tmp_path, capsys, monke
 
 
 def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):
+    # the rejected run must leave the last run's snapshots, which its sink would clear
+    assert cli_dispatch(["run-ref", "--config", write_cfg(tmp_path)]) == 0
+    snapdir = tmp_path / "out" / "snapshots"
+    stored = {p.name: p.read_bytes() for p in snapdir.glob("snap_*.vslb")}
+    assert len(stored) == 11
     grid = Grid(8)
     divergent = grid.gradient(grid.to_spectral(np.sin(grid.x[0])))
     path = tmp_path / "w0.vslb"
     persist_field(path, divergent, 0.0)
     cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
+    capsys.readouterr()
     assert cli_dispatch(["run-ref", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "divergence" in err[0]
+    assert {p.name: p.read_bytes() for p in snapdir.glob("snap_*.vslb")} == stored
+
+
+def test_run_ref_keeps_the_initial_file_as_its_first_snapshot(tmp_path):
+    path = tmp_path / "w0.vslb"
+    persist_field(path, random_divfree_field(Grid(8), seed=7), 0.5)
+    cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    first = tmp_path / "out" / "snapshots" / "snap_000000.vslb"
+    assert first.read_bytes()[24:] == path.read_bytes()[24:]
 
 
 def test_monitor_rejects_nonzero_mean_snapshot(tmp_path, capsys):

@@ -23,7 +23,7 @@ from vslab.snapshots import (
     snapshot_sink,
 )
 from vslab.spectral import Grid, random_divfree_field
-from vslab.trajectory import ScalarSeries
+from vslab.trajectory import ScalarSeries, series_from_records
 
 HERE = os.path.dirname(__file__)
 REPO = os.path.dirname(HERE)
@@ -249,7 +249,6 @@ def test_trajectory_save_load(tmp_path):
     back = load_trajectory(tmp_path)
     assert np.array_equal(back.times, times)
     assert all(np.array_equal(a, b) for a, b in zip(back.fields, fields))
-    assert back.series is not None
 
 
 def test_atomic_open_keeps_the_old_file_when_the_write_fails(tmp_path):
@@ -353,6 +352,7 @@ def test_emit_reports_empty_ledger(tmp_path):
     empty = EstimateLedger(
         rows=[], K0=0.0, eps0=0.5, C=1.0, T=0.0,
         global_bound=0.0, sup_enstrophy=0.0, global_ok=True,
+        series=series_from_records([], []),
     )
     paths = emit_reports(tmp_path, empty)
     with open(paths["slabs"], newline="") as fh:

@@ -14,9 +14,11 @@ from vslab.reference import (
     run_reference,
     vorticity_rhs,
 )
-from vslab.slabs import SlabAverages, slab_forcing
+from vslab.slabs import SlabAverages, run_slab_scheme, slab_forcing, uniform_partition
 from vslab.spectral import (
+    DivergenceError,
     Grid,
+    MeanModeError,
     abc_vorticity,
     full_spectrum,
     random_divfree_field,
@@ -167,11 +169,19 @@ def test_run_beltrami_exact_decay(grid16):
 
 
 def test_run_invariants_on_taylor_green(tg16_run, grid16):
-    worst_div = max(grid16.divergence_rel(f) for f in tg16_run.fields)
-    assert worst_div < 1e-10
-    assert all(np.max(np.abs(f[:, 0, 0, 0])) == 0.0 for f in tg16_run.fields)
-    # low-Reynolds regime: enstrophy decays monotonically
-    assert np.all(np.diff(tg16_run.series.enstrophy) <= 0.0)
+    # the step re-imposes no invariant: every operation must keep them
+    seeded = collect_reference(
+        grid16, random_divfree_field(grid16, seed=7), 0.5, StepperConfig(dt=1e-3), field_every=10
+    )
+    for run in (tg16_run, seeded):
+        worst_div = max(grid16.divergence_rel(f) for f in run.fields)
+        assert worst_div < 1e-10
+        assert worst_div <= 1e-14
+        assert all(np.max(np.abs(f[:, 0, 0, 0])) == 0.0 for f in run.fields)
+        for f in run.fields:
+            assert hermitian_defect(full_spectrum(f)) <= 1e-14 * np.max(np.abs(f))
+        # low-Reynolds regime: enstrophy decays monotonically
+        assert np.all(np.diff(run.series.enstrophy) <= 0.0)
 
 
 def test_blowup_report(grid8):
@@ -228,3 +238,60 @@ def test_run_sink_has_every_snapshot_before_a_blowup(grid8):
     with pytest.raises(BlowUpError) as err:
         run_reference(grid8, w0, 0.125, cfg, lambda t, w: seen.append(t), field_every=5)
     assert len(seen) == 5 and seen[-1] < err.value.time <= seen[-1] + 5 * 0.0025
+
+
+def _reference_entry(grid, w0, sink):
+    run_reference(grid, w0, 0.02, StepperConfig(dt=0.01), sink)
+
+
+def _slab_entry(grid, w0, sink):
+    run_slab_scheme(grid, w0, uniform_partition(0.02, 1), sink, slab_samples=2)
+
+
+RUNNERS = pytest.mark.parametrize(
+    "runner", [_reference_entry, _slab_entry], ids=["reference", "slabs"]
+)
+
+
+@RUNNERS
+@pytest.mark.parametrize(
+    "make", [taylor_green_vorticity, lambda g: random_divfree_field(g, 7)], ids=["tg", "seed7"]
+)
+def test_runner_hands_the_sink_the_callers_field_first(grid8, runner, make):
+    w0 = make(grid8)
+    before = w0.tobytes()
+    seen = []
+    runner(grid8, w0, lambda t, w: seen.append((t, w.tobytes())))
+    assert seen[0] == (0.0, before)
+    assert w0.tobytes() == before
+
+
+def _with_mean(grid, w):
+    w[0, 0, 0, 0] = 0.1
+
+
+def _with_divergence(grid, w):
+    w += grid.gradient(grid.to_spectral(np.sin(grid.x[0])))
+
+
+def _with_nan(grid, w):
+    w[1, 2, 3, 1] = np.nan
+
+
+@RUNNERS
+@pytest.mark.parametrize(
+    "damage, error, match",
+    [
+        (_with_mean, MeanModeError, "mean vorticity"),
+        (_with_divergence, DivergenceError, "relative divergence"),
+        (_with_nan, ValueError, "non-finite"),
+    ],
+    ids=["mean", "divergence", "nan"],
+)
+def test_runner_rejects_its_initial_field_before_the_sink(grid8, runner, damage, error, match):
+    w0 = random_divfree_field(grid8, seed=29).copy()
+    damage(grid8, w0)
+    seen = []
+    with pytest.raises(error, match=match):
+        runner(grid8, w0, lambda t, w: seen.append(t))
+    assert seen == []

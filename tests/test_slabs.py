@@ -29,15 +29,14 @@ from vslab.spectral import (
     random_divfree_field,
     taylor_green_vorticity,
 )
-from vslab.trajectory import Trajectory, series_from_samples
+from vslab.trajectory import Trajectory
 
 
 def zero_trajectory(grid, T):
     zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     times = np.array([0.0, T])
     fields = [zeros, zeros.copy()]
-    return Trajectory(grid=grid, nu=1.0, times=times, fields=fields,
-                      series=series_from_samples(grid, times, fields))
+    return Trajectory(grid=grid, nu=1.0, times=times, fields=fields)
 
 
 # -- partitions -----------------------------------------------------------------
