@@ -241,17 +241,20 @@ def cmd_study(cfg):
 def cmd_monitor(cfg, snapdir):
     """One pass over the snapshots in time order.
 
-    Only the H^gamma stack (every snapshot but the last) is held whole; the
-    centered differences need a window of the last five velocities: dt u at
-    t_{m-1} from u_m - u_{m-2}, and at t_{m-2} on the every-other-sample grid
-    of the finite-difference band from u_m - u_{m-4} when m is even.
+    Only the H^gamma stack (every snapshot but the last) is held whole, and
+    of it only the modes inside the 2/3 cut plus whole rows from the first
+    to the last snapshot with content outside it (``HGammaStack``); a
+    solver's snapshots after t = 0 have none.  The centered differences
+    need a window of the last five velocities: dt u at t_{m-1} from
+    u_m - u_{m-2}, and at t_{m-2} on the every-other-sample grid of the
+    finite-difference band from u_m - u_{m-4} when m is even.
     """
     n, times, paths = snapshots.scan_snapshots(snapdir)
     # a lone snapshot is still loaded and checked before the energy identity rejects it
     h = estimates.uniform_step(times) if len(times) > 1 else None
     h2 = times[2] - times[0] if len(times) > 2 else None  # spacing of times[::2]
     grid = Grid(n)
-    stack = np.empty((len(times) - 1,) + grid.k.shape, dtype=np.complex128)
+    stack = estimates.HGammaStack(grid, len(times) - 1)
     records, gaps, ratios = [], [], []
     fine_l2, fine_h1, coarse_l2, coarse_h1 = [], [], [], []
     window = deque(maxlen=5)
@@ -262,7 +265,7 @@ def cmd_monitor(cfg, snapdir):
         # the record's dissipation is h1sq(u)
         gaps.append(estimates.grad_vorticity_check(grid, u, h1sq=records[-1][2]))
         if m < len(stack):
-            estimates.hgamma_row(grid, w, stack[m])
+            stack.set_row(m, w)
         if m >= 2:
             dtu = u - window[-3]
             dtu /= 2.0 * h

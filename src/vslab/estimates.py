@@ -296,28 +296,78 @@ def uniform_step(times):
     return h
 
 
-def hgamma_row(grid: Grid, w, out):
-    """Write one snapshot's row of the H^gamma stack: w with each plane weighted
-    by the square root of its ``Grid.plane_weight``."""
-    np.multiply(w, np.sqrt(grid.plane_weight), out=out)
+class HGammaStack:
+    """The rows of the H^gamma diagnostic, held in two parts split at the 2/3 cut.
+
+    Row m is a snapshot with each plane weighted by the square root of its
+    ``Grid.plane_weight``.  The modes ``Grid.keep`` retains go in a dense
+    array; the others go in an ``np.zeros`` array that only rows with content
+    there write into.  The Gram matrix then needs that part only over
+    ``span``, the rows from the first to the last snapshot with content
+    outside the cut, and a solver's snapshots are zero there after t = 0.
+    Large zero blocks are mapped lazily, so rows outside the span are never
+    resident.
+    """
+
+    def __init__(self, grid: Grid, rows):
+        keep = np.broadcast_to(grid.keep, grid.k.shape).ravel()
+        weight = np.broadcast_to(np.sqrt(grid.plane_weight), grid.k.shape).ravel()
+        self._size = keep.size
+        self._inside = np.flatnonzero(keep)
+        self._outside = np.flatnonzero(~keep)
+        self._inside_weight = weight[self._inside]
+        self._outside_weight = weight[self._outside]
+        self._scratch = np.empty(len(self._outside), dtype=np.complex128)
+        self.inside = np.empty((rows, len(self._inside)), dtype=np.complex128)
+        self.outside = np.zeros((rows, len(self._outside)), dtype=np.complex128)
+        self._first, self._stop = rows, 0
+
+    def __len__(self):
+        return len(self.inside)
+
+    @property
+    def span(self):
+        """The rows the outside part may be nonzero on: every other row is zero there."""
+        return range(self._first, self._stop)
+
+    def set_row(self, m, w):
+        """Write the weighted row of snapshot ``w`` as row ``m``."""
+        flat = np.asarray(w, dtype=np.complex128).reshape(self._size)
+        np.take(flat, self._inside, out=self.inside[m])
+        self.inside[m] *= self._inside_weight
+        outside = np.take(flat, self._outside, out=self._scratch)
+        if np.any(outside):
+            self._first, self._stop = min(self._first, m), max(self._stop, m + 1)
+        if m in self.span:
+            np.multiply(outside, self._outside_weight, out=self.outside[m])
+
+    def gram(self):
+        """The real Gram matrix of the rows viewed as real numbers."""
+        real = self.inside.view(np.float64)
+        gram = real @ real.T
+        if self.span:
+            rows = slice(self._first, self._stop)
+            part = self.outside[rows].view(np.float64)
+            gram[rows, rows] += part @ part.T
+        return gram
 
 
 def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     """Weighted time-frequency mass of the zero-extended trajectory.
 
-    Stacks the rows of every snapshot but the last (``hgamma_row``) and hands
-    the stack to ``hgamma_from_stack``, which defines the value.
+    Stacks every snapshot but the last in an ``HGammaStack`` and hands it to
+    ``hgamma_from_stack``, which defines the value.
     """
-    stack = np.empty((max(len(fields) - 1, 0),) + grid.k.shape, dtype=np.complex128)
+    stack = HGammaStack(grid, max(len(fields) - 1, 0))
     for m, w in enumerate(fields[:-1]):
-        hgamma_row(grid, w, stack[m])
+        stack.set_row(m, w)
     return hgamma_from_stack(times, stack, gamma, freq_points)
 
 
 def hgamma_from_stack(times, stack, gamma, freq_points=131073):
     """H^gamma mass of the zero-extended trajectory from its weighted stack.
 
-    ``stack[m]`` is ``hgamma_row`` of the snapshot at ``times[m]``, for every
+    Row m of the ``HGammaStack`` is the snapshot at ``times[m]``, for every
     sample but the last, which only closes the span.  The trajectory is
     extended by zero outside its span and held constant on each sampling
     interval, whose transform is known in closed form; the
@@ -347,8 +397,7 @@ def hgamma_from_stack(times, stack, gamma, freq_points=131073):
         raise ValueError(
             f"need one stack row per sample but the last, got {len(stack)} for {M + 1} samples"
         )
-    real = stack.reshape(M, -1).view(np.float64)
-    gram = BOX_VOLUME * (real @ real.T)
+    gram = BOX_VOLUME * stack.gram()
     if not np.any(gram):
         return HGammaDiagnostic(gamma=gamma, value=0.0, sigma_max=sigma_max, freq_points=freq_points)
     offsets = np.array([np.trace(gram, offset=d) for d in range(M)])

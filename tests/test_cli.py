@@ -344,7 +344,9 @@ def test_monitor_matches_list_based_oracle(tmp_path, capsys, field_every):
 
 def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
     # 33 snapshots at 16^3: the whole trajectory as vorticity and velocity
-    # lists would hold 66 states beyond the 32-row H^gamma stack
+    # lists would hold 66 states beyond the 32-row H^gamma stack.  This
+    # bounds allocated bytes, not resident memory: the stack's part outside
+    # the 2/3 cut is allocated whole but never touched on a run's snapshots
     cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1)
     assert cli_dispatch(["run-ref", "--config", cfg]) == 0
     snap = tmp_path / "out" / "snapshots"

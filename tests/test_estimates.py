@@ -20,6 +20,7 @@ from vslab.estimates import (
     energy_identity_residual,
     enstrophy_ledger,
     grad_vorticity_check,
+    HGammaStack,
     hgamma_diagnostic,
     hgamma_from_stack,
     ladyzhenskaya_ratio,
@@ -355,6 +356,31 @@ def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
     got = hgamma_diagnostic(times, fields, 0.2, grid8, freq_points=freq_points).value
     want = direct_hgamma(times, fields, 0.2, freq_points)
     assert abs(got - want) / want < 1e-12
+    # a divergence-free mode outside the 2/3 cut, k = (+-3, 0, 0) in w_2, on
+    # some rows only; row 16 is the last sample, which only closes the span
+    for rows in ({0}, {4, 9}, {15, 16}, set(range(17))):
+        outside = [f.copy() for f in fields]
+        for m in rows:
+            a = 0.3 * (m + 1) - 0.2j
+            outside[m][1, 3, 0, 0] += a
+            outside[m][1, 5, 0, 0] += np.conj(a)
+        got = hgamma_diagnostic(times, outside, 0.2, grid8, freq_points=freq_points).value
+        want = direct_hgamma(times, outside, 0.2, freq_points)
+        assert abs(got - want) / want < 1e-12
+
+
+def test_hgamma_stack_of_a_run_is_zero_outside_the_cut():
+    # the split stack saves memory because the stepper cuts every state it
+    # makes: a random field starts inside the cut and no row leaves it
+    grid = Grid(16)
+    w0 = random_divfree_field(grid, seed=5)
+    traj = collect_reference(grid, w0, 0.05, StepperConfig(dt=2.5e-3), field_every=2)
+    stack = HGammaStack(grid, len(traj.fields))
+    for m, w in enumerate(traj.fields):
+        stack.set_row(m, w)
+    assert len(traj.fields) == 11
+    assert len(stack.span) == 0
+    assert not np.any(stack.outside)
 
 
 def test_hgamma_monotone_in_gamma(grid8):
@@ -387,7 +413,7 @@ def test_hgamma_needs_uniform_samples(grid8):
 
 
 def test_hgamma_from_stack_needs_one_row_per_held_sample(grid8):
-    stack = np.zeros((5, 3, 8, 8, 5), dtype=complex)
+    stack = HGammaStack(grid8, 5)
     with pytest.raises(ValueError, match="one stack row per sample but the last"):
         hgamma_from_stack(np.linspace(0, 1, 5), stack, 0.2)
 
