@@ -304,7 +304,8 @@ class HGammaStack:
     array; the others go in an ``np.zeros`` array that only rows with content
     there write into.  The Gram matrix then needs that part only over
     ``span``, the rows from the first to the last snapshot with content
-    outside the cut, and a solver's snapshots are zero there after t = 0.
+    outside the cut.  A ``run-ref`` snapshot after t = 0 has none, while a
+    ``run-slab`` sample keeps the decayed content of its start state there.
     Large zero blocks are mapped lazily, so rows outside the span are never
     resident.
     """
@@ -331,8 +332,18 @@ class HGammaStack:
         return range(self._first, self._stop)
 
     def set_row(self, m, w):
-        """Write the weighted row of snapshot ``w`` as row ``m``."""
-        flat = np.asarray(w, dtype=np.complex128).reshape(self._size)
+        """Write the weighted row of snapshot ``w``, a half spectrum or a kept block, as row ``m``.
+
+        A kept block (``Grid.kept``) lists its modes in the order of the
+        dense part and has nothing outside the cut.
+        """
+        w = np.asarray(w, dtype=np.complex128)
+        if w.size == len(self._inside):
+            np.multiply(w.reshape(-1), self._inside_weight, out=self.inside[m])
+            if m in self.span:
+                self.outside[m] = 0.0
+            return
+        flat = w.reshape(self._size)
         np.take(flat, self._inside, out=self.inside[m])
         self.inside[m] *= self._inside_weight
         outside = np.take(flat, self._outside, out=self._scratch)

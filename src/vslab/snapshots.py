@@ -98,14 +98,17 @@ def load_field(path):
     # fftshift-ed cube: index i on every axis holds k_i = i - n/2
     payload = np.frombuffer(blob, dtype="<c16", offset=HEADER.size).reshape(3, n, n, n)
     h = n // 2
-    negative = payload[..., 1:h]
-    positive = payload[..., h + 1 :]
-    planes = payload[..., [0, h]]
-    defect = max(
-        float(np.max(np.abs(negative - _mirror(positive[..., ::-1])), initial=0.0)),
-        float(np.max(np.abs(planes - _mirror(planes)))),
-    )
-    scale = max(1.0, float(np.max(np.abs(payload))))
+    # one component at a time keeps the temporaries to a third of the payload
+    halves, selfs, largest = [], [], []
+    for part in payload:
+        negative = part[..., 1:h]
+        positive = part[..., h + 1 :]
+        planes = part[..., [0, h]]
+        halves.append(np.max(np.abs(negative - _mirror(positive[..., ::-1])), initial=0.0))
+        selfs.append(np.max(np.abs(planes - _mirror(planes))))
+        largest.append(np.max(np.abs(part)))
+    defect = max(float(np.max(halves)), float(np.max(selfs)))
+    scale = max(1.0, float(np.max(largest)))
     if defect > SYMMETRY_TOL * scale:
         raise SnapshotError(f"{path}: Hermitian symmetry violated (defect {defect:.3e})")
     # k_3 = 0 .. n/2-1 and then -n/2, with the k_1 and k_2 halves swapped
@@ -175,13 +178,19 @@ def scan_snapshots(snapdir):
     return first, [times[i] for i in order], [os.path.join(snapdir, names[i]) for i in order]
 
 
-def read_snapshots(grid: Grid, paths):
+def read_snapshots(grid: Grid, paths, kept=False):
     """Load the snapshots one at a time, in the given order; yields each vorticity.
 
-    Every snapshot must be a zero-mean divergence-free vorticity field.
+    Every snapshot must be a zero-mean divergence-free vorticity field.  With
+    ``kept`` a snapshot with nothing outside the 2/3 cut is converted to its
+    kept block (``Grid.kept``) before it is checked and yielded; any other
+    stays a half spectrum.
     """
     for path in paths:
         _, _, w = load_field(path)
+        if kept:
+            block = grid.kept(w)
+            w = w if block is None else block
         try:
             grid.require_solenoidal(w)
         except ValueError as exc:

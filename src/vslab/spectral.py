@@ -34,6 +34,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from vslab import _fft
@@ -80,7 +82,9 @@ def _mirror(a, out=None):
 
 def _density(c):
     """|c|^2 per amplitude, without the hypot that np.abs would take."""
-    return c.real**2 + c.imag**2
+    density = c.real**2
+    density += c.imag**2
+    return density
 
 
 def _cross(a, b, out):
@@ -101,6 +105,15 @@ def full_spectrum(half):
     # k_3 = -(n/2-1) .. -1 are the mirrors of k_3 = n/2-1 .. 1
     _mirror(half[..., h - 2 : 0 : -1], out[..., h:])
     return out
+
+
+class _Tables(NamedTuple):
+    """The wavevector tables of one field layout: the half spectrum or the kept block."""
+
+    kd: np.ndarray
+    ksq: np.ndarray
+    inv_ksq: np.ndarray
+    weight: np.ndarray  # plane weight of each index of the last axis
 
 
 class Grid:
@@ -132,6 +145,25 @@ class Grid:
         # self-conjugate planes k_3 = 0 and k_3 = -n/2
         self.plane_weight = np.full(h, 2.0)
         self.plane_weight[[0, n // 2]] = 1.0
+        # the kept block: on the axes -3 and -2 the rows k_i = 0 .. kmax and
+        # then -kmax .. -1, on the last axis k_3 = 0 .. kmax; each entry of
+        # _runs pairs a range of block rows with the half-spectrum rows it holds
+        kk = int(np.count_nonzero(self.keep[0, 0]))  # kmax + 1
+        kb = 2 * kk - 1
+        self._runs = ((slice(0, kk), slice(0, kk)), (slice(kk, kb), slice(n - kk + 1, n)))
+        self._cut_rows = slice(kk, n - kk + 1)  # the rows of an axis outside the cut
+        self._half_shape = (n, n, h)
+        self._block_shape = (kb, kb, kk)
+        self._layouts = {
+            self._half_shape: _Tables(self.kd, self.ksq, self.inv_ksq, self.plane_weight),
+            self._block_shape: _Tables(
+                self._gather(self.kd),
+                self._gather(self.ksq),
+                self._gather(self.inv_ksq),
+                self.plane_weight[:kk],
+            ),
+        }
+        self._spread_buffers = {}  # one zeroed half spectrum per leading shape, for l4
         x1 = TWO_PI * np.arange(n) / n
         self.x = np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
         self.cell_volume = (TWO_PI / n) ** 3
@@ -145,20 +177,82 @@ class Grid:
     def __hash__(self):
         return hash(("Grid", self.n))
 
-    # -- transforms ---------------------------------------------------------
+    # -- shapes and layouts -----------------------------------------------------
 
-    def _check_shape(self, arr, last=None):
-        n = self.n
-        last = n // 2 + 1 if last is None else last
-        if arr.shape not in ((n, n, last), (3, n, n, last)):
+    def _check_shape(self, arr, shape=None):
+        """Raise unless ``arr`` is a scalar or 3-vector field of ``shape`` (the half spectrum)."""
+        shape = self._half_shape if shape is None else shape
+        if arr.shape not in (shape, (3, *shape)):
+            raise FieldShapeError(f"expected shape {shape} or {(3, *shape)}, got {arr.shape}")
+
+    def _tables(self, arr):
+        """The wavevector tables of the layout ``arr`` is in; raises for any other shape."""
+        tables = self._layouts.get(arr.shape[-3:])
+        if tables is None or arr.shape[:-3] not in ((), (3,)):
             raise FieldShapeError(
-                f"expected shape {(n, n, last)} or {(3, n, n, last)}, got {arr.shape}"
+                f"expected a half spectrum {self._half_shape} or a kept block "
+                f"{self._block_shape}, either with a leading axis of 3, got {arr.shape}"
             )
+        return tables
+
+    def _gather(self, arr):
+        """The kept block of a half-spectrum array, copied with 2x2 slices."""
+        kk = self._block_shape[-1]
+        out = np.empty(arr.shape[:-3] + self._block_shape, dtype=arr.dtype)
+        for block1, half1 in self._runs:
+            for block2, half2 in self._runs:
+                out[..., block1, block2, :] = arr[..., half1, half2, :kk]
+        return out
+
+    def _outside(self, arr):
+        """Whether the half-spectrum array ``arr`` has a nonzero entry outside the 2/3 cut.
+
+        The outside is checked in views that keep the inner axes whole where
+        they can: the rows of the axis -3 past the cut, then in each run of
+        kept rows the rows of the axis -2 past it, then k_3 past it.
+        """
+        kk = self._block_shape[-1]
+        cut = self._cut_rows
+        if arr[..., cut, :, :].any():
+            return True
+        for _, half1 in self._runs:
+            if arr[..., half1, cut, :].any():
+                return True
+            for _, half2 in self._runs:
+                if arr[..., half1, half2, kk:].any():
+                    return True
+        return False
+
+    def kept(self, field):
+        """The dense block (..., K, K, K3) of the modes ``keep`` retains, or None.
+
+        None when the half-spectrum ``field`` has content outside the 2/3 cut.
+        The block lists the kept modes in the C order of ``np.flatnonzero(keep)``.
+        """
+        self._check_shape(field)
+        return None if self._outside(field) else self._gather(field)
+
+    def spread(self, block, out=None):
+        """The half spectrum of a kept block, zero outside the cut.
+
+        ``out``, a half spectrum that is already zero outside the cut, is
+        written in place of a new array.
+        """
+        self._check_shape(block, self._block_shape)
+        if out is None:
+            out = np.zeros(block.shape[:-3] + self._half_shape, dtype=block.dtype)
+        kk = self._block_shape[-1]
+        for block1, half1 in self._runs:
+            for block2, half2 in self._runs:
+                out[..., half1, half2, :kk] = block[..., block1, block2, :]
+        return out
+
+    # -- transforms ---------------------------------------------------------
 
     def to_spectral(self, values):
         """Forward real transform of physical samples to half-spectrum amplitudes."""
         vals = np.asarray(values, dtype=np.float64)
-        self._check_shape(vals, last=self.n)
+        self._check_shape(vals, (self.n,) * 3)
         return _fft.rfftn(vals, _AXES, _FFT_WORKERS) / self.n**3
 
     def to_physical(self, coeffs):
@@ -190,14 +284,13 @@ class Grid:
         return 1j * self.kd * s[np.newaxis]
 
     def divergence(self, v):
-        """Vector -> scalar, modewise i*k.vhat."""
-        self._check_shape(v)
-        return 1j * (self.kd[0] * v[0] + self.kd[1] * v[1] + self.kd[2] * v[2])
+        """Vector -> scalar, modewise i*k.vhat; either layout."""
+        kd = self._tables(v).kd
+        return 1j * (kd[0] * v[0] + kd[1] * v[1] + kd[2] * v[2])
 
     def curl(self, v):
-        """Vector -> vector, modewise i*k x vhat."""
-        self._check_shape(v)
-        out = _cross(self.kd, v, np.empty(v.shape, dtype=np.complex128))
+        """Vector -> vector, modewise i*k x vhat; either layout."""
+        out = _cross(self._tables(v).kd, v, np.empty(v.shape, dtype=np.complex128))
         out *= 1j
         return out
 
@@ -209,8 +302,9 @@ class Grid:
 
     def divergence_rel(self, v):
         """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2."""
-        num = self._mode_sum(_density(self.divergence(v)))
-        den = self._mode_sum(self.ksq * np.sum(_density(v), axis=0))
+        num = self._mode_sum(self._compact(_density(self.divergence(v))))
+        density = self._compact(np.sum(_density(v), axis=0))
+        den = self._mode_sum(self._tables(density).ksq * density)
         if den == 0.0:
             return 0.0
         return float(np.sqrt(num / den))
@@ -222,9 +316,11 @@ class Grid:
         for mass at k=0, and the inversion would silently drop a gradient
         part.  Called where fields enter the program; the solvers preserve
         both properties by construction.  Non-finite coefficients are
-        rejected first, since NaN passes both comparisons.
+        rejected first, since NaN passes both comparisons.  A half spectrum
+        with nothing outside the 2/3 cut is checked on its kept block, which
+        gives the same maxima and sums.
         """
-        self._check_shape(w)
+        w = self._compact(w)
         scale = float(np.max(np.abs(w)))
         if not np.isfinite(scale):
             raise ValueError(f"non-finite coefficients (max |w| = {scale})")
@@ -240,7 +336,9 @@ class Grid:
 
         Meaningful for zero-mean divergence-free w; see ``require_solenoidal``.
         """
-        return self.curl(w) * self.inv_ksq[np.newaxis]
+        u = self.curl(w)
+        u *= self._tables(w).inv_ksq
+        return u
 
     def dealias(self, coeffs):
         """Zero every mode with any |k_i| >= n/3 (2/3 rule)."""
@@ -249,42 +347,69 @@ class Grid:
 
     # -- norms ----------------------------------------------------------------
 
+    def _compact(self, arr):
+        """``arr`` on its kept block when it is zero outside the cut, else as given.
+
+        Raises unless ``arr`` is a field in one of the two layouts.
+        """
+        if arr.shape[-3:] == self._block_shape:
+            self._check_shape(arr, self._block_shape)
+            return arr
+        block = self.kept(arr)
+        return arr if block is None else block
+
     def _mode_sum(self, density):
-        """Sum over the full spectrum of a per-mode density given on the half."""
-        return float(np.sum(density.reshape(-1, density.shape[-1]) @ self.plane_weight))
+        """Sum over the full spectrum of a per-mode density from ``_compact``.
+
+        The gemv runs over rows of the last axis of whichever layout the
+        density is in, so a cut field is summed over its kept block in C
+        order, the same bits from a block and from a half spectrum.
+        """
+        weight = self._tables(density).weight
+        return float(np.sum(density.reshape(-1, density.shape[-1]) @ weight))
 
     def l2sq(self, coeffs):
         """Squared L2 norm over the box, components summed (Parseval)."""
-        self._check_shape(coeffs)
-        return BOX_VOLUME * self._mode_sum(_density(coeffs))
+        return BOX_VOLUME * self._mode_sum(self._compact(_density(coeffs)))
 
     def h1sq(self, coeffs):
         """Squared L2 norm of the gradient, components summed."""
-        self._check_shape(coeffs)
-        return self._gradient_sum(_density(coeffs))
+        return self._gradient_sum(self._compact(_density(coeffs)))
 
     def l2sq_h1sq(self, coeffs):
         """(l2sq, h1sq) of one field from a single density pass, bit for bit the two methods."""
-        self._check_shape(coeffs)
-        density = _density(coeffs)
+        density = self._compact(_density(coeffs))
         return BOX_VOLUME * self._mode_sum(density), self._gradient_sum(density)
 
     def _gradient_sum(self, density):
-        """h1sq from the per-mode density of the field."""
+        """h1sq from the per-mode density of the field, as ``_compact`` left it."""
         if density.ndim == 4:
             density = np.sum(density, axis=0)
-        return BOX_VOLUME * self._mode_sum(self.ksq * density)
+        return BOX_VOLUME * self._mode_sum(self._tables(density).ksq * density)
 
     def l4(self, coeffs):
-        """L4 norm of |field| evaluated on the physical grid quadrature."""
-        self._check_shape(coeffs)
+        """L4 norm of |field| evaluated on the physical grid quadrature.
+
+        A kept block is spread into a zeroed half spectrum the grid keeps for
+        the purpose, which only the kept modes are ever written into.
+        """
         n = self.n
-        phys = _fft.irfftn(coeffs * n**3, (n, n, n), _AXES, _FFT_WORKERS)
-        if phys.ndim == 4:
-            mag_sq = np.sum(phys**2, axis=0)
+        if coeffs.shape[-3:] == self._block_shape:
+            self._check_shape(coeffs, self._block_shape)
+            lead = coeffs.shape[:-3]
+            if lead not in self._spread_buffers:
+                self._spread_buffers[lead] = np.zeros(lead + self._half_shape, dtype=np.complex128)
+            scaled = self.spread(coeffs * n**3, out=self._spread_buffers[lead])
         else:
-            mag_sq = phys**2
-        return float((np.sum(mag_sq**2) * self.cell_volume) ** 0.25)
+            self._check_shape(coeffs)
+            scaled = coeffs * n**3
+        # squared in place: the same bits as the sums of the squares
+        mag_sq = _fft.irfftn(scaled, (n, n, n), _AXES, _FFT_WORKERS)
+        np.square(mag_sq, out=mag_sq)
+        if mag_sq.ndim == 4:
+            mag_sq = np.sum(mag_sq, axis=0)
+        np.square(mag_sq, out=mag_sq)
+        return float((np.sum(mag_sq) * self.cell_volume) ** 0.25)
 
 
 # -- canonical initial fields ----------------------------------------------

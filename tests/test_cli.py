@@ -342,11 +342,31 @@ def test_monitor_matches_list_based_oracle(tmp_path, capsys, field_every):
     assert len(want) == 9
 
 
+def test_monitor_on_half_spectra_matches_the_oracle(tmp_path, capsys):
+    # a Taylor-Green run-slab keeps its start state's round-off outside the 2/3
+    # cut in every sample, so no snapshot is replayed as a kept block
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-slab", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    paths = sorted(snap.glob("*.vslb"))
+    assert len(paths) == 33
+    grid = Grid(8)
+    assert all(grid.kept(load_field(path)[2]) is None for path in paths)
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("monitor: ")]
+    want = monitor_rows(snap, nu=1.0, gamma=0.2, ladyzhenskaya_c=2.0)
+    assert printed == [f"monitor: {name}={value}" for name, value in want]
+    assert len(want) == 9
+
+
 def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
     # 33 snapshots at 16^3: the whole trajectory as vorticity and velocity
     # lists would hold 66 states beyond the 32-row H^gamma stack.  This
     # bounds allocated bytes, not resident memory: the stack's part outside
-    # the 2/3 cut is allocated whole but never touched on a run's snapshots
+    # the 2/3 cut is allocated whole but never touched on a run's snapshots.
+    # The window holds kept blocks (32% of a state at 16^3): the peak is
+    # 8.0 states beyond the stack and the frequency grid, 11.4 on half spectra
     cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1)
     assert cli_dispatch(["run-ref", "--config", cfg]) == 0
     snap = tmp_path / "out" / "snapshots"
@@ -366,7 +386,7 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < (count - 1) * state + freq + 16 * state
+    assert peak < (count - 1) * state + freq + 10 * state
 
 
 def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):

@@ -448,6 +448,93 @@ def test_half_spectrum_sums_match_full_cube(n, seed):
     assert grid.divergence_rel(v) == pytest.approx(want_div, rel=1e-14)
 
 
+# -- the kept block ------------------------------------------------------------------
+
+
+def _one_mode_outside(grid, w):
+    """w plus a divergence-free, Hermitian mode at k = (k_1, 0, 0) on the first row past the cut."""
+    out = w.copy()
+    row = grid._cut_rows.start
+    out[1, row, 0, 0] += 0.3  # real, so its mirror at -k_1 (the same row at n = 4) matches
+    out[1, -row, 0, 0] += 0.3 if row != grid.n - row else 0.0
+    return out
+
+
+def _fields(grid):
+    """Seeded cut fields: solenoidal, divergent, and with a mean."""
+    for seed in (1, 5, 12):
+        w = random_divfree_field(grid, seed)
+        divergent = w.copy()
+        divergent[0] += w[1]
+        mean = w.copy()
+        mean[:, 0, 0, 0] = 0.25
+        yield from (w, divergent, mean)
+
+
+def _without_signed_zeros(a):
+    return a + 0.0  # -0.0 + 0.0 is +0.0; nonzero values keep their bits
+
+
+def _solenoidal_error(grid, w):
+    try:
+        grid.require_solenoidal(w)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_kept_block_and_half_spectrum_agree_bit_for_bit(n):
+    grid = Grid(n)
+    order = np.flatnonzero(np.broadcast_to(grid.keep, grid.k.shape))
+    for w in _fields(grid):
+        assert grid.kept(_one_mode_outside(grid, w)) is None
+        assert grid.kept(_one_mode_outside(grid, w)[1]) is None
+        b = grid.kept(w)
+        assert b is not None and b.shape == (3, *grid._block_shape)
+        assert same_bits(b.ravel(), w.ravel()[order])
+        # the sign of a zero outside the cut is the one thing spread does not keep
+        assert same_bits(_without_signed_zeros(grid.spread(b)), _without_signed_zeros(w))
+        for half, block in ((w, b), (w[1], b[1])):
+            assert grid.l2sq(half) == grid.l2sq(block)
+            assert grid.h1sq(half) == grid.h1sq(block)
+            assert grid.l2sq_h1sq(half) == grid.l2sq_h1sq(block)
+            assert grid.l4(half) == grid.l4(block)
+        assert grid.divergence_rel(w) == grid.divergence_rel(b)
+        assert _solenoidal_error(grid, w) == _solenoidal_error(grid, b)
+        assert same_bits(grid.kept(grid.divergence(w)), grid.divergence(b))
+        assert same_bits(grid.kept(grid.curl(w)), grid.curl(b))
+        assert same_bits(grid.kept(grid.biot_savart(w)), grid.biot_savart(b))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_fields_with_content_outside_the_cut_keep_the_half_spectrum_sum(n):
+    grid = Grid(n)
+    for w in _fields(grid):
+        v = _one_mode_outside(grid, w)
+        density = v.real**2 + v.imag**2
+
+        def gemv_sum(d):
+            return BOX_VOLUME * float(np.sum(d.reshape(-1, n // 2 + 1) @ grid.plane_weight))
+
+        assert grid.l2sq(v) == gemv_sum(density)
+        assert grid.h1sq(v) == gemv_sum(grid.ksq * density.sum(axis=0))
+
+
+def test_kept_block_shapes_are_checked(grid8):
+    w = random_divfree_field(grid8, seed=2)
+    with pytest.raises(ValueError):
+        grid8.spread(w)
+    with pytest.raises(ValueError):
+        grid8.kept(grid8.kept(w))
+    with pytest.raises(ValueError):
+        grid8.l2sq(grid8.kept(w)[..., :2])
+    with pytest.raises(ValueError):
+        grid8.h1sq(grid8.kept(w)[:2])
+    with pytest.raises(ValueError):
+        grid8.l4(grid8.kept(w)[:2])
+
+
 def test_full_spectrum_of_real_transform_is_complex_transform(grid8):
     vals = splitmix64_uniform(7, 3 * 8**3).reshape(3, 8, 8, 8) - 0.5
     want = np.fft.fftn(vals, axes=(-3, -2, -1)) / 8**3
