@@ -238,27 +238,17 @@ def cmd_study(cfg):
     return 0
 
 
-def _difference(grid, a, b):
-    """a - b; where a kept block meets a half spectrum, the block is spread first."""
-    if a.size < b.size:
-        a = grid.spread(a)
-    elif b.size < a.size:
-        b = grid.spread(b)
-    return a - b
-
-
 def cmd_monitor(cfg, snapdir):
     """One pass over the snapshots in time order.
 
-    Each snapshot with nothing outside the 2/3 cut is read as its kept block
-    (``Grid.kept``), and its velocity, norms, checks and stack row are
-    formed on the block; any other stays a half spectrum.  Only the
-    H^gamma stack (every snapshot but the last) is held whole, and of it
-    only the modes inside the cut plus whole rows from the first to the last
-    snapshot with content outside it (``HGammaStack``).  The centered
-    differences need a window of the last five velocities: dt u at t_{m-1}
-    from u_m - u_{m-2}, and at t_{m-2} on the every-other-sample grid of the
-    finite-difference band from u_m - u_{m-4} when m is even.
+    Each snapshot is read as its kept block (``Grid.kept``; every snapshot
+    must be zero outside the 2/3 cut), and its velocity, norms, checks and
+    stack row are formed on the block.  Only the H^gamma stack of the kept
+    modes of every snapshot but the last is held whole (``HGammaStack``).
+    The centered differences need a window of the last five velocities:
+    dt u at t_{m-1} from u_m - u_{m-2}, and at t_{m-2} on the every-other-
+    sample grid of the finite-difference band from u_m - u_{m-4} when m is
+    even.
     """
     n, times, paths = snapshots.scan_snapshots(snapdir)
     # a lone snapshot is still loaded and checked before the energy identity rejects it
@@ -269,7 +259,7 @@ def cmd_monitor(cfg, snapdir):
     records, gaps, ratios = [], [], []
     fine_l2, fine_h1, coarse_l2, coarse_h1 = [], [], [], []
     window = deque(maxlen=5)
-    for m, w in enumerate(snapshots.read_snapshots(grid, paths, kept=True)):
+    for m, w in enumerate(snapshots.read_snapshots(grid, paths)):
         u = grid.biot_savart(w)
         window.append(u)
         records.append(scalar_record(grid, w, u))
@@ -278,7 +268,7 @@ def cmd_monitor(cfg, snapdir):
         if m < len(stack):
             stack.set_row(m, w)
         if m >= 2:
-            dtu = _difference(grid, u, window[-3])
+            dtu = u - window[-3]
             dtu /= 2.0 * h
             l2, h1 = grid.l2sq_h1sq(dtu)
             fine_l2.append(l2)
@@ -288,7 +278,7 @@ def cmd_monitor(cfg, snapdir):
             except ValueError:
                 pass
         if m >= 4 and m % 2 == 0:
-            dtu = _difference(grid, u, window[-5])
+            dtu = u - window[-5]
             dtu /= 2.0 * h2
             l2, h1 = grid.l2sq_h1sq(dtu)
             coarse_l2.append(l2)

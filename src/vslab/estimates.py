@@ -297,70 +297,39 @@ def uniform_step(times):
 
 
 class HGammaStack:
-    """The rows of the H^gamma diagnostic, held in two parts split at the 2/3 cut.
+    """The rows of the H^gamma diagnostic: one dense (rows, 3K) array.
 
-    Row m is a snapshot with each plane weighted by the square root of its
-    ``Grid.plane_weight``.  The modes ``Grid.keep`` retains go in a dense
-    array; the others go in an ``np.zeros`` array that only rows with content
-    there write into.  The Gram matrix then needs that part only over
-    ``span``, the rows from the first to the last snapshot with content
-    outside the cut.  A ``run-ref`` snapshot after t = 0 has none, while a
-    ``run-slab`` sample keeps the decayed content of its start state there.
-    Large zero blocks are mapped lazily, so rows outside the span are never
-    resident.
+    Row m is the kept block (``Grid.kept``) of a snapshot, each plane
+    weighted by the square root of its ``Grid.plane_weight``.  Every field
+    the program holds is zero outside the 2/3 cut, so the K kept modes per
+    component are the whole snapshot.
     """
 
     def __init__(self, grid: Grid, rows):
-        keep = np.broadcast_to(grid.keep, grid.k.shape).ravel()
-        weight = np.broadcast_to(np.sqrt(grid.plane_weight), grid.k.shape).ravel()
-        self._size = keep.size
-        self._inside = np.flatnonzero(keep)
-        self._outside = np.flatnonzero(~keep)
-        self._inside_weight = weight[self._inside]
-        self._outside_weight = weight[self._outside]
-        self._scratch = np.empty(len(self._outside), dtype=np.complex128)
-        self.inside = np.empty((rows, len(self._inside)), dtype=np.complex128)
-        self.outside = np.zeros((rows, len(self._outside)), dtype=np.complex128)
-        self._first, self._stop = rows, 0
+        weight = grid.kept(np.sqrt(grid.plane_weight) * grid.keep)
+        self._grid = grid
+        self._weight = np.broadcast_to(weight, (3, *weight.shape))
+        self.rows = np.empty((rows, self._weight.size), dtype=np.complex128)
 
     def __len__(self):
-        return len(self.inside)
-
-    @property
-    def span(self):
-        """The rows the outside part may be nonzero on: every other row is zero there."""
-        return range(self._first, self._stop)
+        return len(self.rows)
 
     def set_row(self, m, w):
-        """Write the weighted row of snapshot ``w``, a half spectrum or a kept block, as row ``m``.
+        """Write the weighted row of snapshot ``w`` as row ``m``.
 
-        A kept block (``Grid.kept``) lists its modes in the order of the
-        dense part and has nothing outside the cut.
+        ``w`` is a kept block or a half spectrum that is zero outside the
+        2/3 cut; anything else raises.
         """
-        w = np.asarray(w, dtype=np.complex128)
-        if w.size == len(self._inside):
-            np.multiply(w.reshape(-1), self._inside_weight, out=self.inside[m])
-            if m in self.span:
-                self.outside[m] = 0.0
-            return
-        flat = w.reshape(self._size)
-        np.take(flat, self._inside, out=self.inside[m])
-        self.inside[m] *= self._inside_weight
-        outside = np.take(flat, self._outside, out=self._scratch)
-        if np.any(outside):
-            self._first, self._stop = min(self._first, m), max(self._stop, m + 1)
-        if m in self.span:
-            np.multiply(outside, self._outside_weight, out=self.outside[m])
+        if w.shape != self._weight.shape:
+            w = self._grid.kept(w)
+            if w is None:
+                raise ValueError("an H^gamma stack row must be zero outside the 2/3 cut")
+        np.multiply(w, self._weight, out=self.rows[m].reshape(self._weight.shape))
 
     def gram(self):
         """The real Gram matrix of the rows viewed as real numbers."""
-        real = self.inside.view(np.float64)
-        gram = real @ real.T
-        if self.span:
-            rows = slice(self._first, self._stop)
-            part = self.outside[rows].view(np.float64)
-            gram[rows, rows] += part @ part.T
-        return gram
+        real = self.rows.view(np.float64)
+        return real @ real.T
 
 
 def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
@@ -389,8 +358,8 @@ def hgamma_from_stack(times, stack, gamma, freq_points=131073):
 
     S(sigma) = sum_d G_d (2 cos(sigma d h) - [d = 0]) needs only the sums G_d
     of the lag-d diagonals of the snapshots' Gram matrix.  The snapshots are
-    Hermitian, so that Gram matrix is real: it is formed from the stored half
-    spectra viewed as real numbers, each plane weighted by the square root of
+    Hermitian, so that Gram matrix is real: it is formed from their kept
+    blocks viewed as real numbers, each plane weighted by the square root of
     its ``Grid.plane_weight`` (sqrt(2) except on k_3 = 0 and k_3 = -n/2) to
     stand for its conjugate mirror.  On the uniform frequency grid
     sigma_j = j pi / (h L), j = 0..L, the cosine sums are the real part of

@@ -23,10 +23,11 @@ Hermitian fields are bit-exact.
 
 A directory is read in two steps: ``scan_snapshots`` checks every header and
 orders the files by time, reading 24 bytes of each, and ``read_snapshots``
-then loads the payloads one at a time.  A directory is written one file at a
-time by ``snapshot_sink``, which first clears it of snapshots; each file is
-written under a temporary name that does not end in ``.vslb`` and renamed
-when complete, so a scan never sees a partial file.
+then loads the payloads one at a time, as the kept blocks of cut fields.  A
+directory is written one file at a time by ``snapshot_sink``, which first
+clears it of snapshots; each file is written under a temporary name that
+does not end in ``.vslb`` and renamed when complete, so a scan never sees a
+partial file.
 """
 
 from __future__ import annotations
@@ -178,29 +179,25 @@ def scan_snapshots(snapdir):
     return first, [times[i] for i in order], [os.path.join(snapdir, names[i]) for i in order]
 
 
-def read_snapshots(grid: Grid, paths, kept=False):
-    """Load the snapshots one at a time, in the given order; yields each vorticity.
+def read_snapshots(grid: Grid, paths):
+    """Load the snapshots one at a time, in the given order; yields each kept block.
 
-    Every snapshot must be a zero-mean divergence-free vorticity field.  With
-    ``kept`` a snapshot with nothing outside the 2/3 cut is converted to its
-    kept block (``Grid.kept``) before it is checked and yielded; any other
-    stays a half spectrum.
+    Every snapshot must be a zero-mean divergence-free vorticity field with
+    nothing outside the 2/3 cut (``Grid.require_solenoidal``); each is
+    yielded as its kept block (``Grid.kept``).
     """
     for path in paths:
         _, _, w = load_field(path)
-        if kept:
-            block = grid.kept(w)
-            w = w if block is None else block
         try:
-            grid.require_solenoidal(w)
+            block = grid.require_solenoidal(w)
         except ValueError as exc:
             raise SnapshotError(f"{os.path.basename(path)}: {exc}") from None
-        yield w
+        yield block
 
 
 def load_trajectory(snapdir, nu=1.0):
     """Rebuild a trajectory from every .vslb file in a directory (see scan_snapshots)."""
     n, times, paths = scan_snapshots(snapdir)
     grid = Grid(n)
-    fields = list(read_snapshots(grid, paths))
+    fields = [grid.spread(block) for block in read_snapshots(grid, paths)]
     return Trajectory(grid=grid, nu=nu, times=np.array(times), fields=fields)

@@ -15,6 +15,13 @@ keep; ``full_spectrum`` rebuilds the whole cube where one is needed.  Sums over
 modes weight every plane by 2 for its conjugate mirror, except those two
 planes, which stand for themselves (``Grid.plane_weight``).
 
+A field that is zero outside the 2/3 cut, as every field the program holds
+is, may also be carried as its kept block (``Grid.kept``), the dense array
+of the kept modes.  The operators and norms that take either layout sum a
+cut field over its kept block, so both layouts give the same bits; the
+norms also take half spectra with content outside the cut, such as
+transformed samples of a formula.
+
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
 alias-free by the 2/3 truncation rule, so the discrete counterparts of the
@@ -28,12 +35,14 @@ Conventions fixed here and relied on everywhere else:
 * odd-derivative operators (curl, divergence, gradient) use wavenumbers
   with the Nyquist plane zeroed, which keeps them Hermitian-safe;
 * norms and diffusion use the full |k|^2 including the Nyquist plane;
-* the mean mode k=0 of velocities and vorticities is zero: checked where a
-  field enters (``Grid.require_solenoidal``) and kept by every operation after.
+* the mean mode k=0 of velocities and vorticities is zero, and every field
+  the program holds is zero outside the 2/3 cut: both checked where a field
+  enters (``Grid.require_solenoidal``) and kept by every operation after.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -164,9 +173,13 @@ class Grid:
             ),
         }
         self._spread_buffers = {}  # one zeroed half spectrum per leading shape, for l4
-        x1 = TWO_PI * np.arange(n) / n
-        self.x = np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
         self.cell_volume = (TWO_PI / n) ** 3
+
+    @functools.cached_property
+    def x(self):
+        """The full physical grid, (3, n, n, n), built on first use."""
+        x1 = TWO_PI * np.arange(self.n) / self.n
+        return np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
 
     def __repr__(self):
         return f"Grid(n={self.n})"
@@ -310,26 +323,33 @@ class Grid:
         return float(np.sqrt(num / den))
 
     def require_solenoidal(self, w):
-        """Raise unless w has zero mean and relative divergence at most DIV_TOL.
+        """Raise unless w is zero-mean, divergence-free and cut; returns its kept block.
 
-        Biot-Savart inversion needs both: no periodic vector potential exists
-        for mass at k=0, and the inversion would silently drop a gradient
-        part.  Called where fields enter the program; the solvers preserve
-        both properties by construction.  Non-finite coefficients are
-        rejected first, since NaN passes both comparisons.  A half spectrum
-        with nothing outside the 2/3 cut is checked on its kept block, which
-        gives the same maxima and sums.
+        Zero mean, a relative divergence at most DIV_TOL and nothing outside
+        the 2/3 cut.  Biot-Savart inversion needs the first two: no periodic
+        vector potential exists for mass at k=0, and the inversion would
+        silently drop a gradient part.  The cut is the state space the
+        solvers work in.  Called where fields enter the program; the solvers
+        preserve all three properties by construction.  Non-finite
+        coefficients are rejected first, since NaN passes every comparison,
+        and the cut last, so the other refusals keep their messages.  A cut
+        field is checked on its kept block, which gives the same maxima and
+        sums.
         """
-        w = self._compact(w)
-        scale = float(np.max(np.abs(w)))
+        block = self._compact(w)
+        scale = float(np.max(np.abs(block)))
         if not np.isfinite(scale):
             raise ValueError(f"non-finite coefficients (max |w| = {scale})")
-        mean = float(np.max(np.abs(w[:, 0, 0, 0])))
+        mean = float(np.max(np.abs(block[:, 0, 0, 0])))
         if mean > MEAN_TOL * max(scale, 1.0):
             raise MeanModeError(f"mean vorticity {mean:.3e} is not zero")
-        rel = self.divergence_rel(w)
+        rel = self.divergence_rel(block)
         if rel > DIV_TOL:
             raise DivergenceError(f"relative divergence {rel:.3e} exceeds {DIV_TOL:.1e}")
+        if block.shape[-3:] != self._block_shape:
+            outside = float(np.max(np.abs(block[:, ~self.keep])))
+            raise ValueError(f"content outside the 2/3 cut (max |w| there = {outside:.3e})")
+        return block
 
     def biot_savart(self, w):
         """Velocity with curl u = w: uhat = i k x what / |k|^2, zero mean.
@@ -416,16 +436,17 @@ class Grid:
 
 
 def taylor_green_velocity(grid: Grid):
-    """Classic Taylor-Green vortex velocity, amplitude 1."""
-    x1, x2, x3 = grid.x
-    u = np.stack(
-        [
-            np.sin(x1) * np.cos(x2) * np.cos(x3),
-            -np.cos(x1) * np.sin(x2) * np.cos(x3),
-            np.zeros_like(x1),
-        ]
-    )
-    return grid.to_spectral(u)
+    """Classic Taylor-Green vortex velocity, amplitude 1, from its exact amplitudes.
+
+    u = (sin x1 cos x2 cos x3, -cos x1 sin x2 cos x3, 0) has eight modes
+    k = (+-1, +-1, +-1); the half spectrum stores the four with k_3 = 1.
+    """
+    u = np.zeros((3, *grid.k.shape[1:]), dtype=np.complex128)
+    for k1 in (1, -1):
+        for k2 in (1, -1):
+            u[0, k1, k2, 1] = -0.125j * k1
+            u[1, k1, k2, 1] = 0.125j * k2
+    return u
 
 
 def taylor_green_vorticity(grid: Grid):
@@ -433,16 +454,21 @@ def taylor_green_vorticity(grid: Grid):
 
 
 def abc_velocity(grid: Grid, a=1.0, b=1.0, c=1.0):
-    """ABC flow: an eigenfield of curl with eigenvalue 1 (Beltrami)."""
-    x1, x2, x3 = grid.x
-    u = np.stack(
-        [
-            a * np.sin(x3) + c * np.cos(x2),
-            b * np.sin(x1) + a * np.cos(x3),
-            c * np.sin(x2) + b * np.cos(x1),
-        ]
-    )
-    return grid.to_spectral(u)
+    """ABC flow, an eigenfield of curl with eigenvalue 1 (Beltrami), from its exact amplitudes.
+
+    u = (a sin x3 + c cos x2, b sin x1 + a cos x3, c sin x2 + b cos x1);
+    each term is a pair of modes k = +-e_i, of which the half spectrum stores
+    both for i = 1, 2 (on the plane k_3 = 0) and k = e_3 for i = 3.
+    """
+    u = np.zeros((3, *grid.k.shape[1:]), dtype=np.complex128)
+    u[0, 0, 0, 1] = -0.5j * a
+    u[1, 0, 0, 1] = 0.5 * a
+    for s in (1, -1):
+        u[0, 0, s, 0] = 0.5 * c
+        u[1, s, 0, 0] = -0.5j * s * b
+        u[2, 0, s, 0] = -0.5j * s * c
+        u[2, s, 0, 0] = 0.5 * b
+    return u
 
 
 def abc_vorticity(grid: Grid, a=1.0, b=1.0, c=1.0):

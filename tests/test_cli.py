@@ -342,16 +342,15 @@ def test_monitor_matches_list_based_oracle(tmp_path, capsys, field_every):
     assert len(want) == 9
 
 
-def test_monitor_on_half_spectra_matches_the_oracle(tmp_path, capsys):
-    # a Taylor-Green run-slab keeps its start state's round-off outside the 2/3
-    # cut in every sample, so no snapshot is replayed as a kept block
+def test_monitor_on_a_run_slab_directory_matches_the_oracle(tmp_path, capsys):
+    # a run-slab sample is cut like a run-ref state, so every one is replayed as a kept block
     cfg = write_cfg(tmp_path)
     assert cli_dispatch(["run-slab", "--config", cfg]) == 0
     snap = tmp_path / "out" / "snapshots"
     paths = sorted(snap.glob("*.vslb"))
     assert len(paths) == 33
     grid = Grid(8)
-    assert all(grid.kept(load_field(path)[2]) is None for path in paths)
+    assert all(grid.kept(load_field(path)[2]) is not None for path in paths)
     capsys.readouterr()
     assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("monitor: ")]
@@ -362,31 +361,31 @@ def test_monitor_on_half_spectra_matches_the_oracle(tmp_path, capsys):
 
 def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
     # 33 snapshots at 16^3: the whole trajectory as vorticity and velocity
-    # lists would hold 66 states beyond the 32-row H^gamma stack.  This
-    # bounds allocated bytes, not resident memory: the stack's part outside
-    # the 2/3 cut is allocated whole but never touched on a run's snapshots.
-    # The window holds kept blocks (32% of a state at 16^3): the peak is
-    # 8.0 states beyond the stack and the frequency grid, 11.4 on half spectra
-    cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1)
-    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
-    snap = tmp_path / "out" / "snapshots"
-    count = len(list(snap.glob("*.vslb")))
-    assert count == 33
-    state = Grid(16).k.size * 16
+    # lists would hold 66 states beyond the 32-row H^gamma stack of kept
+    # blocks.  The window holds kept blocks too (32% of a state at 16^3).
+    grid = Grid(16)
+    state = grid.k.size * 16
+    block = grid.kept(random_divfree_field(grid, seed=3)).nbytes
     w = random_divfree_field(Grid(4), seed=3)
-    tracemalloc.start()
-    try:
-        # the frequency-grid work of the diagnostic does not scale with n or M
-        base = tracemalloc.get_traced_memory()[0]
-        estimates.hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, Grid(4))
-        freq = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < (count - 1) * state + freq + 10 * state
+    for command in ("run-ref", "run-slab"):
+        cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1, outdir=str(tmp_path / command))
+        assert cli_dispatch([command, "--config", cfg]) == 0
+        snap = tmp_path / command / "snapshots"
+        count = len(list(snap.glob("*.vslb")))
+        assert count == 33
+        tracemalloc.start()
+        try:
+            # the frequency-grid work of the diagnostic does not scale with n or M
+            base = tracemalloc.get_traced_memory()[0]
+            estimates.hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, Grid(4))
+            freq = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (count - 1) * block + freq + 10 * state, command
 
 
 def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):
@@ -550,6 +549,47 @@ def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "divergence" in err[0]
     assert {p.name: p.read_bytes() for p in snapdir.glob("snap_*.vslb")} == stored
+
+
+def _uncut_field():
+    """A divergence-free 16^3 vorticity with the modes k = (+-6, 0, 0) of w_2 outside the cut."""
+    w = random_divfree_field(Grid(16), seed=3)
+    w[1, 6, 0, 0] = 0.05 - 0.02j
+    w[1, -6, 0, 0] = 0.05 + 0.02j
+    return w
+
+
+@pytest.mark.parametrize("command", ["run-ref", "run-slab"])
+def test_uncut_initial_file_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "w0.vslb"
+    persist_field(path, _uncut_field(), 0.0)
+    cfg = write_cfg(tmp_path, n=16, initial="file", initial_path=str(path))
+    assert cli_dispatch([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "outside the 2/3 cut" in err[0]
+    assert not list((tmp_path / "out" / "snapshots").glob("*.vslb"))
+
+
+@pytest.mark.parametrize("reader", ["monitor", "compare", "reference_dir"])
+def test_uncut_snapshot_is_refused_by_name(tmp_path, capsys, reader):
+    grid = Grid(16)
+    for name, middle in (("good", random_divfree_field(grid, seed=4)), ("bad", _uncut_field())):
+        (tmp_path / name).mkdir()
+        fields = [random_divfree_field(grid, seed=1), middle, random_divfree_field(grid, seed=2)]
+        for i, w in enumerate(fields):
+            persist_field(tmp_path / name / snapshots.snapshot_name(i), w, 0.0625 * i)
+    cfg = write_cfg(tmp_path, n=16)
+    bad = str(tmp_path / "bad")
+    reference = ["--set", "provider=reference", "--set", f"reference_dir={bad}"]
+    argv = {
+        "monitor": ["monitor", "--config", cfg, bad],
+        "compare": ["compare", "--config", cfg, str(tmp_path / "good"), bad],
+        "reference_dir": ["run-slab", "--config", cfg, *reference],
+    }[reader]
+    assert cli_dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "snap_000001.vslb" in err[0] and "outside the 2/3 cut" in err[0]
 
 
 def test_run_ref_keeps_the_initial_file_as_its_first_snapshot(tmp_path):

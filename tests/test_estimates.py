@@ -38,6 +38,7 @@ from vslab.slabs import (
 )
 from vslab.spectral import (
     BOX_VOLUME,
+    FieldShapeError,
     Grid,
     abc_velocity,
     full_spectrum,
@@ -48,10 +49,10 @@ from vslab.trajectory import ScalarSeries, Trajectory
 
 
 def single_mode_vorticity(grid):
-    """w = (0, -cos x1, 0): the vorticity of u = (0, 0, sin x1)."""
-    w = np.zeros((3, grid.n, grid.n, grid.n))
-    w[1] = -np.cos(grid.x[0])
-    return grid.to_spectral(w)
+    """w = (0, -cos x1, 0), the vorticity of u = (0, 0, sin x1), from its exact amplitudes."""
+    w = np.zeros((3, *grid.k.shape[1:]), dtype=np.complex128)
+    w[1, 1, 0, 0] = w[1, -1, 0, 0] = -0.5
+    return w
 
 
 def synthetic_series(times, energy, enstrophy, dissipation, enstrophy_dissipation):
@@ -357,30 +358,25 @@ def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
     want = direct_hgamma(times, fields, 0.2, freq_points)
     assert abs(got - want) / want < 1e-12
     # a divergence-free mode outside the 2/3 cut, k = (+-3, 0, 0) in w_2, on
-    # some rows only; row 16 is the last sample, which only closes the span
+    # some rows only, is refused wherever it is stacked
     for rows in ({0}, {4, 9}, {15, 16}, set(range(17))):
         outside = [f.copy() for f in fields]
         for m in rows:
             a = 0.3 * (m + 1) - 0.2j
             outside[m][1, 3, 0, 0] += a
             outside[m][1, 5, 0, 0] += np.conj(a)
-        got = hgamma_diagnostic(times, outside, 0.2, grid8, freq_points=freq_points).value
-        want = direct_hgamma(times, outside, 0.2, freq_points)
-        assert abs(got - want) / want < 1e-12
+        with pytest.raises(ValueError, match="zero outside the 2/3 cut"):
+            hgamma_diagnostic(times, outside, 0.2, grid8, freq_points=freq_points)
 
 
-def test_hgamma_stack_of_a_run_is_zero_outside_the_cut():
-    # the split stack saves memory because the stepper cuts every state it
-    # makes: a random field starts inside the cut and no row leaves it
-    grid = Grid(16)
-    w0 = random_divfree_field(grid, seed=5)
-    traj = collect_reference(grid, w0, 0.05, StepperConfig(dt=2.5e-3), field_every=2)
-    stack = HGammaStack(grid, len(traj.fields))
-    for m, w in enumerate(traj.fields):
-        stack.set_row(m, w)
-    assert len(traj.fields) == 11
-    assert len(stack.span) == 0
-    assert not np.any(stack.outside)
+def test_hgamma_stack_rows_are_the_same_from_either_layout(grid8):
+    w = random_divfree_field(grid8, seed=5)
+    stack = HGammaStack(grid8, 2)
+    stack.set_row(0, w)
+    stack.set_row(1, grid8.kept(w))
+    assert np.array_equal(stack.rows[0], stack.rows[1])
+    with pytest.raises(FieldShapeError):
+        stack.set_row(0, full_spectrum(w))
 
 
 def test_hgamma_monotone_in_gamma(grid8):

@@ -625,16 +625,37 @@ def test_random_field_is_deterministic(grid8):
 # -- canonical fields ------------------------------------------------------------------------------
 
 
-def test_taylor_green_is_divergence_free(grid16):
-    u = taylor_green_velocity(grid16)
-    assert grid16.divergence_rel(u) < 1e-13
-    w = taylor_green_vorticity(grid16)
-    assert grid16.divergence_rel(w) < 1e-13
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_taylor_green_is_divergence_free(n):
+    grid = Grid(n)
+    x1, x2, x3 = grid.x
+    sampled = np.stack(
+        [np.sin(x1) * np.cos(x2) * np.cos(x3), -np.cos(x1) * np.sin(x2) * np.cos(x3), 0.0 * x1]
+    )
+    u = taylor_green_velocity(grid)
+    assert np.max(np.abs(u - grid.to_spectral(sampled))) < 1e-15
+    assert grid.kept(u) is not None
+    assert grid.divergence_rel(u) < 1e-13
+    w = taylor_green_vorticity(grid)
+    assert grid.divergence_rel(w) < 1e-13
     assert np.max(np.abs(w[:, 0, 0, 0])) == 0.0
 
 
-def test_abc_flow_is_curl_eigenfield(grid16):
-    u = abc_velocity(grid16)
-    w = abc_vorticity(grid16)
-    assert np.max(np.abs(grid16.curl(u) - u)) < 1e-13
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_abc_flow_is_curl_eigenfield(n):
+    grid = Grid(n)
+    x1, x2, x3 = grid.x
+    a, b, c = 1.0, 0.7, 0.4
+    sampled = np.stack(
+        [
+            a * np.sin(x3) + c * np.cos(x2),
+            b * np.sin(x1) + a * np.cos(x3),
+            c * np.sin(x2) + b * np.cos(x1),
+        ]
+    )
+    u = abc_velocity(grid, a, b, c)
+    assert np.max(np.abs(u - grid.to_spectral(sampled))) < 1e-15
+    assert grid.kept(u) is not None
+    w = abc_vorticity(grid, a, b, c)
+    assert np.max(np.abs(grid.curl(u) - u)) < 1e-13
     assert np.max(np.abs(w - u)) < 1e-13
