@@ -68,8 +68,7 @@ def _initial(grid, cfg):
             )
     else:
         w = initial_vorticity(grid, cfg.initial, seed=cfg.seed)
-    grid.require_solenoidal(w)
-    return w
+    return grid.require_solenoidal(w)
 
 
 def _partition_for(cfg, trajectory):
@@ -126,7 +125,7 @@ def cmd_run_ref(cfg):
         w0,
         cfg.T,
         StepperConfig(dt=cfg.dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling),
-        snapshots.snapshot_sink(snapdir),
+        snapshots.snapshot_sink(snapdir, grid),
         scalar_every=cfg.scalar_every,
         field_every=cfg.field_every,
     )
@@ -150,7 +149,7 @@ def cmd_run_slab(cfg):
         grid,
         w0,
         partition,
-        snapshots.snapshot_sink(snapdir),
+        snapshots.snapshot_sink(snapdir, grid),
         nu=cfg.nu,
         tol=cfg.picard_tol,
         max_iter=cfg.picard_max_iter,

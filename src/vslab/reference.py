@@ -9,7 +9,8 @@ transport and stretching term in rotational form
 an identity for solenoidal u and w.  The product u x w is formed on the
 physical grid with real FFTs, dealiased by the 2/3 rule and curled, which
 leaves it divergence-free with zero mean; ``slab_forcing`` uses the same
-kernel.  States are half spectra (see ``vslab.spectral``).
+kernel.  States are kept blocks of the 2/3 cut (see ``vslab.spectral``); the
+stepper and the kernel also take half spectra.
 Diffusion is handled exactly per mode by the integrating factor
 exp(-nu |k|^2 t) inside a classical four-stage Runge-Kutta step, so a
 pure-diffusion problem is advanced exactly.  The state invariants are checked
@@ -55,18 +56,33 @@ def nonlinear_term(grid: Grid, u, w):
 
     For solenoidal u and w this is the transport and stretching term
     (w . grad) u - (u . grad) w.  The 2/3 cut comes before the curl, and on
-    the kept modes kd == k, so the curl needs no projection.  The half
-    spectra are transformed with real FFTs: six inverse, three forward.
+    the kept modes kd == k, so the curl needs no projection.  The operands
+    are transformed with real FFTs, six inverse and three forward, from one
+    (6, n, n, n/2+1) stack: kept blocks are spread into the zeroed stack
+    the grid keeps (``Grid._spread_buffer``), and a half spectrum goes into a
+    fresh one.  The result is in the layout of ``w``: the kept block of the
+    forward transform, or that transform cut in place.
     """
     n = grid.n
     scale = float(n**3)
-    stack = np.empty((6, n, n, n // 2 + 1), dtype=np.complex128)
-    np.multiply(u, scale, out=stack[0:3])
-    np.multiply(w, scale, out=stack[3:6])
+    blocks = (grid.is_block(u), grid.is_block(w))
+    if all(blocks):
+        stack = grid._spread_buffer((6,))
+    else:
+        stack = np.zeros((6, n, n, n // 2 + 1), dtype=np.complex128)
+    for part, field, block in zip((stack[0:3], stack[3:6]), (u, w), blocks):
+        if block:
+            grid.spread(field * scale, out=part)
+        else:
+            np.multiply(field, scale, out=part)
     phys = _fft.irfftn(stack, (n, n, n), (-3, -2, -1), _FFT_WORKERS)
     uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
     rot = _fft.rfftn(uxw, (-3, -2, -1), _FFT_WORKERS)
-    rot *= (1.0 / scale) * grid.keep
+    if blocks[1]:
+        rot = grid._gather(rot)
+        rot *= 1.0 / scale
+    else:
+        rot *= (1.0 / scale) * grid.keep
     return grid.curl(rot)
 
 
@@ -81,17 +97,22 @@ def vorticity_rhs(grid: Grid, w):
 
 
 def rk4_step(grid: Grid, w, cfg: StepperConfig, rhs=vorticity_rhs, t=0.0):
-    """One integrating-factor RK4 step, 2/3-cut; NaN or enstrophy past the ceiling raises."""
+    """One integrating-factor RK4 step, 2/3-cut; NaN or enstrophy past the ceiling raises.
+
+    ``w`` is a kept block, which holds only the kept modes, or a half
+    spectrum, which is cut after the step.
+    """
     dt, nu = cfg.dt, cfg.nu
-    e_half = np.exp(-0.5 * nu * dt * grid.ksq)
+    e_half = np.exp(-0.5 * nu * dt * grid._tables(w).ksq)
     e_full = e_half * e_half
     k1 = rhs(grid, w)
     k2 = rhs(grid, e_half * (w + 0.5 * dt * k1))
     k3 = rhs(grid, e_half * w + 0.5 * dt * k2)
     k4 = rhs(grid, e_full * w + dt * e_half * k3)
     out = e_full * w + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    # cut in place: a fresh array (``grid.dealias``) made glibc trim the heap every step
-    out *= grid.keep
+    if not grid.is_block(out):
+        # cut in place: a fresh array (``grid.dealias``) made glibc trim the heap every step
+        out *= grid.keep
     enstrophy = grid.l2sq(out)
     if not enstrophy <= cfg.enstrophy_ceiling:
         raise BlowUpError(t + dt, enstrophy)
@@ -114,12 +135,13 @@ def run_reference(
     t=T are always included.
 
     ``w0`` is checked (``Grid.require_solenoidal``) before the sink sees
-    anything, and is the first snapshot, unchanged.  Each snapshot is handed
-    to ``sink(t, w)`` as it is taken, in time order from t=0; the sink must
-    not modify ``w``.  The run keeps no state past the step that made it, so
-    a run that raises has already handed over every snapshot before the
-    failing step.  A caller that wants the
-    snapshots together collects them with ``Trajectory.append``.
+    anything, and its kept block is the state the run carries and the first
+    snapshot.  Each snapshot is handed to ``sink(t, w)`` as it is taken, as
+    a kept block, in time order from t=0; the sink must not modify ``w``.
+    The run keeps no state past the step that made it, so a run that raises
+    has already handed over every snapshot before the failing step.  A
+    caller that wants the snapshots together collects them with
+    ``Trajectory.append``.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -127,8 +149,7 @@ def run_reference(
     dt = T / n_steps
     cfg = StepperConfig(dt=dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
 
-    grid.require_solenoidal(w0)
-    w = np.array(w0, dtype=np.complex128)
+    w = np.asarray(grid.require_solenoidal(w0), dtype=np.complex128)
 
     sink(0.0, w)
     s_times = [0.0]

@@ -245,7 +245,8 @@ class SlabSolution:
     diagnostics: PicardDiagnostics | None = None
 
     def __post_init__(self):
-        self._rate = self.nu * self.grid.ksq  # per-mode decay rate a = nu |k|^2
+        # per-mode decay rate a = nu |k|^2, in the layout of the states
+        self._rate = self.nu * self.grid._tables(self.omega_init).ksq
 
     @property
     def width(self):
@@ -400,15 +401,16 @@ def run_slab_scheme(
     is given.  Each sample is inverted once: its scalar_record feeds both the
     norm series and, without a reference, kstar.
 
-    Every sample is handed to ``sink(t, w)`` as it is made, in time order
-    from t=0; the sink must not modify ``w``.  Nothing state-sized outlives
-    the slab that made it, and a run that raises has already handed over
-    every sample of the slabs before the failing one.
+    The run carries the kept block of ``omega0`` (``Grid.require_solenoidal``)
+    and every state after it as kept blocks.  Every sample is handed to
+    ``sink(t, w)`` as it is made, in time order from t=0; the sink must not
+    modify ``w``.  Nothing state-sized outlives the slab that made it, and a
+    run that raises has already handed over every sample of the slabs before
+    the failing one.
     """
     if slab_samples < 2:
         raise ValueError("need at least two samples per slab")
-    grid.require_solenoidal(omega0)
-    w = np.array(omega0, dtype=np.complex128)
+    w = np.asarray(grid.require_solenoidal(omega0), dtype=np.complex128)
     times = [0.0]
     sink(0.0, w)
     norm_rows = [scalar_record(grid, w)]
@@ -467,10 +469,10 @@ def _coupling_block(grid: Grid, u_bar):
 
         i [(e_p(k).ubar(k-q)) (k.e_r(q)) - (e_p(k).e_r(q)) (k.ubar(k-q))]
 
-    with k-q taken mod n.  The gather needs ubar on the whole cube, so the
-    half spectrum is expanded and the mode tables are built here for the
-    full cube; the block is quadratic in the mode count, so grids are
-    limited to 8^3.  Returns the full-cube mode indices (a tuple of three
+    with k-q taken mod n.  The gather needs ubar on the whole cube, so a kept
+    block is spread and the half spectrum expanded, and the mode tables are
+    built here for the full cube; the block is quadratic in the mode count,
+    so grids are limited to 8^3.  Returns the full-cube mode indices (a tuple of three
     index arrays), the polarizations (m, 2, 3) and the (2m, 2m) block, whose
     row and column (p, k) is p*m + k.
     """
@@ -490,6 +492,8 @@ def _coupling_block(grid: Grid, u_bar):
     e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
     pol = np.stack((e1, e2), axis=1)
     diff = tuple((idx[:, None, d] - idx[None, :, d]) % n for d in range(3))
+    if grid.is_block(u_bar):
+        u_bar = grid.spread(u_bar)
     ub = np.moveaxis(full_spectrum(u_bar)[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
     pu = np.einsum("kpc,kqc->pkq", pol, ub)
     ke = np.einsum("kc,qrc->kqr", kv, pol)

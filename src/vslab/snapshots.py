@@ -13,21 +13,24 @@ Layout (all little-endian):
                   over -n/2 .. n/2-1; this is the C order of the
                   fftshift-ed (n, n, n) cube
 
-The program keeps the half spectrum k_3 >= 0 (see ``vslab.spectral``); the
-file holds the whole cube.  Writing fills the k_3 < 0 half by conjugate
-reflection; loading checks the stored k_3 < 0 half against that reflection
-of the stored k_3 > 0 half, and the two self-conjugate planes k_3 = 0 and
-k_3 = -n/2 against their own reflections, so a corrupt file cannot
-masquerade as a real field, and then drops the k_3 < 0 half.  Round trips of
+A field is written and read as its half spectrum k_3 >= 0 (see
+``vslab.spectral``); the file holds the whole cube.  Writing fills the
+k_3 < 0 half by conjugate reflection; loading checks the stored k_3 < 0 half
+against that reflection of the stored k_3 > 0 half, and the two
+self-conjugate planes k_3 = 0 and k_3 = -n/2 against their own reflections,
+so a corrupt file cannot masquerade as a real field, and then drops the
+k_3 < 0 half.  Round trips of
 Hermitian fields are bit-exact.
 
 A directory is read in two steps: ``scan_snapshots`` checks every header and
 orders the files by time, reading 24 bytes of each, and ``read_snapshots``
 then loads the payloads one at a time, as the kept blocks of cut fields.  A
 directory is written one file at a time by ``snapshot_sink``, which first
-clears it of snapshots; each file is written under a temporary name that
-does not end in ``.vslb`` and renamed when complete, so a scan never sees a
-partial file.
+clears it of snapshots and then takes the kept blocks the solvers hand it;
+each block is spread into a zeroed half spectrum, so every amplitude
+outside the cut is written as +0.0 (its conjugate mirror as +0.0 - 0.0j).
+Each file is written under a temporary name that does not end in ``.vslb``
+and renamed when complete, so a scan never sees a partial file.
 """
 
 from __future__ import annotations
@@ -127,25 +130,27 @@ def snapshot_name(index):
     return f"snap_{index:06d}.vslb"
 
 
-def snapshot_sink(outdir):
-    """A ``sink(t, w)`` that writes each field it is handed as the next snapshot file.
+def snapshot_sink(outdir, grid: Grid):
+    """A ``sink(t, w)`` that writes each kept block it is handed as the next snapshot file.
 
     Creating the sink removes every ``*.vslb`` file, and every ``*.vslb.tmp``
     a killed writer left, already in ``outdir``, so the directory never mixes
     two runs.  The files are ``snap_000000.vslb``, ``snap_000001.vslb``, ...
     in the order the fields arrive; each is written whole before the call
     returns (see ``persist_field``), so a run that stops early leaves a
-    readable prefix.
+    readable prefix.  Each block ``w`` of ``grid`` is spread into one reused
+    half spectrum, zero outside the cut, before it is written.
     """
     os.makedirs(outdir, exist_ok=True)
     for name in os.listdir(outdir):
         if name.endswith((".vslb", ".vslb.tmp")):
             os.remove(os.path.join(outdir, name))
+    half = np.zeros(grid.k.shape, dtype=np.complex128)
     count = 0
 
     def sink(t, w):
         nonlocal count
-        persist_field(os.path.join(outdir, snapshot_name(count)), w, t)
+        persist_field(os.path.join(outdir, snapshot_name(count)), grid.spread(w, out=half), t)
         count += 1
 
     return sink
@@ -196,8 +201,12 @@ def read_snapshots(grid: Grid, paths):
 
 
 def load_trajectory(snapdir, nu=1.0):
-    """Rebuild a trajectory from every .vslb file in a directory (see scan_snapshots)."""
+    """Rebuild a trajectory of kept blocks from every .vslb file in a directory.
+
+    The files are checked and ordered by ``scan_snapshots`` and loaded by
+    ``read_snapshots``.
+    """
     n, times, paths = scan_snapshots(snapdir)
     grid = Grid(n)
-    fields = [grid.spread(block) for block in read_snapshots(grid, paths)]
+    fields = list(read_snapshots(grid, paths))
     return Trajectory(grid=grid, nu=nu, times=np.array(times), fields=fields)

@@ -17,10 +17,13 @@ planes, which stand for themselves (``Grid.plane_weight``).
 
 A field that is zero outside the 2/3 cut, as every field the program holds
 is, may also be carried as its kept block (``Grid.kept``), the dense array
-of the kept modes.  The operators and norms that take either layout sum a
-cut field over its kept block, so both layouts give the same bits; the
-norms also take half spectra with content outside the cut, such as
-transformed samples of a formula.
+of the kept modes, 3.6 times smaller than its half spectrum.  The solvers
+carry every state in this layout: RK4 stages, Picard iterates, slab
+samples and the fields handed to sinks are kept blocks.  The operators and
+norms that take either layout sum a cut field over its kept block, so both
+layouts give the same bits; the norms also take half spectra with content
+outside the cut, such as transformed samples of a formula.  Transforms
+need the half spectrum, into which a block is spread (``Grid.spread``).
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
@@ -172,7 +175,7 @@ class Grid:
                 self.plane_weight[:kk],
             ),
         }
-        self._spread_buffers = {}  # one zeroed half spectrum per leading shape, for l4
+        self._spread_buffers = {}  # one zeroed half spectrum per leading shape
         self.cell_volume = (TWO_PI / n) ** 3
 
     @functools.cached_property
@@ -235,6 +238,20 @@ class Grid:
                 if arr[..., half1, half2, kk:].any():
                     return True
         return False
+
+    def is_block(self, arr):
+        """Whether the field ``arr`` is a kept block, else a half spectrum; other shapes raise."""
+        return self._tables(arr) is self._layouts[self._block_shape]
+
+    def _spread_buffer(self, lead):
+        """A zeroed half spectrum with leading shape ``lead``, kept by the grid and reused.
+
+        Its users spread kept blocks into it and write nothing else, so it
+        stays zero outside the cut.
+        """
+        if lead not in self._spread_buffers:
+            self._spread_buffers[lead] = np.zeros(lead + self._half_shape, dtype=np.complex128)
+        return self._spread_buffers[lead]
 
     def kept(self, field):
         """The dense block (..., K, K, K3) of the modes ``keep`` retains, or None.
@@ -410,18 +427,13 @@ class Grid:
     def l4(self, coeffs):
         """L4 norm of |field| evaluated on the physical grid quadrature.
 
-        A kept block is spread into a zeroed half spectrum the grid keeps for
-        the purpose, which only the kept modes are ever written into.
+        A kept block is spread into a zeroed half spectrum the grid keeps
+        (``_spread_buffer``).
         """
         n = self.n
-        if coeffs.shape[-3:] == self._block_shape:
-            self._check_shape(coeffs, self._block_shape)
-            lead = coeffs.shape[:-3]
-            if lead not in self._spread_buffers:
-                self._spread_buffers[lead] = np.zeros(lead + self._half_shape, dtype=np.complex128)
-            scaled = self.spread(coeffs * n**3, out=self._spread_buffers[lead])
+        if self.is_block(coeffs):
+            scaled = self.spread(coeffs * n**3, out=self._spread_buffer(coeffs.shape[:-3]))
         else:
-            self._check_shape(coeffs)
             scaled = coeffs * n**3
         # squared in place: the same bits as the sums of the squares
         mag_sq = _fft.irfftn(scaled, (n, n, n), _AXES, _FFT_WORKERS)

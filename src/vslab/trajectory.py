@@ -1,6 +1,8 @@
 """Sampled vorticity trajectories shared by the solvers and the monitors.
 
-A trajectory keeps the spectral vorticity snapshots at the field cadence; the
+A trajectory keeps the spectral vorticity snapshots at the field cadence, in
+whichever layout they were appended: the runners' sinks and
+``snapshots.load_trajectory`` give kept blocks (see ``vslab.spectral``).  The
 norm series at the (denser) scalar cadence is a separate ``ScalarSeries``,
 which the runners return and the ledger keeps.  Field values between
 snapshots are defined by linear interpolation in time, which makes time

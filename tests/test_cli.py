@@ -390,18 +390,24 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
 
 def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):
     # 8 slabs of 16 samples at 16^3: collected, the run would hold 129 samples
-    # and 8 four-state slab solutions until the snapshots were written
-    cfg = write_cfg(tmp_path, n=16, T=0.25, slabs=8, slab_samples=16)
+    # and 8 four-state slab solutions until the snapshots were written; run-ref
+    # over 100 steps would hold 101 snapshots.  A state here is a half
+    # spectrum; the runs carry kept blocks (32% of one at 16^3).
     state = Grid(16).k.size * 16
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert cli_dispatch(["run-slab", "--config", cfg]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(list((tmp_path / "out" / "snapshots").glob("*.vslb"))) == 129
-    assert peak < 32 * state
+    for command, count in (("run-slab", 129), ("run-ref", 101)):
+        outdir = tmp_path / command
+        cfg = write_cfg(
+            tmp_path, n=16, T=0.25, slabs=8, slab_samples=16, field_every=1, outdir=str(outdir)
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli_dispatch([command, "--config", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(list((outdir / "snapshots").glob("*.vslb"))) == count
+        assert peak < 16 * state, (command, peak / state)
 
 
 @pytest.mark.parametrize("count", [3, 4])
@@ -500,7 +506,8 @@ def test_run_slab_picard_failure_leaves_the_initial_snapshot(tmp_path, capsys):
     assert [p.name for p in (out / "snapshots").iterdir()] == ["snap_000000.vslb"]
     n, t, w = load_field(out / "snapshots" / "snap_000000.vslb")
     assert (n, t) == (8, 0.0)
-    assert w.tobytes() == taylor_green_vorticity(Grid(8)).tobytes()
+    grid = Grid(8)
+    assert w.tobytes() == grid.spread(grid.kept(taylor_green_vorticity(grid))).tobytes()
 
 
 def _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, damage):

@@ -12,8 +12,9 @@ from oracles import corrupt_negative_half, gathered_half
 from vslab.atomic import atomic_open
 from vslab.config import ConfigError, echo_config, load_config, parse_config_text
 from vslab.estimates import enstrophy_ledger
+from vslab.reference import StepperConfig, run_reference
 from vslab.reports import SERIES_COLUMNS, SLAB_COLUMNS, emit_reports, fmt, write_csv
-from vslab.slabs import uniform_partition
+from vslab.slabs import run_slab_scheme, uniform_partition
 from vslab.snapshots import (
     SnapshotError,
     load_field,
@@ -240,15 +241,48 @@ def test_snapshot_load_is_contiguous_and_equals_the_gather(tmp_path, n):
 
 def test_trajectory_save_load(tmp_path):
     grid = Grid(8)
-    w = random_divfree_field(grid, seed=5)
+    w = grid.kept(random_divfree_field(grid, seed=5))
     times = np.array([0.0, 0.5, 1.0])
-    fields = [w, 0.5 * w, 0.25 * w]
-    sink = snapshot_sink(tmp_path)
+    fields = [w, 0.5 * w, 0.25 * w]  # the sink takes and the load gives kept blocks
+    sink = snapshot_sink(tmp_path, grid)
     for t, w in zip(times, fields):
         sink(t, w)
     back = load_trajectory(tmp_path)
     assert np.array_equal(back.times, times)
     assert all(np.array_equal(a, b) for a, b in zip(back.fields, fields))
+
+
+@pytest.mark.parametrize("runner, count", [("reference", 6), ("slabs", 5)])
+def test_snapshot_files_are_canonical(tmp_path, runner, count):
+    # a file is a function of the kept block alone: outside the kept window
+    # every word is +0.0, but the imaginary words that conjugate reflection
+    # fills (k_3 = -(n/2-1) .. -1), which are -0.0
+    grid = Grid(8)
+    n = grid.n
+    w0 = random_divfree_field(grid, seed=13)
+    write = snapshot_sink(tmp_path, grid)
+    handed = []
+
+    def sink(t, w):
+        handed.append(w.tobytes())
+        write(t, w)
+
+    if runner == "reference":
+        run_reference(grid, w0, 0.05, StepperConfig(dt=0.01), sink, field_every=1)
+    else:
+        run_slab_scheme(grid, w0, uniform_partition(0.05, 2), sink, slab_samples=2)
+    k = np.arange(n) - n // 2  # the fftshift-ed order of the file
+    inside = np.abs(k) < n / 3
+    window = inside[:, None, None] & inside[None, :, None] & inside[None, None, :]
+    zeros = np.zeros((n, n, n, 2))
+    zeros[:, :, (k < 0) & (k > -n // 2), 1] = -0.0
+    paths = sorted(tmp_path.glob("*.vslb"))
+    assert len(paths) == len(handed) == count
+    for path, block in zip(paths, handed):
+        words = np.frombuffer(path.read_bytes(), dtype="<f8", offset=24).reshape(3, n, n, n, 2)
+        outside = words[:, ~window]
+        assert outside.tobytes() == np.broadcast_to(zeros[~window], outside.shape).tobytes()
+        assert grid.kept(load_field(path)[2]).tobytes() == block
 
 
 def test_atomic_open_keeps_the_old_file_when_the_write_fails(tmp_path):

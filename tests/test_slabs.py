@@ -231,7 +231,7 @@ def test_picard_zero_reference_two_iterations(grid8):
 
 
 def test_picard_taylor_green_contracts(grid16, tg16_run):
-    w0 = taylor_green_vorticity(grid16)
+    w0 = grid16.kept(taylor_green_vorticity(grid16))  # the layout of the reference run
     width = 1.0 / 32.0
     sol = picard_solve_slab(grid16, w0, 0.0, width, tol=1e-10, max_iter=20)
     diag = sol.diagnostics
@@ -274,7 +274,7 @@ def test_run_zero_initial(grid8):
 def test_run_beltrami_cancellation(grid16):
     w0 = abc_vorticity(grid16)
     _, traj, solutions = collect_slabs(grid16, w0, uniform_partition(0.5, 4))
-    want = np.exp(-0.5) * w0
+    want = np.exp(-0.5) * grid16.kept(w0)  # the run carries kept blocks
     rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(w0))
     assert rel < 1e-10
     # transport and stretching cancel; only transform roundoff survives
@@ -289,12 +289,12 @@ def test_run_chains_endpoints_exactly(grid8):
         assert np.array_equal(prev.endpoint(), nxt.omega_init)
 
 
-def test_run_states_are_half_spectra(grid8):
+def test_run_states_are_kept_blocks(grid8):
     w0 = taylor_green_vorticity(grid8)
     ref = collect_reference(grid8, w0, 0.02, StepperConfig(dt=0.01), field_every=1)
     _, slab, _ = collect_slabs(grid8, w0, uniform_partition(0.02, 2), slab_samples=2)
     for f in ref.fields + slab.fields:
-        assert f.shape == (3, 8, 8, 5)
+        assert f.shape == (3, 5, 5, 3)  # |k_i| <= 2 on each axis, k_3 = 0 .. 2
 
 
 def test_run_preserves_field_invariants(grid8):
