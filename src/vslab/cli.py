@@ -290,8 +290,9 @@ def cmd_monitor(cfg, snapdir):
         band = 0.0  # the stride-2 monitor needs three samples of times[::2]
         if len(times) >= 5:
             half = estimates.dt_u_margins(times[::2], coarse_l2, coarse_h1, s.enstrophy[::2])
-            common = np.isin(monitor.times, half.times)
-            band = float(np.max(np.abs(monitor.margins[common] - half.margins)))
+            # on uniform times the interior of times[::2] is every other interior sample
+            common = monitor.margins[1::2][: len(half.margins)]
+            band = float(np.max(np.abs(common - half.margins)))
         rows += [
             ("dt_u_min_margin", monitor.min_margin),
             ("dt_u_fd_band", band),
@@ -313,6 +314,30 @@ def cmd_monitor(cfg, snapdir):
     return 0
 
 
+def _pin_malloc_thresholds(n):
+    """Fix glibc's mmap and trim thresholds for a run on an n^3 grid; elsewhere do nothing.
+
+    Left alone, glibc raises its mmap threshold to the size of whichever
+    large array was freed last and trims the heap above twice that, so the
+    arrays each call of the kernel and of the snapshot codec makes are
+    mapped or faulted in afresh.  The threshold is the kernel's (6, n, n,
+    n/2+1) transform stack rounded up to a power of two, capped at glibc's
+    largest on 64-bit systems, 32 MiB; the heap is trimmed only above 32
+    times that.
+    """
+    import ctypes
+
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # from glibc's malloc.h
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        stack = 6 * n * n * (n // 2 + 1) * 16
+        threshold = min(1 << (stack - 1).bit_length(), 32 << 20)
+        mallopt(M_MMAP_THRESHOLD, threshold)
+        mallopt(M_TRIM_THRESHOLD, 32 * threshold)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def cli_dispatch(argv):
     parser = _build_parser()
     try:
@@ -325,6 +350,7 @@ def cli_dispatch(argv):
         return 2
     try:
         cfg = load_config(args.config, overrides=args.overrides)
+        _pin_malloc_thresholds(cfg.n)
         if args.command == "run-ref":
             return cmd_run_ref(cfg)
         if args.command == "run-slab":
@@ -339,7 +365,7 @@ def cli_dispatch(argv):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, slabs.PicardError, BlowUpError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError, slabs.PicardError, BlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

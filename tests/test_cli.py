@@ -699,3 +699,100 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def _set_header_time(path, value):
+    blob = bytearray(path.read_bytes())
+    blob[16:24] = np.float64(value).tobytes()
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("reader", ["monitor", "compare"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_header_time_is_refused(tmp_path, capsys, reader, value):
+    # a NaN time sorted last and passed the duplicate check; compare printed "over [0, nan]"
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snapdir = tmp_path / "out" / "snapshots"
+    _set_header_time(snapdir / "snap_000004.vslb", value)
+    argv = {
+        "monitor": ["monitor", "--config", cfg, str(snapdir)],
+        "compare": ["compare", "--config", cfg, str(snapdir), str(snapdir)],
+    }[reader]
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 1
+    line = _one_error_line(capsys)
+    assert "snap_000004.vslb" in line and "non-finite sample time" in line
+
+
+@pytest.mark.parametrize("reader", ["monitor", "compare"])
+def test_overlong_snapshot_is_a_size_mismatch(tmp_path, capsys, reader):
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snapdir = tmp_path / "out" / "snapshots"
+    path = snapdir / "snap_000002.vslb"
+    path.write_bytes(path.read_bytes() + bytes(16))
+    argv = {
+        "monitor": ["monitor", "--config", cfg, str(snapdir)],
+        "compare": ["compare", "--config", cfg, str(snapdir), str(snapdir)],
+    }[reader]
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 1
+    line = _one_error_line(capsys)
+    assert "snap_000002.vslb: payload size mismatch" in line and "truncated" not in line
+
+
+def test_infinite_span_is_one_error_line(tmp_path, capsys):
+    # the step count int(T / dt) overflows before anything large is allocated
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg, "--set", "T=inf"]) == 1
+    assert "infinity" in _one_error_line(capsys)
+
+
+def _has_mallopt():
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not _has_mallopt(), reason="glibc's mallopt only"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 65 snapshots; glibc's own thresholds made 4.6k faults here
+        ("run-slab", "configs/tg16-slab.cfg", "T=0.125", "slabs=4"),
+        # 100 RK4 steps at 16^3; glibc's own thresholds made 18k faults here
+        ("run-ref", "configs/tg32-ref.cfg", "n=16", "T=0.1"),
+    ],
+    ids=["run-slab", "run-ref"],
+)
+def test_commands_reuse_their_heap(tmp_path, argv):
+    """The per-call arrays of the kernel and the codec come back from the heap.
+
+    With the allocator thresholds fixed (``cli._pin_malloc_thresholds``) a
+    run makes about 250 minor page faults, whatever its length.
+    """
+    command, config, *overrides = argv
+    args = [command, "--config", os.path.join(REPO, config), "--set", f"outdir={tmp_path}"]
+    for item in overrides:
+        args += ["--set", item]
+    code = (
+        "import resource, sys\n"
+        "import vslab.cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"assert vslab.cli.cli_dispatch({args!r}) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    path = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.splitlines()[-1])
+    assert faults < 1000, faults

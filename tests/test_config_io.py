@@ -239,6 +239,98 @@ def test_snapshot_load_is_contiguous_and_equals_the_gather(tmp_path, n):
     assert back.tobytes() == coeffs.tobytes()
 
 
+def _cut_block(grid, seed):
+    return grid.kept(grid.dealias(random_divfree_field(grid, seed=seed)))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_block_encoding_is_the_half_spectrum_encoding(tmp_path, n):
+    grid = Grid(n)
+    for seed in (0, 1, 2):
+        block = _cut_block(grid, seed)
+        persist_field(tmp_path / "block.vslb", block, 0.5, grid)
+        persist_field(tmp_path / "half.vslb", grid.spread(block), 0.5)
+        got = (tmp_path / "block.vslb").read_bytes()
+        assert got == (tmp_path / "half.vslb").read_bytes(), seed
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_block_decode_is_the_kept_block_of_the_half_spectrum(tmp_path, n):
+    grid = Grid(n)
+    path = tmp_path / "snap.vslb"
+    for seed in (3, 4):
+        persist_field(path, grid.spread(_cut_block(grid, seed)), 0.25)
+        got_n, t, block = load_field(path, grid)
+        assert (got_n, t) == (n, 0.25) and block.flags.c_contiguous
+        assert block.tobytes() == grid.kept(load_field(path)[2]).tobytes()
+
+
+def _set_word(path, index, value):
+    """Write the float64 ``value`` over the payload word ``index`` of the (3, n, n, n, 2) words."""
+    blob = bytearray(path.read_bytes())
+    n = struct.unpack_from("<I", blob, 8)[0]
+    offset = 24 + 8 * np.ravel_multi_index(index, (3, n, n, n, 2))
+    struct.pack_into("<d", blob, offset, value)
+    path.write_bytes(bytes(blob))
+
+
+# at 8^3 the file's box [-2, 2]^3 is the rows 2 .. 6 of every axis; one word in
+# each of the six views the decoder tests outside it
+OUTSIDE_8CUBED = [
+    (0, 0, 3, 3, 0),  # k_1 below the box
+    (1, 7, 4, 4, 1),  # k_1 above it
+    (2, 4, 1, 4, 0),  # k_2 below it
+    (0, 3, 7, 5, 1),  # k_2 above it
+    (1, 4, 4, 1, 1),  # k_3 below it, in the half a half spectrum drops
+    (2, 5, 3, 7, 0),  # k_3 above it
+]
+
+
+@pytest.mark.parametrize("index", OUTSIDE_8CUBED)
+def test_block_decode_refuses_a_word_outside_the_cut(tmp_path, index):
+    grid = Grid(8)
+    path = tmp_path / "snap.vslb"
+    persist_field(path, _cut_block(grid, 5), 0.0, grid)
+    _set_word(path, index, 1e-3)
+    there = r"snap.vslb: content outside the 2/3 cut \(max \|w\| there = 1.000e-03\)"
+    with pytest.raises(SnapshotError, match=there):
+        load_field(path, grid)
+    _set_word(path, index, np.nan)
+    with pytest.raises(SnapshotError, match="snap.vslb: non-finite coefficients"):
+        load_field(path, grid)
+
+
+def test_block_decode_refuses_a_sub_tolerance_word_in_the_dropped_half(tmp_path):
+    # the one behaviour change of the block decoder: a nonzero word in the
+    # k_3 < 0 half outside the cut, far below the Hermitian tolerance, passes
+    # the half-spectrum load, which drops that half, and is refused on a block
+    grid = Grid(8)
+    path = tmp_path / "snap.vslb"
+    persist_field(path, _cut_block(grid, 6), 0.0, grid)
+    half = load_field(path)[2]
+    _set_word(path, OUTSIDE_8CUBED[4], 1e-14)
+    assert load_field(path)[2].tobytes() == half.tobytes()
+    with pytest.raises(SnapshotError, match="outside the 2/3 cut"):
+        load_field(path, grid)
+
+
+def test_block_decode_refuses_a_hermitian_defect_inside_the_box(tmp_path):
+    grid = Grid(8)
+    path = tmp_path / "snap.vslb"
+    persist_field(path, _cut_block(grid, 7), 0.0, grid)
+    load_field(path, grid)
+    corrupt_negative_half(path, 8)  # k = (1, -2, -1), inside the box
+    with pytest.raises(SnapshotError, match="snap.vslb: Hermitian symmetry violated"):
+        load_field(path, grid)
+
+
+def test_block_decode_refuses_another_grid_size(tmp_path):
+    path = tmp_path / "snap.vslb"
+    persist_field(path, _cut_block(Grid(8), 8), 0.0, Grid(8))
+    with pytest.raises(SnapshotError, match="grid size 8 differs from 16"):
+        load_field(path, Grid(16))
+
+
 def test_trajectory_save_load(tmp_path):
     grid = Grid(8)
     w = grid.kept(random_divfree_field(grid, seed=5))
@@ -316,6 +408,21 @@ def test_scan_orders_by_time_from_headers_only(tmp_path):
     assert [os.path.basename(p) for p in paths] == ["b.vslb", "c.vslb", "a.vslb"]
     with pytest.raises(SnapshotError, match="c.vslb: Hermitian symmetry violated"):
         load_trajectory(tmp_path)
+
+
+def test_scan_rejects_overlong_payload_as_a_size_mismatch(tmp_path):
+    path = tmp_path / "long.vslb"
+    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
+    path.write_bytes(path.read_bytes() + bytes(16))
+    mismatch = r"long.vslb: payload size mismatch \(3112 bytes, expected 3096\)"
+    with pytest.raises(SnapshotError, match=mismatch):
+        scan_snapshots(tmp_path)
+
+
+def test_scan_rejects_a_non_finite_time(tmp_path):
+    persist_field(tmp_path / "a.vslb", np.zeros((3, 4, 4, 3), dtype=complex), float("nan"))
+    with pytest.raises(SnapshotError, match="a.vslb: non-finite sample time nan"):
+        scan_snapshots(tmp_path)
 
 
 def test_scan_rejects_truncated_payload(tmp_path):
