@@ -10,6 +10,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -69,8 +70,8 @@ class RunConfig:
             "enstrophy_ceiling",
             "ladyzhenskaya_c",
         ):
-            if getattr(self, key) <= 0:
-                bad(key, f"must be positive, got {getattr(self, key)}")
+            if not 0 < getattr(self, key) < math.inf:  # NaN fails both comparisons
+                bad(key, f"must be positive and finite, got {getattr(self, key)}")
         if not 0.0 < self.epsilon0 < 1.0:
             bad("epsilon0", f"must lie in (0,1), got {self.epsilon0}")
         if not 0.0 < self.gamma < 0.25:

@@ -9,8 +9,8 @@ transport and stretching term in rotational form
 an identity for solenoidal u and w.  The product u x w is formed on the
 physical grid with real FFTs, dealiased by the 2/3 rule and curled, which
 leaves it divergence-free with zero mean; ``slab_forcing`` uses the same
-kernel.  States are kept blocks of the 2/3 cut (see ``vslab.spectral``); the
-stepper and the kernel also take half spectra.
+kernel.  States are kept blocks of the 2/3 cut (see ``vslab.spectral``), the
+only layout the kernel takes.
 Diffusion is handled exactly per mode by the integrating factor
 exp(-nu |k|^2 t) inside a classical four-stage Runge-Kutta step, so a
 pure-diffusion problem is advanced exactly.  The state invariants are checked
@@ -52,37 +52,25 @@ class BlowUpError(RuntimeError):
 
 
 def nonlinear_term(grid: Grid, u, w):
-    """curl(u x w), dealiased: divergence-free, with a zero k=0 amplitude.
+    """curl(u x w), dealiased, of two kept blocks: divergence-free, with a zero k=0 amplitude.
 
     For solenoidal u and w this is the transport and stretching term
     (w . grad) u - (u . grad) w.  The 2/3 cut comes before the curl, and on
-    the kept modes kd == k, so the curl needs no projection.  The operands
-    are transformed with real FFTs, six inverse and three forward, from one
-    (6, n, n, n/2+1) stack: kept blocks are spread into the zeroed stack
-    the grid keeps (``Grid._spread_buffer``), and a half spectrum goes into a
-    fresh one.  The result is in the layout of ``w``: the kept block of the
-    forward transform, or that transform cut in place.
+    the kept modes kd == k, so the curl needs no projection.  Both operands
+    are spread into the zeroed (6, n, n, n/2+1) stack the grid keeps
+    (``Grid._spread_buffer``) and transformed with real FFTs, six inverse
+    and three forward; the result is the kept block of the forward
+    transform.  A half spectrum raises ``FieldShapeError``.
     """
     n = grid.n
     scale = float(n**3)
-    blocks = (grid.is_block(u), grid.is_block(w))
-    if all(blocks):
-        stack = grid._spread_buffer((6,))
-    else:
-        stack = np.zeros((6, n, n, n // 2 + 1), dtype=np.complex128)
-    for part, field, block in zip((stack[0:3], stack[3:6]), (u, w), blocks):
-        if block:
-            grid.spread(field * scale, out=part)
-        else:
-            np.multiply(field, scale, out=part)
+    stack = grid._spread_buffer((6,))
+    grid.spread(u * scale, out=stack[0:3])
+    grid.spread(w * scale, out=stack[3:6])
     phys = _fft.irfftn(stack, (n, n, n), (-3, -2, -1), _FFT_WORKERS)
     uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
-    rot = _fft.rfftn(uxw, (-3, -2, -1), _FFT_WORKERS)
-    if blocks[1]:
-        rot = grid._gather(rot)
-        rot *= 1.0 / scale
-    else:
-        rot *= (1.0 / scale) * grid.keep
+    rot = grid._gather(_fft.rfftn(uxw, (-3, -2, -1), _FFT_WORKERS))
+    rot *= 1.0 / scale
     return grid.curl(rot)
 
 
@@ -97,10 +85,10 @@ def vorticity_rhs(grid: Grid, w):
 
 
 def rk4_step(grid: Grid, w, cfg: StepperConfig, rhs=vorticity_rhs, t=0.0):
-    """One integrating-factor RK4 step, 2/3-cut; NaN or enstrophy past the ceiling raises.
+    """One integrating-factor RK4 step; NaN or enstrophy past the ceiling raises.
 
-    ``w`` is a kept block, which holds only the kept modes, or a half
-    spectrum, which is cut after the step.
+    ``w`` is a kept block, which holds only the kept modes, so the step needs
+    no cut; a custom ``rhs`` on another layout must cut its own output.
     """
     dt, nu = cfg.dt, cfg.nu
     e_half = np.exp(-0.5 * nu * dt * grid._tables(w).ksq)
@@ -110,9 +98,6 @@ def rk4_step(grid: Grid, w, cfg: StepperConfig, rhs=vorticity_rhs, t=0.0):
     k3 = rhs(grid, e_half * w + 0.5 * dt * k2)
     k4 = rhs(grid, e_full * w + dt * e_half * k3)
     out = e_full * w + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    if not grid.is_block(out):
-        # cut in place: a fresh array (``grid.dealias``) made glibc trim the heap every step
-        out *= grid.keep
     enstrophy = grid.l2sq(out)
     if not enstrophy <= cfg.enstrophy_ceiling:
         raise BlowUpError(t + dt, enstrophy)

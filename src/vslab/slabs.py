@@ -34,18 +34,22 @@ class PartitionError(ValueError):
 
 
 class PicardError(RuntimeError):
-    """Successive substitution failed to converge on a slab."""
+    """Successive substitution failed to converge on a slab, or its change overflowed."""
 
     def __init__(self, slab_index, diagnostics):
         self.slab_index = slab_index
         self.diagnostics = diagnostics
-        detail = f"last change {diagnostics.changes[-1]:.3g}"
+        last, count = diagnostics.changes[-1], diagnostics.iterations
+        detail = f"last change {last:.3g}"
         if diagnostics.ratios:
             ratios = ", ".join(f"{r:.3g}" for r in diagnostics.ratios[-3:])
             detail += f", last ratios {ratios}"
+        if np.isfinite(last):
+            what = f"no convergence in {count} iterations"
+        else:
+            what = f"non-finite change at iteration {count}"
         super().__init__(
-            f"slab {slab_index}: no convergence in {diagnostics.iterations} iterations "
-            f"({detail}); the slab is too wide for contraction"
+            f"slab {slab_index}: {what} ({detail}); the slab is too wide for contraction"
         )
 
 
@@ -324,6 +328,7 @@ def picard_solve_slab(
     to the reference's velocity average over the slab, which does not depend
     on the iterate.  Convergence is declared when the L2 change of wbar drops
     below ``tol``; the change norms and their ratios are recorded verbatim.
+    An overflowed, non-finite change raises ``PicardError`` at once.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
@@ -340,11 +345,13 @@ def picard_solve_slab(
             grid, omega_init, SlabAverages(omega_bar, u_bar), t_lo, t_hi, nu, index
         )
         new_bar = solution.average()
-        d = float(np.sqrt(grid.l2sq(new_bar - omega_bar)))
-        if diag.changes:
-            last = diag.changes[-1]
-            diag.ratios.append(d / last if last > 0.0 else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = float(np.sqrt(grid.l2sq(new_bar - omega_bar)))
+        if diag.changes:  # each past change is finite and above tol, so positive
+            diag.ratios.append(d / diag.changes[-1])
         diag.changes.append(d)
+        if not np.isfinite(d):
+            raise PicardError(index, diag)
         omega_bar = new_bar
         u_bar = grid.biot_savart(omega_bar) if reference is None else u_ref
         if d <= tol:
@@ -469,9 +476,9 @@ def _coupling_block(grid: Grid, u_bar):
 
         i [(e_p(k).ubar(k-q)) (k.e_r(q)) - (e_p(k).e_r(q)) (k.ubar(k-q))]
 
-    with k-q taken mod n.  The gather needs ubar on the whole cube, so a kept
-    block is spread and the half spectrum expanded, and the mode tables are
-    built here for the full cube; the block is quadratic in the mode count,
+    with k-q taken mod n.  The gather needs ubar on the whole cube, so its
+    kept block is spread and expanded, and the mode tables are built here
+    for the full cube; the block is quadratic in the mode count,
     so grids are limited to 8^3.  Returns the full-cube mode indices (a tuple of three
     index arrays), the polarizations (m, 2, 3) and the (2m, 2m) block, whose
     row and column (p, k) is p*m + k.
@@ -492,9 +499,8 @@ def _coupling_block(grid: Grid, u_bar):
     e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
     pol = np.stack((e1, e2), axis=1)
     diff = tuple((idx[:, None, d] - idx[None, :, d]) % n for d in range(3))
-    if grid.is_block(u_bar):
-        u_bar = grid.spread(u_bar)
-    ub = np.moveaxis(full_spectrum(u_bar)[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
+    u_full = full_spectrum(grid.spread(u_bar))
+    ub = np.moveaxis(u_full[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
     pu = np.einsum("kpc,kqc->pkq", pol, ub)
     ke = np.einsum("kc,qrc->kqr", kv, pol)
     pe = np.einsum("kpc,qrc->pkqr", pol, pol)

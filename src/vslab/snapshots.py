@@ -26,6 +26,7 @@ planes, and writes every other amplitude as +0.0 (the reflected ones as
   time is not finite;
 * for a kept block, any nonzero word outside the box, as "outside the 2/3
   cut", or as "non-finite" when one of them is NaN or infinite;
+* a NaN or infinite amplitude, as "non-finite";
 * a Hermitian defect above SYMMETRY_TOL times the largest amplitude: the
   stored k_3 < 0 half against the reflection of the stored k_3 > 0 half, and
   the self-conjugate planes against their own reflections, so a corrupt
@@ -215,7 +216,10 @@ def load_field(path, grid=None):
     if grid is not None:
         _require_zero_outside(path, payload, box)
     # one component at a time keeps the temporaries to a third of the box
-    defect, largest = np.max([_hermitian_defect(part, box) for part in payload], axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf, from a file refused below
+        defect, largest = np.max([_hermitian_defect(part, box) for part in payload], axis=0)
+    if not math.isfinite(largest):
+        raise SnapshotError(f"{path}: non-finite coefficients (max |w| = {largest})")
     scale = max(1.0, float(largest))
     if defect > SYMMETRY_TOL * scale:
         raise SnapshotError(f"{path}: Hermitian symmetry violated (defect {defect:.3e})")

@@ -18,12 +18,13 @@ planes, which stand for themselves (``Grid.plane_weight``).
 A field that is zero outside the 2/3 cut, as every field the program holds
 is, may also be carried as its kept block (``Grid.kept``), the dense array
 of the kept modes, 3.6 times smaller than its half spectrum.  The solvers
-carry every state in this layout: RK4 stages, Picard iterates, slab
-samples and the fields handed to sinks are kept blocks.  The operators and
-norms that take either layout sum a cut field over its kept block, so both
-layouts give the same bits; the norms also take half spectra with content
-outside the cut, such as transformed samples of a formula.  Transforms
-need the half spectrum, into which a block is spread (``Grid.spread``).
+carry every state in this layout, the only one their kernel takes: RK4
+stages, Picard iterates, slab samples and the fields handed to sinks are
+kept blocks.  The curl, divergence and norms take either layout and sum a
+cut field over its kept block, so both layouts give the same bits; the norms
+also take half spectra with content outside the cut, such as transformed
+samples of a formula.  Transforms need the half spectrum, into which a block
+is spread (``Grid.spread``).
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept

@@ -446,6 +446,12 @@ def test_rerun_into_a_used_outdir_leaves_only_its_own_snapshots(tmp_path, monkey
 UNUSED_SCIPY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.spatial")
 
 
+def _child_env():
+    """The environment of a child Python that imports this checkout's ``vslab``."""
+    path = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_commands_import_no_unused_scipy_subpackage(tmp_path):
     """With SciPy's pocketfft extension bound directly a command imports no scipy module.
 
@@ -465,10 +471,8 @@ def test_commands_import_no_unused_scipy_subpackage(tmp_path):
         "print(_fft.rfftn is not _fft._scipy_rfftn)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    path = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     direct, loaded = proc.stdout.splitlines()[-2:]
@@ -743,10 +747,61 @@ def test_overlong_snapshot_is_a_size_mismatch(tmp_path, capsys, reader):
 
 
 def test_infinite_span_is_one_error_line(tmp_path, capsys):
-    # the step count int(T / dt) overflows before anything large is allocated
+    # refused with the config, before the step count int(T / dt) could overflow
     cfg = write_cfg(tmp_path)
     assert cli_dispatch(["run-ref", "--config", cfg, "--set", "T=inf"]) == 1
-    assert "infinity" in _one_error_line(capsys)
+    assert "T: must be positive and finite" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "key",
+    ["nu", "T", "dt", "sobolev_c", "dt_floor", "picard_tol", "enstrophy_ceiling", "ladyzhenskaya_c"],
+)
+def test_non_finite_positive_value_is_refused_by_key(tmp_path, capsys, key, value):
+    # NaN fails every comparison, so a test of ``value <= 0`` alone passes it
+    cfg = write_cfg(tmp_path)
+    assert cli_dispatch(["run-ref", "--config", cfg, "--set", f"{key}={value}"]) == 1
+    assert f"{key}: must be positive and finite, got {float(value)}" in _one_error_line(capsys)
+
+
+def _run_child(*argv):
+    """``python -m vslab.cli`` in a child process, whose stderr shows numpy's warnings too."""
+    return subprocess.run(
+        [sys.executable, "-m", "vslab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=300,
+    )
+
+
+def test_run_slab_picard_overflow_is_one_error_line(tmp_path):
+    # at nu = 0.01 one slab over (0, 1.5) is far too wide: the Picard change
+    # overflows at iteration 23, and the iterations after it would run on NaN
+    argv = ["--set", f"outdir={tmp_path}", "--set", "nu=0.01", "--set", "slabs=1", "--set", "T=1.5"]
+    proc = _run_child("run-slab", "--config", os.path.join(REPO, "configs", "tg16-slab.cfg"), *argv)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
+    assert "slab 0: non-finite change at iteration 23" in err[0]
+
+
+def test_monitor_refuses_an_infinite_amplitude_in_one_line(tmp_path):
+    # inside the cut, so it reaches the Hermitian check, which forms inf - inf
+    snapdir = tmp_path / "snaps"
+    snapdir.mkdir()
+    grid = Grid(8)
+    for i in range(3):
+        w = random_divfree_field(grid, seed=i + 1).copy()
+        if i == 1:
+            w[0, 1, 1, 1] = np.inf
+        persist_field(snapdir / snapshots.snapshot_name(i), w, 0.1 * i)
+    proc = _run_child("monitor", "--config", write_cfg(tmp_path), str(snapdir))
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
+    assert "snap_000001.vslb: non-finite coefficients (max |w| = inf)" in err[0]
 
 
 def _has_mallopt():
@@ -788,10 +843,8 @@ def test_commands_reuse_their_heap(tmp_path, argv):
         f"assert vslab.cli.cli_dispatch({args!r}) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
-    path = filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     faults = int(proc.stdout.splitlines()[-1])

@@ -253,27 +253,27 @@ def test_ledger_taylor_green_small(grid8):
 
 
 def _zero_averages(grid):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    zeros = grid.kept(np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
     return SlabAverages(zeros, zeros.copy())
 
 
 def test_average_cs_zero_trajectory(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
+    zeros = grid8.kept(np.zeros((3, 8, 8, 5), dtype=complex))
     sol = linear_slab_solve(grid8, zeros, _zero_averages(grid8), 0.0, 0.1, nu=1.0)
     assert abs(average_cs_check(sol)) < 1e-14
 
 
 def test_average_cs_equality_for_constant_trajectory(grid8):
     w0 = random_divfree_field(grid8, seed=11)
-    sol = linear_slab_solve(grid8, w0, _zero_averages(grid8), 0.0, 0.1, nu=1.0)
-    sol.forcing = grid8.ksq * w0  # freezes the state
+    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
+    sol.forcing = grid8.kept(grid8.ksq * w0)  # freezes the state
     assert abs(average_cs_check(sol)) < 1e-12
 
 
 def test_average_cs_single_decaying_mode(grid8):
     w0 = single_mode_vorticity(grid8)
     width = 0.3
-    sol = linear_slab_solve(grid8, w0, _zero_averages(grid8), 0.0, width, nu=1.0)
+    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, width, nu=1.0)
     # |k|^2 = 1: margin = |w0|^2 [ (1-e^{-2D})/(2D) - ((1-e^{-D})/D)^2 ]
     e0 = grid8.l2sq(w0)
     want = e0 * (
@@ -287,7 +287,7 @@ def test_average_cs_single_decaying_mode(grid8):
 @given(seed=st.integers(min_value=0, max_value=2**32), width=st.floats(min_value=0.01, max_value=0.5))
 def test_average_cs_margin_nonnegative(seed, width):
     grid = Grid(8)
-    w0 = random_divfree_field(grid, seed=seed)
+    w0 = grid.kept(random_divfree_field(grid, seed=seed))
     sol = picard_solve_slab(grid, w0, 0.0, width)
     assert average_cs_check(sol) >= -1e-12
 

@@ -14,9 +14,16 @@ from vslab.reference import (
     run_reference,
     vorticity_rhs,
 )
-from vslab.slabs import SlabAverages, run_slab_scheme, slab_forcing, uniform_partition
+from vslab.slabs import (
+    SlabAverages,
+    contraction_diagnostic,
+    run_slab_scheme,
+    slab_forcing,
+    uniform_partition,
+)
 from vslab.spectral import (
     DivergenceError,
+    FieldShapeError,
     Grid,
     MeanModeError,
     abc_vorticity,
@@ -28,12 +35,12 @@ from vslab.spectral import (
 
 
 def test_rhs_zero_field(grid16):
-    w = np.zeros((3, 16, 16, 9), dtype=complex)
+    w = grid16.kept(np.zeros((3, 16, 16, 9), dtype=complex))
     assert np.all(vorticity_rhs(grid16, w) == 0.0)
 
 
 def test_rhs_vanishes_on_beltrami(grid16):
-    w = abc_vorticity(grid16)
+    w = grid16.kept(abc_vorticity(grid16))
     rhs = vorticity_rhs(grid16, w)
     assert np.sqrt(grid16.l2sq(rhs)) < 1e-13
 
@@ -57,7 +64,8 @@ def test_rhs_taylor_green_symbolic_oracle(grid16):
     ]
     fns = [sp.lambdify(xs, sp.expand(e), "numpy") for e in rhs_sym]
     want = np.stack([np.broadcast_to(f(*grid16.x), grid16.x[0].shape) for f in fns])
-    got = grid16.to_physical(vorticity_rhs(grid16, taylor_green_vorticity(grid16)))
+    rhs = vorticity_rhs(grid16, grid16.kept(taylor_green_vorticity(grid16)))
+    got = grid16.to_physical(grid16.spread(rhs))
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -66,10 +74,10 @@ def test_rhs_postconditions():
     for n in (8, 16, 24, 32):
         grid = Grid(n)
         for w in (random_divfree_field(grid, seed=101), taylor_green_vorticity(grid)):
-            rhs = vorticity_rhs(grid, w)
+            rhs = vorticity_rhs(grid, grid.kept(w))
             assert grid.divergence_rel(rhs) < 1e-14
-            assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0
-            assert hermitian_defect(full_spectrum(rhs)) < 1e-13
+            assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0  # the block starts at k = 0
+            assert hermitian_defect(full_spectrum(grid.spread(rhs))) < 1e-13
 
 
 @pytest.mark.parametrize("seed, n", [(1, 8), (1, 16), (5, 8), (5, 16), (5, 24)])
@@ -82,20 +90,36 @@ def test_rhs_matches_curl_of_convective_velocity_rhs(n, seed):
     grid = Grid(n)
     u = random_divfree_field(grid, seed=seed)
     want = grid.curl(velocity_rhs(grid, u))
-    got = vorticity_rhs(grid, grid.curl(u))
+    got = grid.spread(vorticity_rhs(grid, grid.kept(grid.curl(u))))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_slab_forcing_is_the_rhs_kernel(grid8):
-    w = random_divfree_field(grid8, seed=11)
+    w = grid8.kept(random_divfree_field(grid8, seed=11))
     forcing = slab_forcing(grid8, SlabAverages(w, grid8.biot_savart(w)))
     assert np.array_equal(forcing, vorticity_rhs(grid8, w))
 
 
 def test_kernel_output_is_hermitian(grid16):
-    w = random_divfree_field(grid16, seed=13)
-    out = full_spectrum(nonlinear_term(grid16, grid16.biot_savart(w), w))
+    w = grid16.kept(random_divfree_field(grid16, seed=13))
+    out = full_spectrum(grid16.spread(nonlinear_term(grid16, grid16.biot_savart(w), w)))
     assert hermitian_defect(out) <= 1e-15 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        vorticity_rhs,
+        lambda grid, w: rk4_step(grid, w, StepperConfig(dt=0.01)),
+        lambda grid, w: slab_forcing(grid, SlabAverages(w, grid.biot_savart(w))),
+        lambda grid, w: contraction_diagnostic(grid, SlabAverages(w, grid.biot_savart(w)), 1.0),
+    ],
+    ids=["vorticity_rhs", "rk4_step", "slab_forcing", "contraction_diagnostic"],
+)
+def test_solvers_refuse_a_half_spectrum(grid8, solver):
+    # kept blocks are the one layout of the solver states (``Grid.kept``)
+    with pytest.raises(FieldShapeError):
+        solver(grid8, random_divfree_field(grid8, seed=19))
 
 
 def test_rhs_transform_count(grid8, monkeypatch):
@@ -116,7 +140,7 @@ def test_rhs_transform_count(grid8, monkeypatch):
 
     for name in ("rfftn", "irfftn"):
         counting(name)
-    vorticity_rhs(grid8, random_divfree_field(grid8, seed=17))
+    vorticity_rhs(grid8, grid8.kept(random_divfree_field(grid8, seed=17)))
     assert sorted(done) == [("irfftn", 6), ("rfftn", 3)]
 
 
@@ -131,7 +155,7 @@ def test_step_pure_diffusion_is_exact(grid8):
 
 
 def test_step_beltrami_single_step(grid16):
-    w = abc_vorticity(grid16)
+    w = grid16.kept(abc_vorticity(grid16))
     cfg = StepperConfig(dt=0.01, nu=1.0)
     stepped = rk4_step(grid16, w, cfg)
     rel = np.sqrt(grid16.l2sq(stepped - np.exp(-cfg.dt) * w) / grid16.l2sq(w))

@@ -1,5 +1,7 @@
 """Slab scheme: partitions, closed-form solves, averaging, Picard iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 from oracles import collect_reference, collect_slabs
@@ -33,7 +35,7 @@ from vslab.trajectory import Trajectory
 
 
 def zero_trajectory(grid, T):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    zeros = grid.kept(np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
     times = np.array([0.0, T])
     fields = [zeros, zeros.copy()]
     return Trajectory(grid=grid, nu=1.0, times=times, fields=fields)
@@ -124,34 +126,34 @@ def test_adaptive_partition_reports_unsatisfiable_rule(grid8):
 
 
 def _zero_averages(grid):
-    zeros = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
+    zeros = grid.kept(np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
     return SlabAverages(omega_bar=zeros, u_bar=zeros.copy())
 
 
 def test_slab_solve_pure_diffusion(grid8):
     w0 = random_divfree_field(grid8, seed=71)
-    sol = linear_slab_solve(grid8, w0, _zero_averages(grid8), 0.0, 0.05, nu=1.0)
+    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.05, nu=1.0)
     assert np.all(sol.forcing == 0.0)
     want = np.exp(-grid8.ksq * 0.03) * w0
-    assert np.max(np.abs(sol.at(0.03) - want)) < 1e-15
+    assert np.max(np.abs(grid8.spread(sol.at(0.03)) - want)) < 1e-15
 
 
 def test_slab_solve_duhamel_from_rest(grid8):
-    w_bar = random_divfree_field(grid8, seed=73)
+    w_bar = grid8.kept(random_divfree_field(grid8, seed=73))
     u_bar = grid8.biot_savart(w_bar)
     averages = SlabAverages(w_bar, u_bar)
     zeros = np.zeros_like(w_bar)
     sol = linear_slab_solve(grid8, zeros, averages, 0.0, 0.05, nu=1.0)
     a = grid8.ksq.copy()
     a[0, 0, 0] = 1.0  # forcing is pinned to zero at k=0
-    want = sol.forcing * (1.0 - np.exp(-a * 0.05)) / a
-    assert np.max(np.abs(sol.endpoint() - want)) < 1e-15
+    want = grid8.spread(sol.forcing) * (1.0 - np.exp(-a * 0.05)) / a
+    assert np.max(np.abs(grid8.spread(sol.endpoint()) - want)) < 1e-15
 
 
 def test_slab_solve_against_fine_stepper_oracle(grid8):
     """Closed form vs a dt=1e-5 integrating-factor stepper on the same ODEs."""
-    w0 = random_divfree_field(grid8, seed=79)
-    w_bar = random_divfree_field(grid8, seed=83)
+    w0 = grid8.kept(random_divfree_field(grid8, seed=79))
+    w_bar = grid8.kept(random_divfree_field(grid8, seed=83))
     averages = SlabAverages(w_bar, grid8.biot_savart(w_bar))
     sol = linear_slab_solve(grid8, w0, averages, 0.0, 0.05, nu=1.0)
     forcing = sol.forcing
@@ -182,26 +184,26 @@ def test_slab_at_matches_decay_plus_duhamel_formula(grid8):
 def test_slab_average_constant_trajectory(grid8):
     # forcing balancing diffusion exactly freezes the state
     w0 = random_divfree_field(grid8, seed=89)
-    sol = linear_slab_solve(grid8, w0, _zero_averages(grid8), 0.0, 0.1, nu=1.0)
-    sol.forcing = grid8.ksq * w0
-    assert np.max(np.abs(sol.at(0.07) - w0)) < 1e-14
-    assert np.max(np.abs(sol.average() - w0)) < 1e-14
+    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
+    sol.forcing = grid8.kept(grid8.ksq * w0)
+    assert np.max(np.abs(grid8.spread(sol.at(0.07)) - w0)) < 1e-14
+    assert np.max(np.abs(grid8.spread(sol.average()) - w0)) < 1e-14
 
 
 def test_slab_average_pure_decay(grid8):
     w0 = random_divfree_field(grid8, seed=97)
     width = 0.2
-    sol = linear_slab_solve(grid8, w0, _zero_averages(grid8), 0.0, width, nu=1.0)
+    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, width, nu=1.0)
     a = grid8.ksq.copy()
     a[0, 0, 0] = 1.0
     want = w0 * (1.0 - np.exp(-a * width)) / (a * width)
     want[:, 0, 0, 0] = w0[:, 0, 0, 0]
-    assert np.max(np.abs(sol.average() - want)) < 1e-14
+    assert np.max(np.abs(grid8.spread(sol.average()) - want)) < 1e-14
 
 
 def test_slab_average_against_simpson(grid8):
-    w0 = random_divfree_field(grid8, seed=101)
-    w_bar = random_divfree_field(grid8, seed=103)
+    w0 = grid8.kept(random_divfree_field(grid8, seed=101))
+    w_bar = grid8.kept(random_divfree_field(grid8, seed=103))
     averages = SlabAverages(w_bar, grid8.biot_savart(w_bar))
     sol = linear_slab_solve(grid8, w0, averages, 0.0, 0.08, nu=1.0)
     ts = np.linspace(0.0, 0.08, 257)
@@ -214,7 +216,7 @@ def test_slab_average_against_simpson(grid8):
 
 
 def test_picard_zero_initial_one_iteration(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
+    zeros = grid8.kept(np.zeros((3, 8, 8, 5), dtype=complex))
     sol = picard_solve_slab(grid8, zeros, 0.0, 0.1)
     assert sol.diagnostics.converged
     assert sol.diagnostics.iterations == 1
@@ -223,11 +225,12 @@ def test_picard_zero_initial_one_iteration(grid8):
 
 def test_picard_zero_reference_two_iterations(grid8):
     w0 = random_divfree_field(grid8, seed=107)
-    sol = picard_solve_slab(grid8, w0, 0.0, 0.9, reference=zero_trajectory(grid8, 1.0))
+    zero_ref = zero_trajectory(grid8, 1.0)
+    sol = picard_solve_slab(grid8, grid8.kept(w0), 0.0, 0.9, reference=zero_ref)
     assert sol.diagnostics.converged
     assert sol.diagnostics.iterations <= 2
     want = np.exp(-grid8.ksq * 0.9) * w0
-    assert np.max(np.abs(sol.endpoint() - want)) < 1e-14
+    assert np.max(np.abs(grid8.spread(sol.endpoint()) - want)) < 1e-14
 
 
 def test_picard_taylor_green_contracts(grid16, tg16_run):
@@ -242,15 +245,29 @@ def test_picard_taylor_green_contracts(grid16, tg16_run):
 
 
 def test_picard_failure_carries_ratio_history(grid8):
-    w0 = 50.0 * taylor_green_vorticity(grid8)
+    w0 = grid8.kept(50.0 * taylor_green_vorticity(grid8))
     with pytest.raises(PicardError) as err:
         picard_solve_slab(grid8, w0, 0.0, 0.5, max_iter=8)
     assert err.value.diagnostics.iterations == 8
     assert len(err.value.diagnostics.ratios) > 0
 
 
+def test_picard_stops_at_the_first_non_finite_change(grid16):
+    # at nu = 0.01 one slab over (0, 1.5) is far too wide: the iterates grow
+    # until the change overflows, 22 finite changes in
+    w0 = grid16.kept(taylor_green_vorticity(grid16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PicardError, match="non-finite change") as err:
+            picard_solve_slab(grid16, w0, 0.0, 1.5, nu=0.01)
+    diag = err.value.diagnostics
+    assert diag.iterations == 23 and len(diag.changes) == 23
+    assert np.all(np.isfinite(diag.changes[:-1])) and not np.isfinite(diag.changes[-1])
+    assert len(diag.ratios) == 22 and not np.isfinite(diag.ratios[-1])
+
+
 def test_fixed_point_residual(grid8):
-    w0 = taylor_green_vorticity(grid8)
+    w0 = grid8.kept(taylor_green_vorticity(grid8))
     tol = 1e-10
     sol = picard_solve_slab(grid8, w0, 0.0, 0.0625, tol=tol)
     rerun = linear_slab_solve(
@@ -385,24 +402,25 @@ def test_contraction_diagnostic_bounds_measured_ratio(grid8):
 @pytest.mark.parametrize("which", ["taylor-green", "random-5"])
 def test_coupling_block_is_the_slab_forcing_kernel(grid8, which):
     w = taylor_green_vorticity(grid8) if which == "taylor-green" else random_divfree_field(grid8, 5)
-    u_bar = grid8.biot_savart(w)
+    u_bar = grid8.biot_savart(grid8.kept(w))
     pick, pol, block = _coupling_block(grid8, u_bar)
 
-    def components(f):  # e_r(q).f(q) at the retained modes, row r*m + q
-        return np.einsum("qrc,cq->rq", pol, full_spectrum(f)[(slice(None),) + pick]).ravel()
+    def components(f):  # e_r(q).f(q) of a kept block at the retained modes, row r*m + q
+        full = full_spectrum(grid8.spread(f))
+        return np.einsum("qrc,cq->rq", pol, full[(slice(None),) + pick]).ravel()
 
     for seed in (1, 2, 3):
-        v = random_divfree_field(grid8, seed)
+        v = grid8.kept(random_divfree_field(grid8, seed))
         want = components(slab_forcing(grid8, SlabAverages(v, u_bar)))
         got = block @ components(v)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_contraction_diagnostic_pinned_pairs(grid8):
-    w = random_divfree_field(grid8, 5)
+    w = grid8.kept(random_divfree_field(grid8, 5))
     frozen = contraction_diagnostic(grid8, SlabAverages(w, grid8.biot_savart(w)), nu=1.0)
     assert frozen == pytest.approx((0.9788975345450147, 0.08153688505774054), rel=1e-13)
-    sol = picard_solve_slab(grid8, taylor_green_vorticity(grid8), 0.0, 1.0 / 32.0)
+    sol = picard_solve_slab(grid8, grid8.kept(taylor_green_vorticity(grid8)), 0.0, 1.0 / 32.0)
     converged = contraction_diagnostic(grid8, sol.averages, nu=1.0)
     assert converged == pytest.approx((0.9997102324635988, 0.08330917903950304), rel=1e-13)
 
