@@ -74,6 +74,11 @@ class RunConfig:
                 bad(key, f"must be positive and finite, got {getattr(self, key)}")
         if not 0.0 < self.epsilon0 < 1.0:
             bad("epsilon0", f"must lie in (0,1), got {self.epsilon0}")
+        try:  # the ledger's Gronwall bound over the whole span
+            math.exp((1.0 - self.epsilon0) * self.T)
+        except OverflowError:
+            why = "the Gronwall bound exp((1 - epsilon0) * T) overflows"
+            bad("T", f"{why} at epsilon0 = {self.epsilon0}, got {self.T}")
         if not 0.0 < self.gamma < 0.25:
             bad("gamma", f"must lie in (0,1/4), got {self.gamma}")
         for key in ("slabs", "picard_max_iter", "scalar_every", "field_every"):

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vslab import _fft
-from vslab.spectral import Grid, _FFT_WORKERS, _cross
+from vslab.spectral import Grid, _cross
 from vslab.trajectory import ScalarSeries, scalar_record, series_from_records
 
 
@@ -57,21 +56,14 @@ def nonlinear_term(grid: Grid, u, w):
     For solenoidal u and w this is the transport and stretching term
     (w . grad) u - (u . grad) w.  The 2/3 cut comes before the curl, and on
     the kept modes kd == k, so the curl needs no projection.  Both operands
-    are spread into the zeroed (6, n, n, n/2+1) stack the grid keeps
-    (``Grid._spread_buffer``) and transformed with real FFTs, six inverse
-    and three forward; the result is the kept block of the forward
-    transform.  A half spectrum raises ``FieldShapeError``.
+    go to physical space together (``Grid.block_to_physical``, six fields)
+    and the product comes back as a kept block (``Grid.physical_to_block``,
+    three), each transform on the lines the cut keeps only.  A half spectrum
+    raises ``FieldShapeError``.
     """
-    n = grid.n
-    scale = float(n**3)
-    stack = grid._spread_buffer((6,))
-    grid.spread(u * scale, out=stack[0:3])
-    grid.spread(w * scale, out=stack[3:6])
-    phys = _fft.irfftn(stack, (n, n, n), (-3, -2, -1), _FFT_WORKERS)
-    uxw = _cross(phys[0:3], phys[3:6], np.empty((3, n, n, n)))
-    rot = grid._gather(_fft.rfftn(uxw, (-3, -2, -1), _FFT_WORKERS))
-    rot *= 1.0 / scale
-    return grid.curl(rot)
+    phys = grid.block_to_physical(u, w)
+    uxw = _cross(phys[0:3], phys[3:6], np.empty(phys[0:3].shape))
+    return grid.curl(grid.physical_to_block(uxw))
 
 
 def vorticity_rhs(grid: Grid, w):

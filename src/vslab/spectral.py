@@ -23,8 +23,10 @@ stages, Picard iterates, slab samples and the fields handed to sinks are
 kept blocks.  The curl, divergence and norms take either layout and sum a
 cut field over its kept block, so both layouts give the same bits; the norms
 also take half spectra with content outside the cut, such as transformed
-samples of a formula.  Transforms need the half spectrum, into which a block
-is spread (``Grid.spread``).
+samples of a formula.  A kept block goes to physical samples and back
+without its half spectrum (``Grid.block_to_physical`` and
+``physical_to_block``): the transforms run axis by axis on the lines the cut
+leaves nonzero, with the bits of the whole-cube ``irfftn`` and ``rfftn``.
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
@@ -101,11 +103,15 @@ def _density(c):
 
 
 def _cross(a, b, out):
-    """Pointwise a x b over the leading axis of length 3, written to ``out``."""
+    """Pointwise a x b over the leading axis of length 3, written to ``out``.
+
+    One temporary of a component's shape holds the subtracted products.
+    """
+    tmp = np.empty_like(out[0])
     for i in range(3):
         j, l = (i + 1) % 3, (i + 2) % 3
         np.multiply(a[j], b[l], out=out[i])
-        out[i] -= a[l] * b[j]
+        out[i] -= np.multiply(a[l], b[j], out=tmp)
     return out
 
 
@@ -176,7 +182,7 @@ class Grid:
                 self.plane_weight[:kk],
             ),
         }
-        self._spread_buffers = {}  # one zeroed half spectrum per leading shape
+        self._spread_buffers = {}  # block_to_physical's half spectrum per leading shape
         self.cell_volume = (TWO_PI / n) ** 3
 
     @functools.cached_property
@@ -245,10 +251,10 @@ class Grid:
         return self._tables(arr) is self._layouts[self._block_shape]
 
     def _spread_buffer(self, lead):
-        """A zeroed half spectrum with leading shape ``lead``, kept by the grid and reused.
+        """A half spectrum with leading shape ``lead``, kept by the grid and reused.
 
-        Its users spread kept blocks into it and write nothing else, so it
-        stays zero outside the cut.
+        Only ``block_to_physical`` writes it, and only on k_3 = 0 .. kmax,
+        each entry before it reads it, so it stays zero for k_3 > kmax.
         """
         if lead not in self._spread_buffers:
             self._spread_buffers[lead] = np.zeros(lead + self._half_shape, dtype=np.complex128)
@@ -263,15 +269,10 @@ class Grid:
         self._check_shape(field)
         return None if self._outside(field) else self._gather(field)
 
-    def spread(self, block, out=None):
-        """The half spectrum of a kept block, zero outside the cut.
-
-        ``out``, a half spectrum that is already zero outside the cut, is
-        written in place of a new array.
-        """
+    def spread(self, block):
+        """The half spectrum of a kept block, zero outside the cut."""
         self._check_shape(block, self._block_shape)
-        if out is None:
-            out = np.zeros(block.shape[:-3] + self._half_shape, dtype=block.dtype)
+        out = np.zeros(block.shape[:-3] + self._half_shape, dtype=block.dtype)
         kk = self._block_shape[-1]
         for block1, half1 in self._runs:
             for block2, half2 in self._runs:
@@ -279,6 +280,67 @@ class Grid:
         return out
 
     # -- transforms ---------------------------------------------------------
+
+    def block_to_physical(self, *blocks):
+        """Physical samples of kept blocks, stacked on a leading axis when there are several.
+
+        Each block is pre-scaled by n^3 as it is spread along k_1, and the
+        complex pass along the axis -3 runs on the kept k_2 rows only.  They
+        are then spread along k_2, a pass along the axis -2 runs on k_3 = 0 ..
+        kmax, and one c2r along the last axis, scaled by 1/n^3, gives the
+        samples.  That is the order of pocketfft's own passes, with the
+        scale where the whole-cube ``irfftn`` applies it, so the samples are
+        its bits.  The passes run in a half spectrum the grid keeps
+        (``_spread_buffer``), one per leading shape.  Several blocks must be
+        vector fields; a half spectrum raises ``FieldShapeError``.
+        """
+        for block in blocks:
+            self._check_shape(block, self._block_shape)
+        if len(blocks) > 1 and any(block.ndim == 3 for block in blocks):
+            raise FieldShapeError("only vector blocks are stacked")
+        n, scale = self.n, float(self.n**3)
+        kb, _, kk = self._block_shape
+        lead = blocks[0].shape[:-3] if len(blocks) == 1 else (3 * len(blocks),)
+        buf = self._spread_buffer(lead)
+        planes = buf.reshape(-1, *self._half_shape)[..., :kk]  # k_3 > kmax stays zero
+        # spread along k_1 only: k_2 stays in block order, on the rows 0 .. kb-1
+        part = planes[:, :, :kb]
+        part[:, self._cut_rows] = 0
+        for i, block in enumerate(blocks):
+            for block1, half1 in self._runs:
+                out = part[3 * i : 3 * i + 3, half1]
+                np.multiply(block[..., block1, :, :], scale, out=out)
+        _fft.fft(part, -3, False, _FFT_WORKERS, out=part)
+        # spread along k_2: the rows 0 .. kmax are in place, -kmax .. -1 move up
+        # to rows past kb, so the copy does not overlap
+        (_, _), (block2, half2) = self._runs
+        planes[:, :, half2] = planes[:, :, block2]
+        planes[:, :, self._cut_rows] = 0
+        _fft.fft(planes, -2, False, _FFT_WORKERS, out=planes)
+        phys = _fft.irfftn(buf, (n,), (-1,), _FFT_WORKERS, norm="forward")
+        phys *= 1.0 / scale
+        return phys
+
+    def physical_to_block(self, values):
+        """The kept block of the amplitudes of physical samples.
+
+        One r2c along the last axis, a complex pass along the axis -3 on
+        k_3 = 0 .. kmax and one along the axis -2 on the kept k_1 rows, in
+        pocketfft's order, then the gather and a multiplication by 1/n^3:
+        the bits of the kept block of ``rfftn`` times 1/n^3 (``to_spectral``
+        divides instead, which may differ in the last bit).
+        """
+        self._check_shape(values, (self.n,) * 3)
+        kk = self._block_shape[-1]
+        half = _fft.rfftn(values, (-1,), _FFT_WORKERS)
+        planes = half[..., :kk]
+        _fft.fft(planes, -3, True, _FFT_WORKERS, out=planes)
+        for _, half1 in self._runs:
+            rows = planes[..., half1, :, :]
+            _fft.fft(rows, -2, True, _FFT_WORKERS, out=rows)
+        block = self._gather(half)
+        block *= 1.0 / self.n**3
+        return block
 
     def to_spectral(self, values):
         """Forward real transform of physical samples to half-spectrum amplitudes."""
@@ -428,16 +490,15 @@ class Grid:
     def l4(self, coeffs):
         """L4 norm of |field| evaluated on the physical grid quadrature.
 
-        A kept block is spread into a zeroed half spectrum the grid keeps
-        (``_spread_buffer``).
+        A kept block is sampled with ``block_to_physical``, a half spectrum
+        with the whole-cube inverse transform; both give the same bits.
         """
         n = self.n
         if self.is_block(coeffs):
-            scaled = self.spread(coeffs * n**3, out=self._spread_buffer(coeffs.shape[:-3]))
+            mag_sq = self.block_to_physical(coeffs)
         else:
-            scaled = coeffs * n**3
+            mag_sq = _fft.irfftn(coeffs * n**3, (n, n, n), _AXES, _FFT_WORKERS)
         # squared in place: the same bits as the sums of the squares
-        mag_sq = _fft.irfftn(scaled, (n, n, n), _AXES, _FFT_WORKERS)
         np.square(mag_sq, out=mag_sq)
         if mag_sq.ndim == 4:
             mag_sq = np.sum(mag_sq, axis=0)

@@ -787,6 +787,17 @@ def test_run_slab_picard_overflow_is_one_error_line(tmp_path):
     assert "slab 0: non-finite change at iteration 23" in err[0]
 
 
+def test_run_slab_huge_span_is_one_error_line(tmp_path):
+    # refused with the config: the ledger's exp((1 - epsilon0) * T) would
+    # overflow after the whole run, which _psi's squares overflow on the way
+    argv = ["--set", f"outdir={tmp_path}", "--set", "n=8", "--set", "T=1e300"]
+    proc = _run_child("run-slab", "--config", os.path.join(REPO, "configs", "tg16-slab.cfg"), *argv)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
+    assert "T: the Gronwall bound exp((1 - epsilon0) * T) overflows at epsilon0 = 0.5" in err[0]
+
+
 def test_monitor_refuses_an_infinite_amplitude_in_one_line(tmp_path):
     # inside the cut, so it reaches the Hermitian check, which forms inf - inf
     snapdir = tmp_path / "snaps"

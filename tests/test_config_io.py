@@ -45,6 +45,13 @@ def test_config_range_error_names_key():
         parse_config_text("epsilon0 = 1.5\n")
 
 
+def test_config_refuses_a_span_whose_gronwall_bound_overflows():
+    # exp(709.78) is the largest finite double
+    assert parse_config_text("epsilon0 = 0.5\nT = 1419\n").T == 1419.0
+    with pytest.raises(ConfigError, match=r"T: the Gronwall bound .* at epsilon0 = 0.5, got 1420"):
+        parse_config_text("epsilon0 = 0.5\nT = 1420\n")
+
+
 @pytest.mark.parametrize("key", ["provider", "policy"])
 def test_config_rejects_unknown_choice(key):
     with pytest.raises(ConfigError, match=f"{key}: must be one of"):

@@ -123,25 +123,41 @@ def test_solvers_refuse_a_half_spectrum(grid8, solver):
 
 
 def test_rhs_transform_count(grid8, monkeypatch):
-    """One RHS is 6 inverse and 3 forward real n^3 transforms through ``vslab._fft``."""
+    """One RHS transforms, pass by pass, only the lines the 2/3 cut leaves nonzero.
+
+    At 8^3 the cut keeps k_i = -2 .. 2 on the axes -3 and -2 (5 of 8 rows)
+    and k_3 = 0 .. 2 (3 of the 5 stored planes).  The six inverse fields go
+    along k_1 on the kept (k_2, k_3) lines only, then along k_2 on the kept
+    k_3 planes, then along k_3 on all n^2 lines; the three forward fields
+    go back the same way, the last pass on the kept k_1 rows in their two
+    runs, 0 .. 2 and -2 .. -1.  The whole-cube transforms would make
+    240, 240 and 384 inverse and 192, 120 and 120 forward lines.
+    """
     done = []
 
-    def counting(name):
+    def counting(name, axis_of):
         original = getattr(_fft, name)
 
-        def wrapper(x, *args):
-            out = original(x, *args)
-            real = out if name == "irfftn" else x
-            assert real.shape[-3:] == (8, 8, 8)
-            done.append((name, real.size // 8**3))
-            return out
+        def wrapper(x, *args, **kwargs):
+            done.append((name, axis_of(*args), x.shape))
+            return original(x, *args, **kwargs)
 
         monkeypatch.setattr(_fft, name, wrapper)
 
-    for name in ("rfftn", "irfftn"):
-        counting(name)
+    counting("fft", lambda axis, *rest: axis)
+    counting("rfftn", lambda axes, workers: axes)
+    counting("irfftn", lambda s, axes, workers: axes)
     vorticity_rhs(grid8, grid8.kept(random_divfree_field(grid8, seed=17)))
-    assert sorted(done) == [("irfftn", 6), ("rfftn", 3)]
+    # (function, axis, input shape): the lines are the size over the axis length
+    assert done == [
+        ("fft", -3, (6, 8, 5, 3)),
+        ("fft", -2, (6, 8, 8, 3)),
+        ("irfftn", (-1,), (6, 8, 8, 5)),
+        ("rfftn", (-1,), (3, 8, 8, 8)),
+        ("fft", -3, (3, 8, 8, 3)),
+        ("fft", -2, (3, 3, 8, 3)),
+        ("fft", -2, (3, 2, 8, 3)),
+    ]
 
 
 def test_step_pure_diffusion_is_exact(grid8):

@@ -13,6 +13,7 @@ from vslab.spectral import (
     _FFT_WORKERS,
     BOX_VOLUME,
     DivergenceError,
+    FieldShapeError,
     Grid,
     MeanModeError,
     abc_velocity,
@@ -157,6 +158,15 @@ def test_fft_binding_matches_scipy_fft_bit_for_bit(n, fields):
     half = half * (1.0 + 0.25j)  # not Hermitian on the self-conjugate planes
     want = scipy.fft.irfftn(half, s=(n, n, n), axes=AXES, workers=_FFT_WORKERS)
     assert same_bits(_fft.irfftn(half, (n, n, n), AXES, _FFT_WORKERS), want)
+    want = scipy.fft.irfft(half, n=n, norm="forward", workers=_FFT_WORKERS)
+    assert same_bits(_fft.irfftn(half, (n,), (-1,), _FFT_WORKERS, norm="forward"), want)
+    for axis in (-3, -2):
+        want = scipy.fft.fft(half, axis=axis, workers=_FFT_WORKERS)
+        assert same_bits(_fft.fft(half, axis, True, _FFT_WORKERS), want)
+        want = scipy.fft.ifft(half, axis=axis, norm="forward", workers=_FFT_WORKERS)
+        got = half.copy()
+        assert _fft.fft(got, axis, False, _FFT_WORKERS, out=got) is got
+        assert same_bits(got, want)
 
 
 def test_fft_binding_is_the_extension_where_it_exists():
@@ -164,6 +174,10 @@ def test_fft_binding_is_the_extension_where_it_exists():
         pytest.skip("the installed SciPy has no pocketfft extension file")
     assert _fft.rfftn is not _fft._scipy_rfftn
     assert _fft.irfftn is not _fft._scipy_irfftn
+    assert _fft.fft is not _fft._scipy_fft
+
+
+_EXTENSION = "from scipy.fft._pocketfft.pypocketfft import r2c, c2r, c2c as _c2c\n"
 
 
 @pytest.mark.parametrize(
@@ -173,20 +187,76 @@ def test_fft_binding_is_the_extension_where_it_exists():
         "c2r = None\n",  # a module without r2c
         "def r2c(x, axes):\n    return x\n\ndef c2r(x, axes):\n    return x\n",  # changed signatures
         "def r2c(*args):\n    return 0.0\n\ndef c2r(*args):\n    return 0.0\n",  # wrong numbers
+        # the real r2c and c2r with a complex transform that is
+        "from scipy.fft._pocketfft.pypocketfft import r2c, c2r\n",  # missing,
+        _EXTENSION + "def c2c(x, axes):\n    return x\n",  # of another signature,
+        _EXTENSION + "def c2c(*args):\n    return 0.0\n",  # wrong,
+        _EXTENSION  # scaled by 1/n,
+        + "def c2c(a, axes, forward, inorm, out, nthreads):\n"
+        "    return _c2c(a, axes, forward, 2, out, nthreads)\n",
+        _EXTENSION  # or not written into ``out``
+        + "def c2c(a, axes, forward, inorm, out, nthreads):\n"
+        "    return _c2c(a, axes, forward, inorm, None, nthreads)\n",
     ],
 )
 def test_fft_binding_falls_back_to_public_scipy_fft(tmp_path, source):
     path = tmp_path / "pypocketfft.py"
     if source is not None:
         path.write_text(source)
-    rfftn, irfftn = _fft.bind(str(path))
-    assert (rfftn, irfftn) == (_fft._scipy_rfftn, _fft._scipy_irfftn)
+    rfftn, irfftn, fft = _fft.bind(str(path))
+    assert (rfftn, irfftn, fft) == (_fft._scipy_rfftn, _fft._scipy_irfftn, _fft._scipy_fft)
     vals = samples(8, 6, seed=3)
     half = rfftn(vals, AXES, _FFT_WORKERS)
     assert same_bits(half, _fft.rfftn(vals, AXES, _FFT_WORKERS))
     assert same_bits(
         irfftn(half, (8, 8, 8), AXES, _FFT_WORKERS), _fft.irfftn(half, (8, 8, 8), AXES, _FFT_WORKERS)
     )
+    assert same_bits(
+        irfftn(half, (8,), (-1,), _FFT_WORKERS, norm="forward"),
+        _fft.irfftn(half, (8,), (-1,), _FFT_WORKERS, norm="forward"),
+    )
+    for forward in (True, False):
+        got = half.copy()
+        assert fft(got, -2, forward, _FFT_WORKERS, out=got) is got
+        assert same_bits(got, _fft.fft(half, -2, forward, _FFT_WORKERS))
+
+
+# -- transforms pruned to the 2/3 cut ------------------------------------------
+
+
+def _whole_cube_samples(grid, blocks):
+    """The samples of kept blocks through the spread and the whole-cube irfftn."""
+    n = grid.n
+    half = [grid.spread(b * float(n**3)) for b in blocks]
+    half = half[0] if len(half) == 1 else np.concatenate(half)
+    return _fft.irfftn(half, (n, n, n), AXES, _FFT_WORKERS)
+
+
+@pytest.mark.parametrize("n", [6, 8, 16, 24, 32])
+def test_pruned_transforms_are_the_whole_cube_ones_bit_for_bit(n):
+    grid = Grid(n)
+    u, w = (grid.kept(random_divfree_field(grid, seed=n + i)) for i in range(2))
+    # twice each, and the buffer of each leading shape shared in between
+    for blocks in ((u, w), (w, u), (u,), (u[2],), (w,), (w[0],), (u, w)):
+        assert same_bits(grid.block_to_physical(*blocks), _whole_cube_samples(grid, blocks))
+    for fields in (3, 1):
+        vals = samples(n, fields, seed=n)
+        want = grid._gather(_fft.rfftn(vals, AXES, _FFT_WORKERS))
+        want *= 1.0 / n**3
+        assert same_bits(grid.physical_to_block(vals), want)
+
+
+def test_pruned_transforms_refuse_other_layouts(grid8):
+    u = grid8.kept(random_divfree_field(grid8, seed=4))
+    before = grid8.block_to_physical(u, u)
+    half = grid8.spread(u)
+    for blocks in ((half,), (u, half), (half, u), (u, u[0]), (u[..., :2],)):
+        with pytest.raises(FieldShapeError):
+            grid8.block_to_physical(*blocks)
+    with pytest.raises(FieldShapeError):
+        grid8.physical_to_block(np.zeros((3, 8, 8, 5)))
+    # a refused call writes nothing the next one would see
+    assert same_bits(grid8.block_to_physical(u, u), before)
 
 
 # -- curl --------------------------------------------------------------------------
