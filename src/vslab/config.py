@@ -172,14 +172,13 @@ def echo_config(cfg: RunConfig, outdir):
     return path
 
 
-def load_config(path, overrides=(), echo=True):
-    """Load, validate, and (by default) echo a run configuration."""
+def load_config(path, overrides=()):
+    """Load, validate, and echo a run configuration."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     cfg = parse_config_text(text, source=str(path), overrides=overrides)
-    if echo:
-        echo_config(cfg, cfg.outdir)
+    echo_config(cfg, cfg.outdir)
     return cfg

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from vslab.slabs import TimePartition, SlabSolution, compute_kstar, slab_window, trapezoid
-from vslab.spectral import BOX_VOLUME, DIV_TOL, Grid
+from vslab.spectral import BOX_VOLUME, DIV_TOL, FieldShapeError, Grid
 from vslab.trajectory import ScalarSeries, Trajectory
 
 
@@ -299,15 +299,14 @@ def uniform_step(times):
 class HGammaStack:
     """The rows of the H^gamma diagnostic: one dense (rows, 3K) array.
 
-    Row m is the kept block (``Grid.kept``) of a snapshot, each plane
-    weighted by the square root of its ``Grid.plane_weight``.  Every field
-    the program holds is zero outside the 2/3 cut, so the K kept modes per
-    component are the whole snapshot.
+    Row m is the kept block (``Grid.kept``) of a snapshot, the only layout
+    ``set_row`` takes, each plane weighted by the square root of its
+    ``Grid.plane_weight``.  Every field the program holds is zero outside
+    the 2/3 cut, so the K kept modes per component are the whole snapshot.
     """
 
     def __init__(self, grid: Grid, rows):
         weight = grid.kept(np.sqrt(grid.plane_weight) * grid.keep)
-        self._grid = grid
         self._weight = np.broadcast_to(weight, (3, *weight.shape))
         self.rows = np.empty((rows, self._weight.size), dtype=np.complex128)
 
@@ -315,15 +314,9 @@ class HGammaStack:
         return len(self.rows)
 
     def set_row(self, m, w):
-        """Write the weighted row of snapshot ``w`` as row ``m``.
-
-        ``w`` is a kept block or a half spectrum that is zero outside the
-        2/3 cut; anything else raises.
-        """
+        """Write the weighted row of the kept block ``w`` as row ``m``; other shapes raise."""
         if w.shape != self._weight.shape:
-            w = self._grid.kept(w)
-            if w is None:
-                raise ValueError("an H^gamma stack row must be zero outside the 2/3 cut")
+            raise FieldShapeError(f"expected a kept block {self._weight.shape}, got {w.shape}")
         np.multiply(w, self._weight, out=self.rows[m].reshape(self._weight.shape))
 
     def gram(self):

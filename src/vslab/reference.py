@@ -79,11 +79,11 @@ def vorticity_rhs(grid: Grid, w):
 def rk4_step(grid: Grid, w, cfg: StepperConfig, rhs=vorticity_rhs, t=0.0):
     """One integrating-factor RK4 step; NaN or enstrophy past the ceiling raises.
 
-    ``w`` is a kept block, which holds only the kept modes, so the step needs
-    no cut; a custom ``rhs`` on another layout must cut its own output.
+    ``w`` and the output of ``rhs`` are kept blocks, which hold only the kept
+    modes, so the step needs no cut.
     """
     dt, nu = cfg.dt, cfg.nu
-    e_half = np.exp(-0.5 * nu * dt * grid._tables(w).ksq)
+    e_half = np.exp(-0.5 * nu * dt * grid.block_ksq)
     e_full = e_half * e_half
     k1 = rhs(grid, w)
     k2 = rhs(grid, e_half * (w + 0.5 * dt * k1))

@@ -204,14 +204,20 @@ def _phi(x):
 
 
 def _psi(x):
-    """(x - 1 + exp(-x))/x^2, the Duhamel average weight; stable near zero."""
+    """(x - 1 + exp(-x))/x^2, the Duhamel average weight; stable near zero and for huge x.
+
+    Past x = 1e150, where x^2 nears overflow, the weight is 1/x to rounding.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
-    big = x > 1e-3
+    small = ~(x > 1e-3)  # NaN too
+    huge = x > 1e150
+    big = ~(small | huge)
     xb = x[big]
     out[big] = (xb + np.expm1(-xb)) / xb**2
-    xs = x[~big]
-    out[~big] = 0.5 - xs / 6.0 + xs**2 / 24.0 - xs**3 / 120.0
+    out[huge] = 1.0 / x[huge]
+    xs = x[small]
+    out[small] = 0.5 - xs / 6.0 + xs**2 / 24.0 - xs**3 / 120.0
     return out
 
 
@@ -249,8 +255,8 @@ class SlabSolution:
     diagnostics: PicardDiagnostics | None = None
 
     def __post_init__(self):
-        # per-mode decay rate a = nu |k|^2, in the layout of the states
-        self._rate = self.nu * self.grid._tables(self.omega_init).ksq
+        # per-mode decay rate a = nu |k|^2 on the kept block
+        self._rate = self.nu * self.grid.block_ksq
 
     @property
     def width(self):

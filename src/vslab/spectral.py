@@ -16,17 +16,18 @@ modes weight every plane by 2 for its conjugate mirror, except those two
 planes, which stand for themselves (``Grid.plane_weight``).
 
 A field that is zero outside the 2/3 cut, as every field the program holds
-is, may also be carried as its kept block (``Grid.kept``), the dense array
-of the kept modes, 3.6 times smaller than its half spectrum.  The solvers
-carry every state in this layout, the only one their kernel takes: RK4
-stages, Picard iterates, slab samples and the fields handed to sinks are
-kept blocks.  The curl, divergence and norms take either layout and sum a
-cut field over its kept block, so both layouts give the same bits; the norms
-also take half spectra with content outside the cut, such as transformed
-samples of a formula.  A kept block goes to physical samples and back
-without its half spectrum (``Grid.block_to_physical`` and
-``physical_to_block``): the transforms run axis by axis on the lines the cut
-leaves nonzero, with the bits of the whole-cube ``irfftn`` and ``rfftn``.
+is, is carried as its kept block (``Grid.kept``), the dense array of the
+kept modes, 3.6 times smaller than its half spectrum.  It is the layout of
+every solver state and the only one that the curl, divergence,
+Biot-Savart inversion and the norms take.  Half spectra remain the layout
+of the builders below, the whole-cube transforms, ``leray_project``,
+``dealias``, ``gradient``, ``symmetrize`` and the snapshot files; a field
+becomes a kept block where it enters (``Grid.kept`` or
+``Grid.require_solenoidal``), and ``Grid.spread`` turns one back.  A kept
+block goes to physical samples and back without its half spectrum
+(``Grid.block_to_physical`` and ``physical_to_block``): the transforms run
+axis by axis on the lines the cut leaves nonzero, with the bits of the
+whole-cube ``irfftn`` and ``rfftn``.
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
@@ -49,7 +50,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,20 +126,12 @@ def full_spectrum(half):
     return out
 
 
-class _Tables(NamedTuple):
-    """The wavevector tables of one field layout: the half spectrum or the kept block."""
-
-    kd: np.ndarray
-    ksq: np.ndarray
-    inv_ksq: np.ndarray
-    weight: np.ndarray  # plane weight of each index of the last axis
-
-
 class Grid:
     """Cubic periodic grid with n modes per axis and the operator tables on it.
 
     The wavevector tables ``k``, ``kd``, ``ksq``, ``inv_ksq`` and ``keep``
-    cover the stored half spectrum; ``x`` is the full physical grid.
+    cover the stored half spectrum, the ``block_`` tables the kept block;
+    ``x`` is the full physical grid.
     """
 
     def __init__(self, n: int):
@@ -173,15 +165,11 @@ class Grid:
         self._cut_rows = slice(kk, n - kk + 1)  # the rows of an axis outside the cut
         self._half_shape = (n, n, h)
         self._block_shape = (kb, kb, kk)
-        self._layouts = {
-            self._half_shape: _Tables(self.kd, self.ksq, self.inv_ksq, self.plane_weight),
-            self._block_shape: _Tables(
-                self._gather(self.kd),
-                self._gather(self.ksq),
-                self._gather(self.inv_ksq),
-                self.plane_weight[:kk],
-            ),
-        }
+        # the tables of the kept block, the layout of the operators and norms
+        self.block_kd = self._gather(self.kd)
+        self.block_ksq = self._gather(self.ksq)
+        self.block_inv_ksq = self._gather(self.inv_ksq)
+        self.block_weight = self.plane_weight[:kk]
         self._spread_buffers = {}  # block_to_physical's half spectrum per leading shape
         self.cell_volume = (TWO_PI / n) ** 3
 
@@ -208,16 +196,6 @@ class Grid:
         if arr.shape not in (shape, (3, *shape)):
             raise FieldShapeError(f"expected shape {shape} or {(3, *shape)}, got {arr.shape}")
 
-    def _tables(self, arr):
-        """The wavevector tables of the layout ``arr`` is in; raises for any other shape."""
-        tables = self._layouts.get(arr.shape[-3:])
-        if tables is None or arr.shape[:-3] not in ((), (3,)):
-            raise FieldShapeError(
-                f"expected a half spectrum {self._half_shape} or a kept block "
-                f"{self._block_shape}, either with a leading axis of 3, got {arr.shape}"
-            )
-        return tables
-
     def _gather(self, arr):
         """The kept block of a half-spectrum array, copied with 2x2 slices."""
         kk = self._block_shape[-1]
@@ -226,29 +204,6 @@ class Grid:
             for block2, half2 in self._runs:
                 out[..., block1, block2, :] = arr[..., half1, half2, :kk]
         return out
-
-    def _outside(self, arr):
-        """Whether the half-spectrum array ``arr`` has a nonzero entry outside the 2/3 cut.
-
-        The outside is checked in views that keep the inner axes whole where
-        they can: the rows of the axis -3 past the cut, then in each run of
-        kept rows the rows of the axis -2 past it, then k_3 past it.
-        """
-        kk = self._block_shape[-1]
-        cut = self._cut_rows
-        if arr[..., cut, :, :].any():
-            return True
-        for _, half1 in self._runs:
-            if arr[..., half1, cut, :].any():
-                return True
-            for _, half2 in self._runs:
-                if arr[..., half1, half2, kk:].any():
-                    return True
-        return False
-
-    def is_block(self, arr):
-        """Whether the field ``arr`` is a kept block, else a half spectrum; other shapes raise."""
-        return self._tables(arr) is self._layouts[self._block_shape]
 
     def _spread_buffer(self, lead):
         """A half spectrum with leading shape ``lead``, kept by the grid and reused.
@@ -263,11 +218,13 @@ class Grid:
     def kept(self, field):
         """The dense block (..., K, K, K3) of the modes ``keep`` retains, or None.
 
-        None when the half-spectrum ``field`` has content outside the 2/3 cut.
+        None when the half-spectrum ``field`` has content outside the 2/3 cut,
+        which shows as fewer nonzero entries in the block than in the field.
         The block lists the kept modes in the C order of ``np.flatnonzero(keep)``.
         """
         self._check_shape(field)
-        return None if self._outside(field) else self._gather(field)
+        block = self._gather(field)
+        return block if np.count_nonzero(block) == np.count_nonzero(field) else None
 
     def spread(self, block):
         """The half spectrum of a kept block, zero outside the cut."""
@@ -377,13 +334,15 @@ class Grid:
         return 1j * self.kd * s[np.newaxis]
 
     def divergence(self, v):
-        """Vector -> scalar, modewise i*k.vhat; either layout."""
-        kd = self._tables(v).kd
+        """Vector block -> scalar block, modewise i*k.vhat."""
+        self._check_shape(v, self._block_shape)
+        kd = self.block_kd
         return 1j * (kd[0] * v[0] + kd[1] * v[1] + kd[2] * v[2])
 
     def curl(self, v):
-        """Vector -> vector, modewise i*k x vhat; either layout."""
-        out = _cross(self._tables(v).kd, v, np.empty(v.shape, dtype=np.complex128))
+        """Vector block -> vector block, modewise i*k x vhat."""
+        self._check_shape(v, self._block_shape)
+        out = _cross(self.block_kd, v, np.empty(v.shape, dtype=np.complex128))
         out *= 1j
         return out
 
@@ -394,10 +353,9 @@ class Grid:
         return v - self.k * (kdotv * self.inv_ksq)[np.newaxis]
 
     def divergence_rel(self, v):
-        """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2."""
-        num = self._mode_sum(self._compact(_density(self.divergence(v))))
-        density = self._compact(np.sum(_density(v), axis=0))
-        den = self._mode_sum(self._tables(density).ksq * density)
+        """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2 of a vector block."""
+        num = self._mode_sum(_density(self.divergence(v)))
+        den = self._mode_sum(self.block_ksq * np.sum(_density(v), axis=0))
         if den == 0.0:
             return 0.0
         return float(np.sqrt(num / den))
@@ -409,15 +367,19 @@ class Grid:
         the 2/3 cut.  Biot-Savart inversion needs the first two: no periodic
         vector potential exists for mass at k=0, and the inversion would
         silently drop a gradient part.  The cut is the state space the
-        solvers work in.  Called where fields enter the program; the solvers
-        preserve all three properties by construction.  Non-finite
-        coefficients are rejected first, since NaN passes every comparison,
-        and the cut last, so the other refusals keep their messages.  A cut
-        field is checked on its kept block, which gives the same maxima and
-        sums.
+        solvers work in.  Called where fields enter the program, on a half
+        spectrum or a kept vector block; the solvers preserve all three
+        properties by construction.  Non-finite coefficients are rejected
+        first, since NaN passes every comparison, and the cut last, so the
+        other refusals keep their messages; the divergence of a half spectrum
+        is measured on its kept modes.
         """
-        block = self._compact(w)
-        scale = float(np.max(np.abs(block)))
+        if w.shape == (3, *self._block_shape):
+            block = w
+        else:
+            self._check_shape(w)
+            block = self._gather(w)
+        scale = float(np.max(np.abs(w)))
         if not np.isfinite(scale):
             raise ValueError(f"non-finite coefficients (max |w| = {scale})")
         mean = float(np.max(np.abs(block[:, 0, 0, 0])))
@@ -426,8 +388,8 @@ class Grid:
         rel = self.divergence_rel(block)
         if rel > DIV_TOL:
             raise DivergenceError(f"relative divergence {rel:.3e} exceeds {DIV_TOL:.1e}")
-        if block.shape[-3:] != self._block_shape:
-            outside = float(np.max(np.abs(block[:, ~self.keep])))
+        if block is not w and np.count_nonzero(block) != np.count_nonzero(w):
+            outside = float(np.max(np.abs(w[:, ~self.keep])))
             raise ValueError(f"content outside the 2/3 cut (max |w| there = {outside:.3e})")
         return block
 
@@ -437,7 +399,7 @@ class Grid:
         Meaningful for zero-mean divergence-free w; see ``require_solenoidal``.
         """
         u = self.curl(w)
-        u *= self._tables(w).inv_ksq
+        u *= self.block_inv_ksq
         return u
 
     def dealias(self, coeffs):
@@ -447,57 +409,42 @@ class Grid:
 
     # -- norms ----------------------------------------------------------------
 
-    def _compact(self, arr):
-        """``arr`` on its kept block when it is zero outside the cut, else as given.
-
-        Raises unless ``arr`` is a field in one of the two layouts.
-        """
-        if arr.shape[-3:] == self._block_shape:
-            self._check_shape(arr, self._block_shape)
-            return arr
-        block = self.kept(arr)
-        return arr if block is None else block
-
     def _mode_sum(self, density):
-        """Sum over the full spectrum of a per-mode density from ``_compact``.
+        """Sum over the full spectrum of a per-mode density on the kept block.
 
-        The gemv runs over rows of the last axis of whichever layout the
-        density is in, so a cut field is summed over its kept block in C
-        order, the same bits from a block and from a half spectrum.
+        The gemv runs over rows of the last axis, in C order.
         """
-        weight = self._tables(density).weight
-        return float(np.sum(density.reshape(-1, density.shape[-1]) @ weight))
+        return float(np.sum(density.reshape(-1, density.shape[-1]) @ self.block_weight))
 
     def l2sq(self, coeffs):
         """Squared L2 norm over the box, components summed (Parseval)."""
-        return BOX_VOLUME * self._mode_sum(self._compact(_density(coeffs)))
+        self._check_shape(coeffs, self._block_shape)
+        return BOX_VOLUME * self._mode_sum(_density(coeffs))
 
     def h1sq(self, coeffs):
         """Squared L2 norm of the gradient, components summed."""
-        return self._gradient_sum(self._compact(_density(coeffs)))
+        self._check_shape(coeffs, self._block_shape)
+        return self._gradient_sum(_density(coeffs))
 
     def l2sq_h1sq(self, coeffs):
         """(l2sq, h1sq) of one field from a single density pass, bit for bit the two methods."""
-        density = self._compact(_density(coeffs))
+        self._check_shape(coeffs, self._block_shape)
+        density = _density(coeffs)
         return BOX_VOLUME * self._mode_sum(density), self._gradient_sum(density)
 
     def _gradient_sum(self, density):
-        """h1sq from the per-mode density of the field, as ``_compact`` left it."""
+        """h1sq from the per-mode density of the field."""
         if density.ndim == 4:
             density = np.sum(density, axis=0)
-        return BOX_VOLUME * self._mode_sum(self._tables(density).ksq * density)
+        return BOX_VOLUME * self._mode_sum(self.block_ksq * density)
 
     def l4(self, coeffs):
         """L4 norm of |field| evaluated on the physical grid quadrature.
 
-        A kept block is sampled with ``block_to_physical``, a half spectrum
-        with the whole-cube inverse transform; both give the same bits.
+        The block is sampled with ``block_to_physical``, which gives the bits
+        of the whole-cube inverse transform of its half spectrum.
         """
-        n = self.n
-        if self.is_block(coeffs):
-            mag_sq = self.block_to_physical(coeffs)
-        else:
-            mag_sq = _fft.irfftn(coeffs * n**3, (n, n, n), _AXES, _FFT_WORKERS)
+        mag_sq = self.block_to_physical(coeffs)
         # squared in place: the same bits as the sums of the squares
         np.square(mag_sq, out=mag_sq)
         if mag_sq.ndim == 4:
@@ -524,7 +471,7 @@ def taylor_green_velocity(grid: Grid):
 
 
 def taylor_green_vorticity(grid: Grid):
-    return grid.curl(taylor_green_velocity(grid))
+    return grid.spread(grid.curl(grid.kept(taylor_green_velocity(grid))))
 
 
 def abc_velocity(grid: Grid, a=1.0, b=1.0, c=1.0):
@@ -547,7 +494,7 @@ def abc_velocity(grid: Grid, a=1.0, b=1.0, c=1.0):
 
 def abc_vorticity(grid: Grid, a=1.0, b=1.0, c=1.0):
     # curl u = u for the ABC family, so the vorticity shares the amplitudes
-    return grid.curl(abc_velocity(grid, a, b, c))
+    return grid.spread(grid.curl(grid.kept(abc_velocity(grid, a, b, c))))
 
 
 # -- deterministic random fields --------------------------------------------
@@ -573,7 +520,7 @@ def splitmix64_uniform(seed: int, count: int):
     return (splitmix64(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def random_divfree_field(grid: Grid, seed: int, kmax: int | None = None):
+def random_divfree_field(grid: Grid, seed: int):
     """Seeded divergence-free zero-mean vector field of unit L2 norm.
 
     Amplitudes are drawn mode by mode in lexicographic wavevector order from
@@ -583,9 +530,7 @@ def random_divfree_field(grid: Grid, seed: int, kmax: int | None = None):
     reproducible across implementations.
     """
     n = grid.n
-    if kmax is None:
-        kmax = int(n / 3.0)
-    kmax = min(kmax, n // 2 - 1)
+    kmax = min(int(n / 3.0), n // 2 - 1)
     axis = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     order = np.argsort(axis)
     full = np.zeros((3, n, n, n), dtype=np.complex128)
@@ -610,7 +555,7 @@ def random_divfree_field(grid: Grid, seed: int, kmax: int | None = None):
     coeffs = 0.5 * (full + conjugate_reflection(full))[..., : n // 2 + 1]
     coeffs[:, 0, 0, 0] = 0.0
     coeffs = grid.dealias(grid.leray_project(coeffs))
-    norm = np.sqrt(grid.l2sq(coeffs))
+    norm = np.sqrt(grid.l2sq(grid.kept(coeffs)))
     if norm == 0.0:
         raise ValueError("degenerate random field")
     return coeffs / norm

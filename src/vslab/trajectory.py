@@ -1,10 +1,10 @@
 """Sampled vorticity trajectories shared by the solvers and the monitors.
 
-A trajectory keeps the spectral vorticity snapshots at the field cadence, in
-whichever layout they were appended: the runners' sinks and
-``snapshots.load_trajectory`` give kept blocks (see ``vslab.spectral``).  The
-norm series at the (denser) scalar cadence is a separate ``ScalarSeries``,
-which the runners return and the ledger keeps.  Field values between
+A trajectory keeps the spectral vorticity snapshots at the field cadence as
+kept blocks (see ``vslab.spectral``), as the runners' sinks and
+``snapshots.load_trajectory`` give them.  The norm series at the (denser)
+scalar cadence is a separate ``ScalarSeries``, which the runners return and
+the ledger keeps.  Field values between
 snapshots are defined by linear interpolation in time, which makes time
 averages over arbitrary windows exactly computable.
 """

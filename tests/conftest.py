@@ -1,11 +1,30 @@
+import shutil
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 from oracles import collect_reference
 
 from vslab.reference import StepperConfig
 from vslab.spectral import Grid, taylor_green_vorticity
+
+# every run draws the same examples and writes no example database
+settings.register_profile("vslab", derandomize=True, database=None)
+settings.load_profile("vslab")
+
+
+def pytest_configure(config):
+    # as it collects, the hypothesis plugin caches the constants of the sources
+    # under its home directory, ./.hypothesis unless told otherwise
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

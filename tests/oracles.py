@@ -1,8 +1,8 @@
 """Independent reference computations and file corruptions that only the tests use.
 
 The computations work on the whole (n, n, n) cube with complex transforms,
-apart from the half-spectrum layout the program keeps, so they check it
-rather than share its code.
+apart from the half-spectrum and kept-block layouts the program keeps, so
+they check it rather than share its code.
 """
 
 import struct
@@ -62,15 +62,25 @@ def full_tables(n):
     return k, kd
 
 
+def cut_block(grid, coeffs):
+    """The kept block of ``coeffs`` after the 2/3 cut.
+
+    Transformed samples of a formula carry rounding noise outside the cut,
+    so ``grid.kept`` alone would find content there.
+    """
+    return grid.kept(grid.dealias(coeffs))
+
+
 def velocity_rhs(grid, u):
     """Projected, dealiased -(u . grad) u: the convective form of the velocity RHS.
 
-    Curled, it must agree with the rotational-form vorticity RHS.  The
-    products are formed from complex transforms of the full cube.
+    Curled, it must agree with the rotational-form vorticity RHS.  ``u`` and
+    the result are kept blocks; the products are formed from complex
+    transforms of the full cube.
     """
     n = grid.n
     _, kd = full_tables(n)
-    full = full_spectrum(u)
+    full = full_spectrum(grid.spread(u))
     stack = np.empty((12, n, n, n), dtype=np.complex128)
     stack[0:3] = full
     for j in range(3):
@@ -82,7 +92,7 @@ def velocity_rhs(grid, u):
     for i in range(3):
         out[i] = -(up[0] * du[0, i] + up[1] * du[1, i] + up[2] * du[2, i])
     rhs = scipy.fft.fftn(out, axes=(-3, -2, -1))[..., : n // 2 + 1] / n**3
-    rhs = grid.leray_project(grid.dealias(rhs))
+    rhs = grid.kept(grid.leray_project(grid.dealias(rhs)))
     rhs[:, 0, 0, 0] = 0.0
     return rhs
 
@@ -90,13 +100,13 @@ def velocity_rhs(grid, u):
 def run_reference_velocity(grid, u0, T, cfg, field_every=10):
     """Velocity-form integration to cross-check the vorticity solver.
 
-    Returns (times, velocity snapshots); curl of a snapshot compares against
-    the vorticity run.
+    Returns (times, velocity snapshots), kept blocks; curl of a snapshot
+    compares against the vorticity run.
     """
     n_steps = max(1, int(round(T / cfg.dt)))
     dt = T / n_steps
     cfg = StepperConfig(dt=dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
-    u = grid.symmetrize(grid.leray_project(np.array(u0, dtype=np.complex128)))
+    u = grid.kept(grid.symmetrize(grid.leray_project(np.array(u0, dtype=np.complex128))))
     u[:, 0, 0, 0] = 0.0
     times = [0.0]
     snaps = [u.copy()]
@@ -144,8 +154,8 @@ def gathered_half(path):
 
 
 def stacked_curl(grid, v):
-    """i k x vhat as three component expressions stacked into a new array."""
-    kd = grid.kd
+    """i k x vhat of a kept block as three component expressions stacked into a new array."""
+    kd = grid.block_kd
     return 1j * np.stack(
         [
             kd[1] * v[2] - kd[2] * v[1],

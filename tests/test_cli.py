@@ -1,16 +1,23 @@
 """Command-line surface: exit codes, determinism, end-to-end wiring."""
 
+import contextlib
+import dataclasses
+import io
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import corrupt_negative_half, monitor_rows
 
 from vslab import cli, estimates, snapshots, spectral
 from vslab.cli import cli_dispatch
+from vslab.config import RunConfig
 from vslab.snapshots import load_field, persist_field
 from vslab.spectral import Grid, random_divfree_field, taylor_green_vorticity
 
@@ -366,7 +373,8 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
     grid = Grid(16)
     state = grid.k.size * 16
     block = grid.kept(random_divfree_field(grid, seed=3)).nbytes
-    w = random_divfree_field(Grid(4), seed=3)
+    grid4 = Grid(4)
+    w = grid4.kept(random_divfree_field(grid4, seed=3))
     for command in ("run-ref", "run-slab"):
         cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1, outdir=str(tmp_path / command))
         assert cli_dispatch([command, "--config", cfg]) == 0
@@ -377,7 +385,7 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
         try:
             # the frequency-grid work of the diagnostic does not scale with n or M
             base = tracemalloc.get_traced_memory()[0]
-            estimates.hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, Grid(4))
+            estimates.hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, grid4)
             freq = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -765,6 +773,68 @@ def test_non_finite_positive_value_is_refused_by_key(tmp_path, capsys, key, valu
     assert f"{key}: must be positive and finite, got {float(value)}" in _one_error_line(capsys)
 
 
+# --set values that mean nothing: refused, or harmless at n <= 8 and T <= 0.05
+ODD_VALUES = ["nan", "inf", "-inf", "0", "-1", "-1e300", "1e300", "", "abc", "1e", "0x10", "1,2"]
+# per key, valid values that keep a run short and edges just outside the valid
+# range; no key may draw a valid large n, slab or sample count, or a T/dt that
+# is valid and huge
+SHORT_RUN_VALUES = {
+    "n": ["4", "6", "1000001"],  # the last is odd
+    "nu": ["1e-3", "1e160"],
+    "T": ["0.01"],
+    "dt": ["0.01"],
+    "initial": ["abc-beltrami", "random-divfree", "file"],
+    "seed": ["7", "-3"],
+    "policy": ["adaptive"],
+    "slabs": ["1", "3"],
+    "epsilon0": ["0.9", "1"],
+    "provider": ["reference"],
+    "picard_tol": ["1e-300"],
+    "picard_max_iter": ["1"],
+    "field_every": ["3"],
+    "slab_samples": ["2"],
+    "enstrophy_ceiling": ["1e-3"],
+    "gamma": ["0.1", "0.25"],
+    "study_levels": ["2,4,8", "4,4,8"],
+}
+SET_KEYS = sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+@st.composite
+def set_overrides(draw):
+    key = draw(st.sampled_from(SET_KEYS))
+    value = draw(st.sampled_from([None, *ODD_VALUES, *SHORT_RUN_VALUES.get(key, [])]))
+    return key if value is None else f"{key}={value}"  # a bare key is malformed
+
+
+@pytest.fixture(scope="module")
+def override_dir(tmp_path_factory):
+    """A working directory for the property runs, whose outdirs are relative."""
+    path = tmp_path_factory.mktemp("overrides")
+    (path / "run.cfg").write_text("n = 8\nT = 0.05\ndt = 0.0025\nslabs = 2\nslab_samples = 4\n")
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["run-ref", "run-slab"]), item=set_overrides())
+def test_any_set_override_exits_cleanly_or_in_one_error_line(override_dir, command, item):
+    cwd, err = os.getcwd(), io.StringIO()
+    os.chdir(override_dir)
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli_dispatch([command, "--config", "run.cfg", "--set", item])
+    finally:
+        os.chdir(cwd)
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
 def _run_child(*argv):
     """``python -m vslab.cli`` in a child process, whose stderr shows numpy's warnings too."""
     return subprocess.run(
@@ -796,6 +866,14 @@ def test_run_slab_huge_span_is_one_error_line(tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
     assert "T: the Gronwall bound exp((1 - epsilon0) * T) overflows at epsilon0 = 0.5" in err[0]
+
+
+def test_run_slab_at_a_huge_viscosity_warns_nothing(tmp_path):
+    # nu |k|^2 times the slab width passes 1.3e154, where _psi's x^2 would overflow
+    argv = ["--set", f"outdir={tmp_path}", "--set", "n=8", "--set", "nu=1e160"]
+    proc = _run_child("run-slab", "--config", os.path.join(REPO, "configs", "tg16-slab.cfg"), *argv)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_monitor_refuses_an_infinite_amplitude_in_one_line(tmp_path):

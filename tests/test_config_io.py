@@ -91,10 +91,10 @@ def test_config_missing_file():
         load_config("/nonexistent/path.cfg")
 
 
-def test_sample_config_echo_matches_golden(tmp_path):
-    cfg = load_config(os.path.join(REPO, "configs", "sample.cfg"), echo=False)
-    path = echo_config(cfg, tmp_path)
-    with open(path, "rb") as fh:
+def test_sample_config_echo_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the echo goes to the config's relative outdir
+    cfg = load_config(os.path.join(REPO, "configs", "sample.cfg"))
+    with open(tmp_path / cfg.outdir / "config.echo.cfg", "rb") as fh:
         got = fh.read()
     with open(os.path.join(HERE, "golden", "sample.echo.cfg"), "rb") as fh:
         want = fh.read()
@@ -104,8 +104,9 @@ def test_sample_config_echo_matches_golden(tmp_path):
 @pytest.mark.parametrize(
     "path", sorted(glob.glob(os.path.join(REPO, "configs", "*.cfg"))), ids=os.path.basename
 )
-def test_shipped_config_parses(path):
-    cfg = load_config(path, echo=False)
+def test_shipped_config_parses(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the echo goes to the config's relative outdir
+    cfg = load_config(path)
     assert cfg.n >= 4
 
 
@@ -120,7 +121,7 @@ def test_echo_replays_to_identical_config(tmp_path):
     src = tmp_path / "run.cfg"
     src.write_text(f"n = 8\nT = 0.25\ndt = 0.005\nseed = 3\noutdir = {tmp_path / 'out'}\n")
     cfg = load_config(src)
-    replayed = load_config(tmp_path / "out" / "config.echo.cfg", echo=False)
+    replayed = load_config(tmp_path / "out" / "config.echo.cfg")
     assert replayed == cfg
 
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import collect_reference
+from oracles import collect_reference, cut_block
 from scipy.integrate import quad
 
 from vslab.estimates import (
@@ -49,8 +49,11 @@ from vslab.trajectory import ScalarSeries, Trajectory
 
 
 def single_mode_vorticity(grid):
-    """w = (0, -cos x1, 0), the vorticity of u = (0, 0, sin x1), from its exact amplitudes."""
-    w = np.zeros((3, *grid.k.shape[1:]), dtype=np.complex128)
+    """w = (0, -cos x1, 0), the vorticity of u = (0, 0, sin x1), from its exact amplitudes.
+
+    A kept block: its rows k_1 = 1 and -1 are the second and the last.
+    """
+    w = np.zeros((3, *grid._block_shape), dtype=np.complex128)
     w[1, 1, 0, 0] = w[1, -1, 0, 0] = -0.5
     return w
 
@@ -124,7 +127,7 @@ def test_energy_identity_zero_trajectory():
 
 def test_energy_identity_beltrami_closed_form(grid8):
     # u(t) = e^{-t} u0 with lambda = 1: energy 2t-decay balances dissipation
-    e0 = grid8.l2sq(abc_velocity(grid8))
+    e0 = grid8.l2sq(grid8.kept(abc_velocity(grid8)))
     times = np.linspace(0.0, 1.0, 1001)
     energy = e0 * np.exp(-2.0 * times)
     dissipation = energy  # |grad u|^2 = lambda^2 |u|^2
@@ -152,25 +155,25 @@ def test_energy_identity_needs_two_samples():
 def test_grad_vorticity_single_mode(grid8):
     u = np.zeros((3, 8, 8, 8))
     u[2] = np.sin(grid8.x[0])
-    uc = grid8.to_spectral(u)
+    uc = cut_block(grid8, grid8.to_spectral(u))
     assert grad_vorticity_check(grid8, uc) < 1e-12
     assert grid8.h1sq(uc) == pytest.approx(BOX_VOLUME / 2.0, rel=1e-13)
 
 
 def test_grad_vorticity_constant_field(grid8):
-    uc = grid8.to_spectral(np.ones((3, 8, 8, 8)))
+    uc = cut_block(grid8, grid8.to_spectral(np.ones((3, 8, 8, 8))))
     assert grad_vorticity_check(grid8, uc) == 0.0
 
 
 def test_grad_vorticity_random_fields(grid8):
     for seed in range(10):
-        u = grid8.biot_savart(random_divfree_field(grid8, seed=seed))
+        u = grid8.biot_savart(grid8.kept(random_divfree_field(grid8, seed=seed)))
         assert grad_vorticity_check(grid8, u) < 1e-12
 
 
 def test_grad_vorticity_rejects_divergent_field(grid8):
-    v = grid8.gradient(grid8.to_spectral(np.sin(grid8.x[0])))
-    with pytest.raises(ValueError):
+    v = cut_block(grid8, grid8.gradient(grid8.to_spectral(np.sin(grid8.x[0]))))
+    with pytest.raises(ValueError, match="must be divergence-free"):
         grad_vorticity_check(grid8, v)
 
 
@@ -178,17 +181,18 @@ def test_grad_vorticity_rejects_divergent_field(grid8):
 
 
 def test_ladyzhenskaya_rejects_constant_and_zero(grid8):
-    with pytest.raises(ValueError):
-        ladyzhenskaya_ratio(grid8, grid8.to_spectral(np.ones((8, 8, 8))))
-    with pytest.raises(ValueError):
-        ladyzhenskaya_ratio(grid8, np.zeros((8, 8, 5), dtype=complex))
+    with pytest.raises(ValueError, match="undefined for zero or constant"):
+        ladyzhenskaya_ratio(grid8, cut_block(grid8, grid8.to_spectral(np.ones((8, 8, 8)))))
+    with pytest.raises(ValueError, match="undefined for zero or constant"):
+        ladyzhenskaya_ratio(grid8, np.zeros((5, 5, 3), dtype=complex))
 
 
 def test_ladyzhenskaya_sine_calibration(grid8, grid32):
     # calibration fixture: for v = sin x1 the ratio is sqrt(3 / (2 (2 pi)^3))
-    got = ladyzhenskaya_ratio(grid8, grid8.to_spectral(np.sin(grid8.x[0])))
+    got = ladyzhenskaya_ratio(grid8, cut_block(grid8, grid8.to_spectral(np.sin(grid8.x[0]))))
     assert got == pytest.approx(math.sqrt(3.0 / (2.0 * BOX_VOLUME)), rel=1e-12)
-    refined = ladyzhenskaya_ratio(grid32, grid32.to_spectral(np.sin(grid32.x[0])))
+    sine = cut_block(grid32, grid32.to_spectral(np.sin(grid32.x[0])))
+    refined = ladyzhenskaya_ratio(grid32, sine)
     assert abs(got - refined) / refined < 1e-8
     assert got < 2.0  # comfortably below the monitor's default constant
 
@@ -273,7 +277,7 @@ def test_average_cs_equality_for_constant_trajectory(grid8):
 def test_average_cs_single_decaying_mode(grid8):
     w0 = single_mode_vorticity(grid8)
     width = 0.3
-    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, width, nu=1.0)
+    sol = linear_slab_solve(grid8, w0, _zero_averages(grid8), 0.0, width, nu=1.0)
     # |k|^2 = 1: margin = |w0|^2 [ (1-e^{-2D})/(2D) - ((1-e^{-D})/D)^2 ]
     e0 = grid8.l2sq(w0)
     want = e0 * (
@@ -296,7 +300,7 @@ def test_average_cs_margin_nonnegative(seed, width):
 
 
 def test_hgamma_zero_trajectory(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)
     times = np.linspace(0.0, 1.0, 17)
     diag = hgamma_diagnostic(times, [zeros] * 17, 0.2, grid8)
     assert diag.value == 0.0
@@ -304,14 +308,14 @@ def test_hgamma_zero_trajectory(grid8):
 
 @pytest.mark.parametrize("gamma", [0.3, 0.25, 0.0, -0.1])
 def test_hgamma_rejects_gamma_out_of_range(grid8, gamma):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
-    with pytest.raises(ValueError):
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)
+    with pytest.raises(ValueError, match="gamma must lie in"):
         hgamma_diagnostic(np.linspace(0, 1, 5), [zeros] * 5, gamma, grid8)
 
 
 def test_hgamma_needs_two_frequency_points(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
-    with pytest.raises(ValueError):
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)
+    with pytest.raises(ValueError, match="two frequency points"):
         hgamma_diagnostic(np.linspace(0, 1, 5), [zeros] * 5, 0.2, grid8, freq_points=1)
 
 
@@ -333,7 +337,7 @@ def test_hgamma_constant_mode_against_quadrature_oracle(grid8):
 def direct_hgamma(times, fields, gamma, freq_points):
     """The diagnostic from its definition: complex Gram matrix of the full
     spectra, lag sums, and the direct sum of their Fourier phases."""
-    data = np.stack([np.ravel(full_spectrum(f)) for f in fields[:-1]])
+    data = np.stack([np.ravel(full_spectrum(f)) for f in fields[:-1]])  # half spectra
     gram = BOX_VOLUME * (data @ data.conj().T)
     offsets = np.array([np.trace(gram, offset=d) for d in range(len(data))])
     h = times[1] - times[0]
@@ -353,30 +357,27 @@ def direct_hgamma(times, fields, gamma, freq_points):
 def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
     # 16 held samples; 9 frequency points are fewer than the lags
     fields = [random_divfree_field(grid8, seed + m) for m in range(17)]
+    blocks = [grid8.kept(f) for f in fields]
     times = np.linspace(0.0, 0.5, 17)
-    got = hgamma_diagnostic(times, fields, 0.2, grid8, freq_points=freq_points).value
+    got = hgamma_diagnostic(times, blocks, 0.2, grid8, freq_points=freq_points).value
     want = direct_hgamma(times, fields, 0.2, freq_points)
     assert abs(got - want) / want < 1e-12
-    # a divergence-free mode outside the 2/3 cut, k = (+-3, 0, 0) in w_2, on
-    # some rows only, is refused wherever it is stacked
+    # a half spectrum on some rows only is refused wherever it is stacked
     for rows in ({0}, {4, 9}, {15, 16}, set(range(17))):
-        outside = [f.copy() for f in fields]
-        for m in rows:
-            a = 0.3 * (m + 1) - 0.2j
-            outside[m][1, 3, 0, 0] += a
-            outside[m][1, 5, 0, 0] += np.conj(a)
-        with pytest.raises(ValueError, match="zero outside the 2/3 cut"):
-            hgamma_diagnostic(times, outside, 0.2, grid8, freq_points=freq_points)
+        mixed = [fields[m] if m in rows else b for m, b in enumerate(blocks)]
+        with pytest.raises(FieldShapeError):
+            hgamma_diagnostic(times, mixed, 0.2, grid8, freq_points=freq_points)
 
 
 def test_hgamma_stack_rows_are_the_same_from_either_layout(grid8):
+    # a row is the kept modes of the half spectrum weighted plane by plane
     w = random_divfree_field(grid8, seed=5)
-    stack = HGammaStack(grid8, 2)
-    stack.set_row(0, w)
-    stack.set_row(1, grid8.kept(w))
-    assert np.array_equal(stack.rows[0], stack.rows[1])
-    with pytest.raises(FieldShapeError):
-        stack.set_row(0, full_spectrum(w))
+    stack = HGammaStack(grid8, 1)
+    stack.set_row(0, grid8.kept(w))
+    assert np.array_equal(stack.rows[0], grid8.kept(w * np.sqrt(grid8.plane_weight)).ravel())
+    for other in (w, full_spectrum(w), grid8.kept(w)[1]):
+        with pytest.raises(FieldShapeError):
+            stack.set_row(0, other)
 
 
 def test_hgamma_monotone_in_gamma(grid8):
@@ -391,11 +392,12 @@ def test_hgamma_monotone_in_gamma(grid8):
 
 def test_hgamma_frequency_grid_transients_are_bounded():
     # three 4^3 snapshots: nearly all the memory is the 131073-point frequency grid
-    w = random_divfree_field(Grid(4), seed=3)
+    grid = Grid(4)
+    w = grid.kept(random_divfree_field(grid, seed=3))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, Grid(4))
+        hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, grid)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -403,8 +405,8 @@ def test_hgamma_frequency_grid_transients_are_bounded():
 
 
 def test_hgamma_needs_uniform_samples(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
-    with pytest.raises(ValueError):
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)
+    with pytest.raises(ValueError, match="uniformly spaced"):
         hgamma_diagnostic(np.array([0.0, 0.1, 0.5]), [zeros] * 3, 0.2, grid8)
 
 
@@ -418,14 +420,14 @@ def test_hgamma_from_stack_needs_one_row_per_held_sample(grid8):
 
 
 def test_dt_monitor_zero_trajectory(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)
     mon = dt_u_monitor(np.linspace(0, 1, 9), [zeros] * 9, np.zeros(9), grid8)
     assert np.all(mon.margins == 0.0)
     assert mon.min_margin == 0.0
 
 
 def test_dt_monitor_beltrami_analytic(grid8):
-    u0 = abc_velocity(grid8)
+    u0 = grid8.kept(abc_velocity(grid8))
     times = np.linspace(0.0, 0.1, 11)
     fields = [np.exp(-t) * u0 for t in times]
     enstrophy = [grid8.l2sq(grid8.curl(u)) for u in fields]
@@ -439,7 +441,7 @@ def test_dt_monitor_beltrami_analytic(grid8):
 
 
 def test_dt_monitor_phi_is_the_enstrophy_series(grid8):
-    u0 = abc_velocity(grid8)
+    u0 = grid8.kept(abc_velocity(grid8))
     times = np.linspace(0.0, 0.1, 11)
     enstrophy = np.linspace(3.0, 1.0, 11)
     mon = dt_u_monitor(times, [np.exp(-t) * u0 for t in times], enstrophy, grid8)
@@ -453,8 +455,8 @@ def test_dt_u_margins_need_one_norm_per_interior_sample():
 
 
 def test_dt_monitor_needs_three_samples(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
-    with pytest.raises(ValueError):
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)
+    with pytest.raises(ValueError, match="at least three"):
         dt_u_monitor(np.array([0.0, 0.1]), [zeros] * 2, np.zeros(2), grid8)
 
 
@@ -508,7 +510,7 @@ def test_cosine_average_study_rate(grid8):
 
 
 def test_sup_l2_distance_self_is_zero(grid8):
-    w0 = random_divfree_field(grid8, seed=5)
+    w0 = grid8.kept(random_divfree_field(grid8, seed=5))
     times = np.array([0.0, 1.0])
     traj = Trajectory(grid=grid8, nu=1.0, times=times, fields=[w0, 0.5 * w0])
     assert sup_l2_distance(grid8, traj, traj, [0.0, 0.5, 1.0]) == 0.0

@@ -6,6 +6,7 @@ import sympy as sp
 from oracles import collect_reference, hermitian_defect, run_reference_velocity, velocity_rhs
 
 from vslab import _fft
+from vslab.estimates import HGammaStack
 from vslab.reference import (
     BlowUpError,
     StepperConfig,
@@ -88,9 +89,9 @@ def test_rhs_matches_curl_of_convective_velocity_rhs(n, seed):
     2/3 rule drops |k_i| = n/3, whose products alias onto kept modes.
     """
     grid = Grid(n)
-    u = random_divfree_field(grid, seed=seed)
+    u = grid.kept(random_divfree_field(grid, seed=seed))
     want = grid.curl(velocity_rhs(grid, u))
-    got = grid.spread(vorticity_rhs(grid, grid.kept(grid.curl(u))))
+    got = vorticity_rhs(grid, grid.curl(u))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -111,13 +112,37 @@ def test_kernel_output_is_hermitian(grid16):
     [
         vorticity_rhs,
         lambda grid, w: rk4_step(grid, w, StepperConfig(dt=0.01)),
-        lambda grid, w: slab_forcing(grid, SlabAverages(w, grid.biot_savart(w))),
-        lambda grid, w: contraction_diagnostic(grid, SlabAverages(w, grid.biot_savart(w)), 1.0),
+        lambda grid, w: slab_forcing(grid, SlabAverages(w, w)),
+        lambda grid, w: contraction_diagnostic(grid, SlabAverages(w, w), 1.0),
+        lambda grid, w: grid.curl(w),
+        lambda grid, w: grid.divergence(w),
+        lambda grid, w: grid.biot_savart(w),
+        lambda grid, w: grid.divergence_rel(w),
+        lambda grid, w: grid.l2sq(w),
+        lambda grid, w: grid.h1sq(w),
+        lambda grid, w: grid.l2sq_h1sq(w),
+        lambda grid, w: grid.l4(w),
+        lambda grid, w: HGammaStack(grid, 1).set_row(0, w),
     ],
-    ids=["vorticity_rhs", "rk4_step", "slab_forcing", "contraction_diagnostic"],
+    ids=[
+        "vorticity_rhs",
+        "rk4_step",
+        "slab_forcing",
+        "contraction_diagnostic",
+        "curl",
+        "divergence",
+        "biot_savart",
+        "divergence_rel",
+        "l2sq",
+        "h1sq",
+        "l2sq_h1sq",
+        "l4",
+        "set_row",
+    ],
 )
 def test_solvers_refuse_a_half_spectrum(grid8, solver):
-    # kept blocks are the one layout of the solver states (``Grid.kept``)
+    # kept blocks are the one layout of the solver states and of the
+    # operators and norms (``Grid.kept``)
     with pytest.raises(FieldShapeError):
         solver(grid8, random_divfree_field(grid8, seed=19))
 
@@ -161,7 +186,7 @@ def test_rhs_transform_count(grid8, monkeypatch):
 
 
 def test_step_pure_diffusion_is_exact(grid8):
-    w = np.zeros((3, 8, 8, 5), dtype=complex)
+    w = np.zeros((3, 5, 5, 3), dtype=complex)  # a kept block: k_1 = 1 and -1 are rows 1 and -1
     w[2, 1, 0, 0] = -0.5j
     w[2, -1, 0, 0] = 0.5j
     cfg = StepperConfig(dt=0.01, nu=1.0)
@@ -204,7 +229,7 @@ def test_run_beltrami_exact_decay(grid16):
     w0 = abc_vorticity(grid16)
     traj = collect_reference(grid16, w0, 0.1, StepperConfig(dt=1e-3), field_every=100)
     want = np.exp(-0.1) * grid16.kept(w0)  # the run carries kept blocks
-    rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(w0))
+    rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(grid16.kept(w0)))
     assert rel < 1e-10
 
 
@@ -226,7 +251,7 @@ def test_run_invariants_on_taylor_green(tg16_run, grid16):
 
 def test_blowup_report(grid8):
     w = random_divfree_field(grid8, seed=7)
-    cfg = StepperConfig(dt=0.01, nu=1.0, enstrophy_ceiling=grid8.l2sq(w) * 0.5)
+    cfg = StepperConfig(dt=0.01, nu=1.0, enstrophy_ceiling=grid8.l2sq(grid8.kept(w)) * 0.5)
     with pytest.raises(BlowUpError) as err:
         run_reference(grid8, w, 0.05, cfg, lambda t, w: None)
     assert err.value.time > 0.0
@@ -236,19 +261,17 @@ def test_blowup_report(grid8):
 def test_velocity_form_cross_check(grid16):
     """Curl of the velocity-form solution tracks the vorticity-form solution."""
     u0 = taylor_green_velocity(grid16)
-    w0 = grid16.curl(u0)
+    w0 = grid16.spread(grid16.curl(grid16.kept(u0)))
     T = 0.1
     times, snaps = run_reference_velocity(grid16, u0, T, StepperConfig(dt=1e-3), field_every=100)
     traj = collect_reference(grid16, w0, T, StepperConfig(dt=1e-3), field_every=100)
-    rel = np.sqrt(
-        grid16.l2sq(grid16.curl(snaps[-1]) - grid16.spread(traj.fields[-1]))
-        / grid16.l2sq(traj.fields[-1])
-    )
+    w = traj.fields[-1]
+    rel = np.sqrt(grid16.l2sq(grid16.curl(snaps[-1]) - w) / grid16.l2sq(w))
     assert rel < 1e-8
 
 
 def test_velocity_rhs_is_projected(grid8):
-    u = grid8.biot_savart(random_divfree_field(grid8, seed=55))
+    u = grid8.biot_savart(grid8.kept(random_divfree_field(grid8, seed=55)))
     rhs = velocity_rhs(grid8, u)
     assert grid8.divergence_rel(rhs) < 1e-12
     assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0

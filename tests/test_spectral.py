@@ -6,7 +6,14 @@ import scipy.fft
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import full_tables, hermitian_defect, norm_suite, physical_l2sq, stacked_curl
+from oracles import (
+    cut_block,
+    full_tables,
+    hermitian_defect,
+    norm_suite,
+    physical_l2sq,
+    stacked_curl,
+)
 
 from vslab import _fft
 from vslab.spectral import (
@@ -265,7 +272,7 @@ def test_pruned_transforms_refuse_other_layouts(grid8):
 def test_curl_single_mode(grid8):
     v = np.zeros((3, 8, 8, 8))
     v[2] = np.sin(grid8.x[0])
-    got = grid8.to_physical(grid8.curl(grid8.to_spectral(v)))
+    got = grid8.to_physical(grid8.spread(grid8.curl(cut_block(grid8, grid8.to_spectral(v)))))
     want = np.zeros_like(v)
     want[1] = -np.cos(grid8.x[0])
     assert np.max(np.abs(got - want)) < 1e-13
@@ -273,7 +280,7 @@ def test_curl_single_mode(grid8):
 
 def test_curl_of_gradient_vanishes(grid8):
     s = grid8.to_spectral(np.sin(grid8.x[0]) * np.sin(grid8.x[1]))
-    assert np.max(np.abs(grid8.curl(grid8.gradient(s)))) < 1e-14
+    assert np.max(np.abs(grid8.curl(cut_block(grid8, grid8.gradient(s))))) < 1e-14
 
 
 def _layouts(v):
@@ -288,7 +295,7 @@ def _layouts(v):
 def test_curl_is_the_stacked_formula_bit_for_bit(n):
     grid = Grid(n)
     v = random_divfree_field(grid, seed=n) + 0.5 * grid.gradient(random_divfree_field(grid, 3)[0])
-    for layout in _layouts(v):
+    for layout in _layouts(grid.kept(v)):
         got = grid.curl(layout)
         assert got.flags.c_contiguous
         assert got.tobytes() == stacked_curl(grid, layout).tobytes()
@@ -308,7 +315,7 @@ def test_curl_taylor_green_symbolic_oracle(grid16):
     )
     fns = [sp.lambdify((x1, x2, x3), expr, "numpy") for expr in curl_sym]
     want = np.stack([np.broadcast_to(f(*grid16.x), grid16.x[0].shape) for f in fns])
-    got = grid16.to_physical(grid16.curl(taylor_green_velocity(grid16)))
+    got = grid16.to_physical(grid16.spread(grid16.curl(grid16.kept(taylor_green_velocity(grid16)))))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -318,7 +325,7 @@ def test_curl_taylor_green_symbolic_oracle(grid16):
 def test_divergence_single_mode(grid8):
     v = np.zeros((3, 8, 8, 8))
     v[0] = np.sin(grid8.x[0])
-    got = grid8.to_physical(grid8.divergence(grid8.to_spectral(v)))
+    got = grid8.to_physical(grid8.spread(grid8.divergence(cut_block(grid8, grid8.to_spectral(v)))))
     assert np.max(np.abs(got - np.cos(grid8.x[0]))) < 1e-13
 
 
@@ -326,14 +333,14 @@ def test_divergence_of_curl_vanishes(grid8):
     v = random_divfree_field(grid8, seed=3) + 0.3 * grid8.gradient(
         grid8.to_spectral(np.sin(grid8.x[1]))
     )
-    assert np.max(np.abs(grid8.divergence(grid8.curl(v)))) < 1e-14
+    assert np.max(np.abs(grid8.divergence(grid8.curl(cut_block(grid8, v))))) < 1e-14
 
 
 def test_divergence_matches_modewise_loop(grid4):
     v = random_divfree_field(grid4, seed=5) + 0.2 * grid4.gradient(
         grid4.to_spectral(np.sin(grid4.x[0]))
     )
-    got = grid4.divergence(v)
+    got = grid4.spread(grid4.divergence(cut_block(grid4, v)))
     want = np.zeros_like(got)
     ks = np.fft.fftfreq(4, d=1.0 / 4).astype(int)
     kd = [0 if abs(k) == 2 else k for k in ks]
@@ -364,9 +371,9 @@ def test_leray_mixed_field_structure(grid8):
         grid8.to_spectral(np.sin(grid8.x[0]) * np.cos(grid8.x[2]))
     )
     proj = grid8.leray_project(v)
-    assert grid8.divergence_rel(proj) < 1e-12
+    assert grid8.divergence_rel(cut_block(grid8, proj)) < 1e-12
     residue = v - proj
-    cross = grid8.curl(residue)  # gradient fields are curl-free modewise
+    cross = grid8.curl(cut_block(grid8, residue))  # gradient fields are curl-free modewise
     assert np.max(np.abs(cross)) < 1e-13
 
 
@@ -383,20 +390,20 @@ def test_leray_idempotent(grid8):
 
 
 def test_biot_savart_zero(grid8):
-    assert np.all(grid8.biot_savart(np.zeros((3, 8, 8, 5), dtype=complex)) == 0.0)
+    assert np.all(grid8.biot_savart(np.zeros((3, 5, 5, 3), dtype=complex)) == 0.0)
 
 
 def test_biot_savart_single_mode(grid8):
     w = np.zeros((3, 8, 8, 8))
     w[1] = -np.cos(grid8.x[0])
-    got = grid8.to_physical(grid8.biot_savart(grid8.to_spectral(w)))
+    got = grid8.to_physical(grid8.spread(grid8.biot_savart(cut_block(grid8, grid8.to_spectral(w)))))
     want = np.zeros_like(w)
     want[2] = np.sin(grid8.x[0])
     assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_biot_savart_round_trip(grid8):
-    w = random_divfree_field(grid8, seed=23)
+    w = grid8.kept(random_divfree_field(grid8, seed=23))
     u = grid8.biot_savart(w)
     assert grid8.divergence_rel(u) < 1e-12
     assert np.max(np.abs(u[:, 0, 0, 0])) == 0.0
@@ -451,13 +458,13 @@ def test_dealias_pipeline_matches_padded_convolution_generic(grid8):
 
 
 def test_norms_single_mode(grid8):
-    suite = norm_suite(grid8, grid8.to_spectral(np.sin(grid8.x[0])))
+    suite = norm_suite(grid8, cut_block(grid8, grid8.to_spectral(np.sin(grid8.x[0]))))
     assert suite["l2_sq"] == pytest.approx(BOX_VOLUME / 2.0, rel=1e-13)
     assert suite["h1_semi_sq"] == pytest.approx(BOX_VOLUME / 2.0, rel=1e-13)
 
 
 def test_norms_constant_field(grid8):
-    suite = norm_suite(grid8, grid8.to_spectral(np.ones((8, 8, 8))))
+    suite = norm_suite(grid8, cut_block(grid8, grid8.to_spectral(np.ones((8, 8, 8)))))
     assert suite["l4"] == pytest.approx(TWO_PI**0.75, rel=1e-13)
     assert suite["h1_semi_sq"] == pytest.approx(0.0, abs=1e-14)
 
@@ -475,7 +482,7 @@ def test_l4_matches_full_spectrum_quadrature(n, seed, component):
     phys = np.fft.ifftn(full_spectrum(v) * n**3, axes=(-3, -2, -1)).real
     mag_sq = np.sum(phys**2, axis=0) if phys.ndim == 4 else phys**2
     want = (np.sum(mag_sq**2) * grid.cell_volume) ** 0.25
-    assert abs(grid.l4(v) - want) / want < 1e-13
+    assert abs(grid.l4(grid.kept(v)) - want) / want < 1e-13
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -483,13 +490,14 @@ def test_l2sq_h1sq_is_the_two_norms_bit_for_bit(n):
     grid = Grid(n)
     v = random_divfree_field(grid, seed=n + 1) * 1e3
     v += grid.gradient(random_divfree_field(grid, seed=5)[2])
+    v = grid.kept(v)
     for field in (v, v[1]):
         for layout in _layouts(field):
             assert grid.l2sq_h1sq(layout) == (grid.l2sq(layout), grid.h1sq(layout))
 
 
 def test_h1_equals_enstrophy_of_curl(grid8):
-    u = grid8.biot_savart(random_divfree_field(grid8, seed=31))
+    u = grid8.biot_savart(grid8.kept(random_divfree_field(grid8, seed=31)))
     h1 = grid8.h1sq(u)
     enstrophy = grid8.l2sq(grid8.curl(u))
     assert abs(h1 - enstrophy) / h1 < 1e-12
@@ -498,16 +506,19 @@ def test_h1_equals_enstrophy_of_curl(grid8):
 def test_parseval(grid8):
     v = random_divfree_field(grid8, seed=37)
     phys = grid8.to_physical(v)
+    v = grid8.kept(v)
     assert abs(physical_l2sq(grid8, phys) - grid8.l2sq(v)) / grid8.l2sq(v) < 1e-12
 
 
 @pytest.mark.parametrize("n, seed", [(8, 3), (8, 19), (16, 7), (16, 23)])
 def test_half_spectrum_sums_match_full_cube(n, seed):
     grid = Grid(n)
-    v = random_divfree_field(grid, seed) + 0.3 * grid.gradient(
-        grid.to_spectral(np.sin(grid.x[0]) * np.cos(grid.x[2]))
+    v = grid.dealias(
+        random_divfree_field(grid, seed)
+        + 0.3 * grid.gradient(grid.to_spectral(np.sin(grid.x[0]) * np.cos(grid.x[2])))
     )
     full = full_spectrum(v)
+    v = grid.kept(v)
     k, kd = full_tables(n)
     ksq = np.sum(k**2, axis=0)
     mag_sq = np.sum(np.abs(full) ** 2, axis=0)
@@ -558,37 +569,29 @@ def test_kept_block_and_half_spectrum_agree_bit_for_bit(n):
     grid = Grid(n)
     order = np.flatnonzero(np.broadcast_to(grid.keep, grid.k.shape))
     for w in _fields(grid):
-        assert grid.kept(_one_mode_outside(grid, w)) is None
-        assert grid.kept(_one_mode_outside(grid, w)[1]) is None
         b = grid.kept(w)
         assert b is not None and b.shape == (3, *grid._block_shape)
         assert same_bits(b.ravel(), w.ravel()[order])
+        assert same_bits(grid.kept(w[1]), b[1])
         # the sign of a zero outside the cut is the one thing spread does not keep
         assert same_bits(_without_signed_zeros(grid.spread(b)), _without_signed_zeros(w))
-        for half, block in ((w, b), (w[1], b[1])):
-            assert grid.l2sq(half) == grid.l2sq(block)
-            assert grid.h1sq(half) == grid.h1sq(block)
-            assert grid.l2sq_h1sq(half) == grid.l2sq_h1sq(block)
-            assert grid.l4(half) == grid.l4(block)
-        assert grid.divergence_rel(w) == grid.divergence_rel(b)
+        # a field enters from either layout with the same verdict
         assert _solenoidal_error(grid, w) == _solenoidal_error(grid, b)
-        assert same_bits(grid.kept(grid.divergence(w)), grid.divergence(b))
-        assert same_bits(grid.kept(grid.curl(w)), grid.curl(b))
-        assert same_bits(grid.kept(grid.biot_savart(w)), grid.biot_savart(b))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16])
-def test_fields_with_content_outside_the_cut_keep_the_half_spectrum_sum(n):
+def test_fields_with_content_outside_the_cut_are_refused(n):
     grid = Grid(n)
     for w in _fields(grid):
         v = _one_mode_outside(grid, w)
-        density = v.real**2 + v.imag**2
-
-        def gemv_sum(d):
-            return BOX_VOLUME * float(np.sum(d.reshape(-1, n // 2 + 1) @ grid.plane_weight))
-
-        assert grid.l2sq(v) == gemv_sum(density)
-        assert grid.h1sq(v) == gemv_sum(grid.ksq * density.sum(axis=0))
+        assert grid.kept(v) is None
+        assert grid.kept(v[1]) is None
+        # the mean and the divergence, on the kept modes, are refused first
+        outside = (ValueError, "content outside the 2/3 cut (max |w| there = 3.000e-01)")
+        assert _solenoidal_error(grid, v) == (_solenoidal_error(grid, w) or outside)
+        for norm in (grid.l2sq, grid.h1sq, grid.l2sq_h1sq, grid.l4):
+            with pytest.raises(FieldShapeError):
+                norm(v)
 
 
 def test_kept_block_shapes_are_checked(grid8):
@@ -636,9 +639,9 @@ def test_operations_preserve_hermitian_symmetry(seed):
     grid = Grid(8)
     v = random_divfree_field(grid, seed=seed)
     for out in (
-        grid.curl(v),
+        grid.spread(grid.curl(grid.kept(v))),
         grid.leray_project(v),
-        grid.biot_savart(v),
+        grid.spread(grid.biot_savart(grid.kept(v))),
         grid.dealias(v),
     ):
         assert hermitian_defect(full_spectrum(out)) < 1e-13
@@ -657,7 +660,7 @@ def test_round_trip_property(seed):
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_curl_biot_savart_identity_property(seed):
     grid = Grid(8)
-    w = random_divfree_field(grid, seed=seed)
+    w = grid.kept(random_divfree_field(grid, seed=seed))
     u = grid.biot_savart(w)
     assert np.sqrt(grid.l2sq(grid.curl(u) - w) / grid.l2sq(w)) < 1e-12
 
@@ -705,9 +708,9 @@ def test_taylor_green_is_divergence_free(n):
     u = taylor_green_velocity(grid)
     assert np.max(np.abs(u - grid.to_spectral(sampled))) < 1e-15
     assert grid.kept(u) is not None
-    assert grid.divergence_rel(u) < 1e-13
+    assert grid.divergence_rel(grid.kept(u)) < 1e-13
     w = taylor_green_vorticity(grid)
-    assert grid.divergence_rel(w) < 1e-13
+    assert grid.divergence_rel(grid.kept(w)) < 1e-13
     assert np.max(np.abs(w[:, 0, 0, 0])) == 0.0
 
 
@@ -727,5 +730,5 @@ def test_abc_flow_is_curl_eigenfield(n):
     assert np.max(np.abs(u - grid.to_spectral(sampled))) < 1e-15
     assert grid.kept(u) is not None
     w = abc_vorticity(grid, a, b, c)
-    assert np.max(np.abs(grid.curl(u) - u)) < 1e-13
+    assert np.max(np.abs(grid.curl(grid.kept(u)) - grid.kept(u))) < 1e-13
     assert np.max(np.abs(w - u)) < 1e-13
