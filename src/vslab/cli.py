@@ -60,15 +60,14 @@ def _build_parser():
 
 
 def _initial(grid, cfg):
-    if cfg.initial == "file":
-        n, _, w = snapshots.load_field(cfg.initial_path)
-        if n != grid.n:
-            raise ConfigError(
-                f"initial_path: snapshot grid {n} does not match configured n={grid.n}"
-            )
-    else:
-        w = initial_vorticity(grid, cfg.initial, seed=cfg.seed)
-    return grid.require_solenoidal(w)
+    """The kept block a run starts from; a file is read as every snapshot directory is."""
+    if cfg.initial != "file":
+        return grid.require_solenoidal(initial_vorticity(grid, cfg.initial, seed=cfg.seed))
+    try:
+        (w,) = snapshots.read_snapshots(grid, [cfg.initial_path])
+    except (OSError, snapshots.SnapshotError) as exc:
+        raise ConfigError(f"initial_path: {exc}") from None
+    return w
 
 
 def _partition_for(cfg, trajectory):

@@ -111,8 +111,8 @@ def run_reference(
     on T exactly.  Snapshots are taken every ``field_every`` steps; t=0 and
     t=T are always included.
 
-    ``w0`` is checked (``Grid.require_solenoidal``) before the sink sees
-    anything, and its kept block is the state the run carries and the first
+    ``w0`` is a kept block, checked (``Grid.require_solenoidal``) before
+    the sink sees anything; it is the state the run carries and the first
     snapshot.  Each snapshot is handed to ``sink(t, w)`` as it is taken, as
     a kept block, in time order from t=0; the sink must not modify ``w``.
     The run keeps no state past the step that made it, so a run that raises
@@ -126,7 +126,7 @@ def run_reference(
     dt = T / n_steps
     cfg = StepperConfig(dt=dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
 
-    w = np.asarray(grid.require_solenoidal(w0), dtype=np.complex128)
+    w = grid.require_solenoidal(w0)
 
     sink(0.0, w)
     s_times = [0.0]

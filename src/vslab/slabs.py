@@ -414,16 +414,16 @@ def run_slab_scheme(
     is given.  Each sample is inverted once: its scalar_record feeds both the
     norm series and, without a reference, kstar.
 
-    The run carries the kept block of ``omega0`` (``Grid.require_solenoidal``)
-    and every state after it as kept blocks.  Every sample is handed to
-    ``sink(t, w)`` as it is made, in time order from t=0; the sink must not
-    modify ``w``.  Nothing state-sized outlives the slab that made it, and a
+    ``omega0`` is a kept block, checked by ``Grid.require_solenoidal``; the
+    run carries it and every state after it as kept blocks.  Every sample is
+    handed to ``sink(t, w)`` as it is made, in time order from t=0; the sink
+    must not modify ``w``.  Nothing state-sized outlives the slab that made it, and a
     run that raises has already handed over every sample of the slabs before
     the failing one.
     """
     if slab_samples < 2:
         raise ValueError("need at least two samples per slab")
-    w = np.asarray(grid.require_solenoidal(omega0), dtype=np.complex128)
+    w = grid.require_solenoidal(omega0)
     times = [0.0]
     sink(0.0, w)
     norm_rows = [scalar_record(grid, w)]

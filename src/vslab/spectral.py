@@ -4,8 +4,8 @@ Fields are real and carried by their Fourier amplitudes
 
     f(x) = sum_k  fhat[k] * exp(i k.x),
 
-which are Hermitian-symmetric, fhat[-k] == conj(fhat[k]).  Only the half
-spectrum k_3 >= 0 is stored: a scalar field is a complex array of shape
+which are Hermitian-symmetric, fhat[-k] == conj(fhat[k]).  The half
+spectrum k_3 >= 0 holds them all: a scalar field is a complex array of shape
 (n, n, n//2+1), a vector field (3, n, n, n//2+1), with k_1 and k_2 in numpy
 ``fftfreq`` ordering and k_3 = 0 .. n/2-1 followed by the Nyquist plane at
 index n/2 (stored as k_3 = -n/2, as ``fftfreq`` labels it).  This is the
@@ -17,17 +17,18 @@ planes, which stand for themselves (``Grid.plane_weight``).
 
 A field that is zero outside the 2/3 cut, as every field the program holds
 is, is carried as its kept block (``Grid.kept``), the dense array of the
-kept modes, 3.6 times smaller than its half spectrum.  It is the layout of
-every solver state and the only one that the curl, divergence,
-Biot-Savart inversion and the norms take.  Half spectra remain the layout
-of the builders below, the whole-cube transforms, ``leray_project``,
-``dealias``, ``gradient``, ``symmetrize`` and the snapshot files; a field
-becomes a kept block where it enters (``Grid.kept`` or
-``Grid.require_solenoidal``), and ``Grid.spread`` turns one back.  A kept
-block goes to physical samples and back without its half spectrum
-(``Grid.block_to_physical`` and ``physical_to_block``): the transforms run
-axis by axis on the lines the cut leaves nonzero, with the bits of the
-whole-cube ``irfftn`` and ``rfftn``.
+kept modes, 3.6 times smaller than its half spectrum.  It is the layout
+every field is born in: the builders below write their amplitudes into a
+kept block, the snapshot reader decodes one, and ``Grid.require_solenoidal``
+takes nothing else.  Every solver state is one, and the curl, divergence,
+Biot-Savart inversion and the norms take no other layout.  Half spectra
+remain the layout of the whole-cube transforms, ``leray_project``,
+``dealias``, ``gradient`` and ``symmetrize``, which no command calls, and of
+the window the snapshot codec reads; ``Grid.kept`` and ``Grid.spread``
+convert between the two layouts.  A kept block goes to physical samples and
+back without its half spectrum (``Grid.block_to_physical`` and
+``physical_to_block``): the transforms run axis by axis on the lines the cut
+leaves nonzero, with the bits of the whole-cube ``irfftn`` and ``rfftn``.
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
@@ -42,9 +43,10 @@ Conventions fixed here and relied on everywhere else:
 * odd-derivative operators (curl, divergence, gradient) use wavenumbers
   with the Nyquist plane zeroed, which keeps them Hermitian-safe;
 * norms and diffusion use the full |k|^2 including the Nyquist plane;
-* the mean mode k=0 of velocities and vorticities is zero, and every field
-  the program holds is zero outside the 2/3 cut: both checked where a field
-  enters (``Grid.require_solenoidal``) and kept by every operation after.
+* the mean mode k=0 of velocities and vorticities is zero, checked where a
+  field enters (``Grid.require_solenoidal``), and every field the program
+  holds is zero outside the 2/3 cut, by its layout; every operation after
+  keeps both.
 """
 
 from __future__ import annotations
@@ -76,15 +78,6 @@ class MeanModeError(ValueError):
 
 class DivergenceError(ValueError):
     """Raised when an operation needs a divergence-free field beyond tolerance."""
-
-
-def conjugate_reflection(coeffs):
-    """Amplitudes of the conjugate-reflected field of a full cube, index k -> -k.
-
-    Works on any cube size, including grids too small for ``Grid``.
-    """
-    rev = np.flip(coeffs, axis=_AXES)
-    return np.conj(np.roll(rev, 1, axis=_AXES))
 
 
 def _mirror(a, out=None):
@@ -361,37 +354,29 @@ class Grid:
         return float(np.sqrt(num / den))
 
     def require_solenoidal(self, w):
-        """Raise unless w is zero-mean, divergence-free and cut; returns its kept block.
+        """Raise unless the kept vector block w is zero-mean and divergence-free; returns w.
 
-        Zero mean, a relative divergence at most DIV_TOL and nothing outside
-        the 2/3 cut.  Biot-Savart inversion needs the first two: no periodic
-        vector potential exists for mass at k=0, and the inversion would
-        silently drop a gradient part.  The cut is the state space the
-        solvers work in.  Called where fields enter the program, on a half
-        spectrum or a kept vector block; the solvers preserve all three
-        properties by construction.  Non-finite coefficients are rejected
-        first, since NaN passes every comparison, and the cut last, so the
-        other refusals keep their messages; the divergence of a half spectrum
-        is measured on its kept modes.
+        Zero mean and a relative divergence at most DIV_TOL.  Biot-Savart
+        inversion needs both: no periodic vector potential exists for mass
+        at k=0, and the inversion would silently drop a gradient part.
+        Called where fields enter the program; the solvers preserve both
+        properties by construction.  A field is cut by its layout: anything
+        but a kept vector block raises ``FieldShapeError``.  Non-finite
+        coefficients are rejected first, since NaN passes every comparison.
         """
-        if w.shape == (3, *self._block_shape):
-            block = w
-        else:
-            self._check_shape(w)
-            block = self._gather(w)
+        shape = (3, *self._block_shape)
+        if w.shape != shape:
+            raise FieldShapeError(f"expected a kept vector block {shape}, got {w.shape}")
         scale = float(np.max(np.abs(w)))
         if not np.isfinite(scale):
             raise ValueError(f"non-finite coefficients (max |w| = {scale})")
-        mean = float(np.max(np.abs(block[:, 0, 0, 0])))
+        mean = float(np.max(np.abs(w[:, 0, 0, 0])))
         if mean > MEAN_TOL * max(scale, 1.0):
             raise MeanModeError(f"mean vorticity {mean:.3e} is not zero")
-        rel = self.divergence_rel(block)
+        rel = self.divergence_rel(w)
         if rel > DIV_TOL:
             raise DivergenceError(f"relative divergence {rel:.3e} exceeds {DIV_TOL:.1e}")
-        if block is not w and np.count_nonzero(block) != np.count_nonzero(w):
-            outside = float(np.max(np.abs(w[:, ~self.keep])))
-            raise ValueError(f"content outside the 2/3 cut (max |w| there = {outside:.3e})")
-        return block
+        return w
 
     def biot_savart(self, w):
         """Velocity with curl u = w: uhat = i k x what / |k|^2, zero mean.
@@ -457,12 +442,13 @@ class Grid:
 
 
 def taylor_green_velocity(grid: Grid):
-    """Classic Taylor-Green vortex velocity, amplitude 1, from its exact amplitudes.
+    """Classic Taylor-Green vortex velocity, amplitude 1, as a kept block of its exact amplitudes.
 
     u = (sin x1 cos x2 cos x3, -cos x1 sin x2 cos x3, 0) has eight modes
-    k = (+-1, +-1, +-1); the half spectrum stores the four with k_3 = 1.
+    k = (+-1, +-1, +-1); the kept block stores the four with k_3 = 1, where
+    the row index -1 holds k = -1 on the axes -3 and -2.
     """
-    u = np.zeros((3, *grid.k.shape[1:]), dtype=np.complex128)
+    u = np.zeros((3, *grid._block_shape), dtype=np.complex128)
     for k1 in (1, -1):
         for k2 in (1, -1):
             u[0, k1, k2, 1] = -0.125j * k1
@@ -471,17 +457,17 @@ def taylor_green_velocity(grid: Grid):
 
 
 def taylor_green_vorticity(grid: Grid):
-    return grid.spread(grid.curl(grid.kept(taylor_green_velocity(grid))))
+    return grid.curl(taylor_green_velocity(grid))
 
 
 def abc_velocity(grid: Grid, a=1.0, b=1.0, c=1.0):
-    """ABC flow, an eigenfield of curl with eigenvalue 1 (Beltrami), from its exact amplitudes.
+    """ABC flow, an eigenfield of curl with eigenvalue 1 (Beltrami), as a kept block.
 
     u = (a sin x3 + c cos x2, b sin x1 + a cos x3, c sin x2 + b cos x1);
-    each term is a pair of modes k = +-e_i, of which the half spectrum stores
+    each term is a pair of modes k = +-e_i, of which the kept block stores
     both for i = 1, 2 (on the plane k_3 = 0) and k = e_3 for i = 3.
     """
-    u = np.zeros((3, *grid.k.shape[1:]), dtype=np.complex128)
+    u = np.zeros((3, *grid._block_shape), dtype=np.complex128)
     u[0, 0, 0, 1] = -0.5j * a
     u[1, 0, 0, 1] = 0.5 * a
     for s in (1, -1):
@@ -494,7 +480,7 @@ def abc_velocity(grid: Grid, a=1.0, b=1.0, c=1.0):
 
 def abc_vorticity(grid: Grid, a=1.0, b=1.0, c=1.0):
     # curl u = u for the ABC family, so the vorticity shares the amplitudes
-    return grid.spread(grid.curl(grid.kept(abc_velocity(grid, a, b, c))))
+    return grid.curl(abc_velocity(grid, a, b, c))
 
 
 # -- deterministic random fields --------------------------------------------
@@ -521,44 +507,41 @@ def splitmix64_uniform(seed: int, count: int):
 
 
 def random_divfree_field(grid: Grid, seed: int):
-    """Seeded divergence-free zero-mean vector field of unit L2 norm.
+    """Seeded divergence-free zero-mean vector field of unit L2 norm, as a kept block.
 
-    Amplitudes are drawn mode by mode in lexicographic wavevector order from
-    the splitmix64 stream (six uniforms per mode: re/im for each component),
-    damped by 1/(1+|k|^2), Hermitian-symmetrized on the full cube, cut to
-    the half spectrum, projected, and dealiased, so the construction is
-    reproducible across implementations.
+    Amplitudes are drawn mode by mode in lexicographic wavevector order over
+    the box |k_i| <= min(n/3, n/2-1), k = 0 left out, from the splitmix64
+    stream (six uniforms per mode: re/im for each component), damped by
+    1/(1+|k|^2), Hermitian-symmetrized on the box, cut, projected and
+    normalised, so the construction is reproducible across implementations.
+    The box is one row wider than the cut when 3 divides n.
     """
     n = grid.n
     kmax = min(int(n / 3.0), n // 2 - 1)
-    axis = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    order = np.argsort(axis)
-    full = np.zeros((3, n, n, n), dtype=np.complex128)
-    modes = []
-    for i1 in order:
-        if abs(axis[i1]) > kmax:
-            continue
-        for i2 in order:
-            if abs(axis[i2]) > kmax:
-                continue
-            for i3 in order:
-                if abs(axis[i3]) > kmax:
-                    continue
-                if axis[i1] == 0 and axis[i2] == 0 and axis[i3] == 0:
-                    continue
-                modes.append((i1, i2, i3))
-    draws = splitmix64_uniform(seed, 6 * len(modes)).reshape(len(modes), 3, 2)
+    k = np.arange(-kmax, kmax + 1)
+    ksq = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2).ravel()
+    drawn = ksq != 0  # the box in C order is the lexicographic order of k
+    draws = splitmix64_uniform(seed, 6 * np.count_nonzero(drawn)).reshape(-1, 3, 2)
     amp = 2.0 * draws - 1.0
-    for (i1, i2, i3), a in zip(modes, amp):
-        damp = 1.0 / (1.0 + float(axis[i1] ** 2 + axis[i2] ** 2 + axis[i3] ** 2))
-        full[:, i1, i2, i3] = damp * (a[:, 0] + 1j * a[:, 1])
-    coeffs = 0.5 * (full + conjugate_reflection(full))[..., : n // 2 + 1]
-    coeffs[:, 0, 0, 0] = 0.0
-    coeffs = grid.dealias(grid.leray_project(coeffs))
-    norm = np.sqrt(grid.l2sq(grid.kept(coeffs)))
+    damp = 1.0 / (1.0 + ksq[drawn].astype(np.float64))
+    box = np.zeros((ksq.size, 3), dtype=np.complex128)
+    box[drawn] = damp[:, None] * (amp[..., 0] + 1j * amp[..., 1])
+    side = 2 * kmax + 1
+    box = box.T.reshape(3, side, side, side)
+    # the box is symmetric about k = 0, so -k is every axis reversed
+    box = 0.5 * (box + np.conj(box[:, ::-1, ::-1, ::-1]))
+    cut = grid._block_shape[-1] - 1  # the kmax of the cut: kmax - 1 when 3 divides n
+    rows = slice(kmax - cut, kmax + cut + 1)
+    # k_3 >= 0, and the rows of the axes -3 and -2 in block order, 0 .. cut, -cut .. -1
+    w = np.fft.ifftshift(box[:, rows, rows, kmax : kmax + cut + 1], axes=(-3, -2))
+    w[:, 0, 0, 0] = 0.0
+    kd = grid.block_kd  # equal to k on the kept modes, which hold no Nyquist row
+    kdotv = kd[0] * w[0] + kd[1] * w[1] + kd[2] * w[2]
+    w = w - kd * (kdotv * grid.block_inv_ksq)[np.newaxis]
+    norm = np.sqrt(grid.l2sq(w))
     if norm == 0.0:
         raise ValueError("degenerate random field")
-    return coeffs / norm
+    return w / norm
 
 
 _INITIAL_BUILDERS = {
@@ -568,7 +551,7 @@ _INITIAL_BUILDERS = {
 
 
 def initial_vorticity(grid: Grid, name: str, seed: int = 0):
-    """Vorticity initial condition by registry name."""
+    """Vorticity initial condition by registry name, as a kept block."""
     if name in _INITIAL_BUILDERS:
         return _INITIAL_BUILDERS[name](grid)
     if name == "random-divfree":

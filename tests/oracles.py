@@ -5,6 +5,7 @@ apart from the half-spectrum and kept-block layouts the program keeps, so
 they check it rather than share its code.
 """
 
+import itertools
 import struct
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy.fft
 from vslab import estimates, slabs
 from vslab.reference import StepperConfig, rk4_step, run_reference
 from vslab.snapshots import load_trajectory
-from vslab.spectral import conjugate_reflection, full_spectrum
+from vslab.spectral import full_spectrum, splitmix64_uniform
 from vslab.trajectory import Trajectory, scalar_record, series_from_records
 
 
@@ -45,6 +46,40 @@ def collect_slabs(grid, omega0, partition, **kwargs):
         result = slabs.run_slab_scheme(grid, omega0, partition, traj.append, **kwargs)
     traj.series = result.series
     return result, traj, solutions
+
+
+def conjugate_reflection(coeffs):
+    """Amplitudes of the conjugate-reflected field of a full cube, index k -> -k.
+
+    Works on any cube size, including grids too small for ``Grid``.
+    """
+    rev = np.flip(coeffs, axis=(-3, -2, -1))
+    return np.conj(np.roll(rev, 1, axis=(-3, -2, -1)))
+
+
+def random_divfree_half(grid, seed):
+    """``random_divfree_field`` built on the whole cube, as a half spectrum.
+
+    The draws go mode by mode in lexicographic order of k over the box
+    |k_i| <= min(n/3, n/2-1) of the n^3 cube, k = 0 left out; the cube is
+    symmetrized by conjugate reflection, cut to its half, projected,
+    dealiased and normalised.
+    """
+    n = grid.n
+    kmax = min(int(n / 3.0), n // 2 - 1)
+    axis = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    order = [i for i in np.argsort(axis) if abs(axis[i]) <= kmax]
+    modes = [m for m in itertools.product(order, order, order) if any(axis[i] for i in m)]
+    draws = splitmix64_uniform(seed, 6 * len(modes)).reshape(len(modes), 3, 2)
+    amp = 2.0 * draws - 1.0
+    full = np.zeros((3, n, n, n), dtype=np.complex128)
+    for (i1, i2, i3), a in zip(modes, amp):
+        damp = 1.0 / (1.0 + float(axis[i1] ** 2 + axis[i2] ** 2 + axis[i3] ** 2))
+        full[:, i1, i2, i3] = damp * (a[:, 0] + 1j * a[:, 1])
+    coeffs = 0.5 * (full + conjugate_reflection(full))[..., : n // 2 + 1]
+    coeffs[:, 0, 0, 0] = 0.0
+    coeffs = grid.dealias(grid.leray_project(coeffs))
+    return coeffs / np.sqrt(grid.l2sq(grid.kept(coeffs)))
 
 
 def hermitian_defect(coeffs):

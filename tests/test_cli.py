@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import corrupt_negative_half, monitor_rows
+from oracles import corrupt_negative_half, cut_block, monitor_rows
 
 from vslab import cli, estimates, snapshots, spectral
 from vslab.cli import cli_dispatch
@@ -372,9 +374,9 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
     # blocks.  The window holds kept blocks too (32% of a state at 16^3).
     grid = Grid(16)
     state = grid.k.size * 16
-    block = grid.kept(random_divfree_field(grid, seed=3)).nbytes
+    block = random_divfree_field(grid, seed=3).nbytes
     grid4 = Grid(4)
-    w = grid4.kept(random_divfree_field(grid4, seed=3))
+    w = random_divfree_field(grid4, seed=3)
     for command in ("run-ref", "run-slab"):
         cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1, outdir=str(tmp_path / command))
         assert cli_dispatch([command, "--config", cfg]) == 0
@@ -519,7 +521,7 @@ def test_run_slab_picard_failure_leaves_the_initial_snapshot(tmp_path, capsys):
     n, t, w = load_field(out / "snapshots" / "snap_000000.vslb")
     assert (n, t) == (8, 0.0)
     grid = Grid(8)
-    assert w.tobytes() == grid.spread(grid.kept(taylor_green_vorticity(grid))).tobytes()
+    assert w.tobytes() == grid.spread(taylor_green_vorticity(grid)).tobytes()
 
 
 def _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, damage):
@@ -538,7 +540,8 @@ def _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, damage):
 
 def test_monitor_rejects_mixed_grid_sizes_before_reading(tmp_path, capsys, monkeypatch):
     def add_4cubed(snapdir):  # named to sort after the 8^3 snap_ files
-        persist_field(snapdir / "stray.vslb", random_divfree_field(Grid(4), seed=8), 9.0)
+        grid = Grid(4)
+        persist_field(snapdir / "stray.vslb", random_divfree_field(grid, seed=8), 9.0, grid)
 
     line = _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, add_4cubed)
     assert "stray.vslb" in line and "grid size 4" in line
@@ -559,20 +562,22 @@ def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):
     stored = {p.name: p.read_bytes() for p in snapdir.glob("snap_*.vslb")}
     assert len(stored) == 11
     grid = Grid(8)
-    divergent = grid.gradient(grid.to_spectral(np.sin(grid.x[0])))
+    divergent = cut_block(grid, grid.gradient(grid.to_spectral(np.sin(grid.x[0]))))
     path = tmp_path / "w0.vslb"
-    persist_field(path, divergent, 0.0)
+    persist_field(path, divergent, 0.0, grid)
     cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
     capsys.readouterr()
     assert cli_dispatch(["run-ref", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "divergence" in err[0]
+    assert err[0].startswith("error: initial_path: w0.vslb: ")
     assert {p.name: p.read_bytes() for p in snapdir.glob("snap_*.vslb")} == stored
 
 
 def _uncut_field():
     """A divergence-free 16^3 vorticity with the modes k = (+-6, 0, 0) of w_2 outside the cut."""
-    w = random_divfree_field(Grid(16), seed=3)
+    grid = Grid(16)
+    w = grid.spread(random_divfree_field(grid, seed=3))
     w[1, 6, 0, 0] = 0.05 - 0.02j
     w[1, -6, 0, 0] = 0.05 + 0.02j
     return w
@@ -586,15 +591,18 @@ def test_uncut_initial_file_is_refused(tmp_path, capsys, command):
     assert cli_dispatch([command, "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "outside the 2/3 cut" in err[0]
+    assert err[0].startswith(f"error: initial_path: {path}: ")
     assert not list((tmp_path / "out" / "snapshots").glob("*.vslb"))
 
 
 @pytest.mark.parametrize("reader", ["monitor", "compare", "reference_dir"])
 def test_uncut_snapshot_is_refused_by_name(tmp_path, capsys, reader):
     grid = Grid(16)
-    for name, middle in (("good", random_divfree_field(grid, seed=4)), ("bad", _uncut_field())):
+    good = grid.spread(random_divfree_field(grid, seed=4))
+    for name, middle in (("good", good), ("bad", _uncut_field())):
         (tmp_path / name).mkdir()
-        fields = [random_divfree_field(grid, seed=1), middle, random_divfree_field(grid, seed=2)]
+        fields = [grid.spread(random_divfree_field(grid, seed=s)) for s in (1, 2)]
+        fields.insert(1, middle)
         for i, w in enumerate(fields):
             persist_field(tmp_path / name / snapshots.snapshot_name(i), w, 0.0625 * i)
     cfg = write_cfg(tmp_path, n=16)
@@ -613,7 +621,8 @@ def test_uncut_snapshot_is_refused_by_name(tmp_path, capsys, reader):
 
 def test_run_ref_keeps_the_initial_file_as_its_first_snapshot(tmp_path):
     path = tmp_path / "w0.vslb"
-    persist_field(path, random_divfree_field(Grid(8), seed=7), 0.5)
+    grid = Grid(8)
+    persist_field(path, random_divfree_field(grid, seed=7), 0.5, grid)
     cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
     assert cli_dispatch(["run-ref", "--config", cfg]) == 0
     first = tmp_path / "out" / "snapshots" / "snap_000000.vslb"
@@ -621,11 +630,12 @@ def test_run_ref_keeps_the_initial_file_as_its_first_snapshot(tmp_path):
 
 
 def test_monitor_rejects_nonzero_mean_snapshot(tmp_path, capsys):
-    w = random_divfree_field(Grid(8), seed=29).copy()
+    grid = Grid(8)
+    w = random_divfree_field(grid, seed=29)
     w[0, 0, 0, 0] = 0.1
     snapdir = tmp_path / "snaps"
     snapdir.mkdir()
-    persist_field(snapdir / "snap_000000.vslb", w, 0.0)
+    persist_field(snapdir / "snap_000000.vslb", w, 0.0, grid)
     cfg = write_cfg(tmp_path)
     assert cli_dispatch(["monitor", "--config", cfg, str(snapdir)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -645,8 +655,9 @@ def test_monitor_rejects_duplicate_snapshot_time(tmp_path, capsys):
 
 
 def _nan_snapshot(path):
-    w = random_divfree_field(Grid(8), seed=29).copy()
-    w[1, 2, 3, 1] = np.nan
+    grid = Grid(8)
+    w = grid.spread(random_divfree_field(grid, seed=29))
+    w[1, 2, 3, 1] = np.nan  # k = (2, 3, 1), outside the cut
     persist_field(path, w, 0.0)
 
 
@@ -668,6 +679,18 @@ def test_run_ref_rejects_nan_initial_file(tmp_path, capsys):
     assert cli_dispatch(["run-ref", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+    assert err[0].startswith(f"error: initial_path: {path}: ")
+
+
+def test_run_ref_refuses_an_initial_file_of_another_grid_size(tmp_path, capsys):
+    grid = Grid(16)
+    path = tmp_path / "w0.vslb"
+    persist_field(path, random_divfree_field(grid, seed=3), 0.0, grid)
+    cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: initial_path: {path}: grid size 16 differs from 8"]
+    assert not (tmp_path / "out" / "snapshots").exists()
 
 
 def _monitor_one_error(tmp_path, capsys, damage):
@@ -815,15 +838,18 @@ def override_dir(tmp_path_factory):
     return path
 
 
-@settings(max_examples=200, deadline=None)
-@given(command=st.sampled_from(["run-ref", "run-slab"]), item=set_overrides())
-def test_any_set_override_exits_cleanly_or_in_one_error_line(override_dir, command, item):
+def _exits_cleanly_or_in_one_error_line(directory, argv):
+    """Run the CLI in process from ``directory``; returns its exit code.
+
+    Exit 0 with nothing on stderr, or exit 1 or 2 with one ``error:`` line;
+    no warning either way.  An exception that escapes fails the caller.
+    """
     cwd, err = os.getcwd(), io.StringIO()
-    os.chdir(override_dir)
+    os.chdir(directory)
     try:
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = cli_dispatch([command, "--config", "run.cfg", "--set", item])
+            code = cli_dispatch(argv)
     finally:
         os.chdir(cwd)
     assert not caught, [str(w.message) for w in caught]
@@ -833,6 +859,78 @@ def test_any_set_override_exits_cleanly_or_in_one_error_line(override_dir, comma
     else:
         assert code in (1, 2)
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["run-ref", "run-slab"]), item=set_overrides())
+def test_any_set_override_exits_cleanly_or_in_one_error_line(override_dir, command, item):
+    argv = [command, "--config", "run.cfg", "--set", item]
+    _exits_cleanly_or_in_one_error_line(override_dir, argv)
+
+
+# one word of a snapshot file: (offset, struct format, values) of each header
+# field; a payload word is a float64 of the (3, n, n, n, 2) words after them
+HEADER_WORDS = {
+    "magic": (0, "4s", [b"XXXX", b"vslb", bytes(4)]),
+    "version": (4, "<I", [0, 2, 2**32 - 1]),
+    "n": (8, "<I", [0, 4, 7, 16, 2**32 - 1]),
+    "components": (12, "<I", [0, 1, 4]),
+    "time": (16, "<d", [np.nan, np.inf, -np.inf, -0.0, 1e300, -1e300, 0.125]),
+}
+PAYLOAD_VALUES = [np.nan, np.inf, -0.0, 1e300]
+
+
+@st.composite
+def corrupt_words(draw):
+    """(file index, byte offset, struct format, value) of one corrupt word of an 8^3 snapshot."""
+    snap = draw(st.integers(0, 5))
+    field = draw(st.sampled_from([*HEADER_WORDS, "payload"]))
+    if field != "payload":
+        return (snap, *HEADER_WORDS[field][:2], draw(st.sampled_from(HEADER_WORDS[field][2])))
+    k = st.integers(-4, 3) | st.integers(-2, 2)  # anywhere, or in the box the cut keeps
+    index = (draw(st.integers(0, 2)), *(draw(k) + 4 for _ in range(3)), draw(st.integers(0, 1)))
+    offset = 24 + 8 * int(np.ravel_multi_index(index, (3, 8, 8, 8, 2)))
+    return snap, offset, "<d", draw(st.sampled_from(PAYLOAD_VALUES))
+
+
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory):
+    """A working directory with six 8^3 snapshots in ``pristine`` and a copy in ``corrupt``."""
+    path = tmp_path_factory.mktemp("corrupt")
+    (path / "run.cfg").write_text("n = 8\nT = 0.05\ndt = 0.0025\nfield_every = 4\noutdir = runs\n")
+    argv = ["run-ref", "--config", "run.cfg", "--set", "outdir=made"]
+    assert _exits_cleanly_or_in_one_error_line(path, argv) == 0
+    (path / "made" / "snapshots").rename(path / "pristine")
+    shutil.copytree(path / "pristine", path / "corrupt")
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["monitor", "compare", "initial=file"]), word=corrupt_words())
+def test_any_corrupt_snapshot_word_exits_cleanly_or_in_one_error_line(corrupt_dir, command, word):
+    snap, offset, fmt, value = word
+    path = corrupt_dir / "corrupt" / snapshots.snapshot_name(snap)
+    pristine = path.read_bytes()
+    blob = bytearray(pristine)
+    struct.pack_into(fmt, blob, offset, value)
+    path.write_bytes(bytes(blob))
+    initial = ["--set", "T=0.01", "--set", "initial=file", "--set", f"initial_path={path}"]
+    argv = {
+        "monitor": ["monitor", "--config", "run.cfg", "corrupt"],
+        "compare": ["compare", "--config", "run.cfg", "pristine", "corrupt"],
+        "initial=file": ["run-ref", "--config", "run.cfg", *initial],
+    }[command]
+    try:
+        code = _exits_cleanly_or_in_one_error_line(corrupt_dir, argv)
+    finally:
+        path.write_bytes(pristine)
+    if offset == 16:
+        # a non-finite time is refused by every reader; a finite one that
+        # moves a sample breaks the uniform spacing that monitor needs
+        old = struct.unpack_from("<d", pristine, 16)[0]
+        if not np.isfinite(value) or (command == "monitor" and value != old):
+            assert code == 1
 
 
 def _run_child(*argv):
@@ -882,10 +980,10 @@ def test_monitor_refuses_an_infinite_amplitude_in_one_line(tmp_path):
     snapdir.mkdir()
     grid = Grid(8)
     for i in range(3):
-        w = random_divfree_field(grid, seed=i + 1).copy()
+        w = random_divfree_field(grid, seed=i + 1)
         if i == 1:
             w[0, 1, 1, 1] = np.inf
-        persist_field(snapdir / snapshots.snapshot_name(i), w, 0.1 * i)
+        persist_field(snapdir / snapshots.snapshot_name(i), w, 0.1 * i, grid)
     proc = _run_child("monitor", "--config", write_cfg(tmp_path), str(snapdir))
     assert proc.returncode == 1
     err = proc.stderr.splitlines()

@@ -130,7 +130,7 @@ def test_echo_replays_to_identical_config(tmp_path):
 
 def test_snapshot_round_trip_bit_exact(tmp_path):
     grid = Grid(8)
-    w = random_divfree_field(grid, seed=77)
+    w = grid.spread(random_divfree_field(grid, seed=77))
     path = tmp_path / "field.vslb"
     persist_field(path, w, 0.375)
     n, t, back = load_field(path)
@@ -212,8 +212,9 @@ def test_snapshot_symmetry_violation(tmp_path):
 
 
 def test_snapshot_symmetry_violation_in_dropped_half(tmp_path):
+    grid = Grid(8)
     path = tmp_path / "neg.vslb"
-    persist_field(path, random_divfree_field(Grid(8), seed=41), 0.0)
+    persist_field(path, grid.spread(random_divfree_field(grid, seed=41)), 0.0)
     load_field(path)
     corrupt_negative_half(path, 8)
     with pytest.raises(SnapshotError, match="neg.vslb: Hermitian symmetry violated"):
@@ -247,15 +248,11 @@ def test_snapshot_load_is_contiguous_and_equals_the_gather(tmp_path, n):
     assert back.tobytes() == coeffs.tobytes()
 
 
-def _cut_block(grid, seed):
-    return grid.kept(grid.dealias(random_divfree_field(grid, seed=seed)))
-
-
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_block_encoding_is_the_half_spectrum_encoding(tmp_path, n):
     grid = Grid(n)
     for seed in (0, 1, 2):
-        block = _cut_block(grid, seed)
+        block = random_divfree_field(grid, seed)
         persist_field(tmp_path / "block.vslb", block, 0.5, grid)
         persist_field(tmp_path / "half.vslb", grid.spread(block), 0.5)
         got = (tmp_path / "block.vslb").read_bytes()
@@ -267,7 +264,7 @@ def test_block_decode_is_the_kept_block_of_the_half_spectrum(tmp_path, n):
     grid = Grid(n)
     path = tmp_path / "snap.vslb"
     for seed in (3, 4):
-        persist_field(path, grid.spread(_cut_block(grid, seed)), 0.25)
+        persist_field(path, grid.spread(random_divfree_field(grid, seed)), 0.25)
         got_n, t, block = load_field(path, grid)
         assert (got_n, t) == (n, 0.25) and block.flags.c_contiguous
         assert block.tobytes() == grid.kept(load_field(path)[2]).tobytes()
@@ -298,7 +295,7 @@ OUTSIDE_8CUBED = [
 def test_block_decode_refuses_a_word_outside_the_cut(tmp_path, index):
     grid = Grid(8)
     path = tmp_path / "snap.vslb"
-    persist_field(path, _cut_block(grid, 5), 0.0, grid)
+    persist_field(path, random_divfree_field(grid, 5), 0.0, grid)
     _set_word(path, index, 1e-3)
     there = r"snap.vslb: content outside the 2/3 cut \(max \|w\| there = 1.000e-03\)"
     with pytest.raises(SnapshotError, match=there):
@@ -314,7 +311,7 @@ def test_block_decode_refuses_a_sub_tolerance_word_in_the_dropped_half(tmp_path)
     # the half-spectrum load, which drops that half, and is refused on a block
     grid = Grid(8)
     path = tmp_path / "snap.vslb"
-    persist_field(path, _cut_block(grid, 6), 0.0, grid)
+    persist_field(path, random_divfree_field(grid, 6), 0.0, grid)
     half = load_field(path)[2]
     _set_word(path, OUTSIDE_8CUBED[4], 1e-14)
     assert load_field(path)[2].tobytes() == half.tobytes()
@@ -325,7 +322,7 @@ def test_block_decode_refuses_a_sub_tolerance_word_in_the_dropped_half(tmp_path)
 def test_block_decode_refuses_a_hermitian_defect_inside_the_box(tmp_path):
     grid = Grid(8)
     path = tmp_path / "snap.vslb"
-    persist_field(path, _cut_block(grid, 7), 0.0, grid)
+    persist_field(path, random_divfree_field(grid, 7), 0.0, grid)
     load_field(path, grid)
     corrupt_negative_half(path, 8)  # k = (1, -2, -1), inside the box
     with pytest.raises(SnapshotError, match="snap.vslb: Hermitian symmetry violated"):
@@ -334,14 +331,14 @@ def test_block_decode_refuses_a_hermitian_defect_inside_the_box(tmp_path):
 
 def test_block_decode_refuses_another_grid_size(tmp_path):
     path = tmp_path / "snap.vslb"
-    persist_field(path, _cut_block(Grid(8), 8), 0.0, Grid(8))
+    persist_field(path, random_divfree_field(Grid(8), 8), 0.0, Grid(8))
     with pytest.raises(SnapshotError, match="grid size 8 differs from 16"):
         load_field(path, Grid(16))
 
 
 def test_trajectory_save_load(tmp_path):
     grid = Grid(8)
-    w = grid.kept(random_divfree_field(grid, seed=5))
+    w = random_divfree_field(grid, seed=5)
     times = np.array([0.0, 0.5, 1.0])
     fields = [w, 0.5 * w, 0.25 * w]  # the sink takes and the load gives kept blocks
     sink = snapshot_sink(tmp_path, grid)
@@ -398,7 +395,8 @@ def test_atomic_open_keeps_the_old_file_when_the_write_fails(tmp_path):
 
 
 def test_writers_leave_no_temporary_files(tmp_path):
-    persist_field(tmp_path / "snap_000000.vslb", random_divfree_field(Grid(4), seed=1), 0.0)
+    grid = Grid(4)
+    persist_field(tmp_path / "snap_000000.vslb", random_divfree_field(grid, seed=1), 0.0, grid)
     emit_reports(tmp_path, _tiny_ledger())
     echo_config(parse_config_text("n = 8\n"), tmp_path)
     names = os.listdir(tmp_path)
@@ -406,9 +404,10 @@ def test_writers_leave_no_temporary_files(tmp_path):
 
 
 def test_scan_orders_by_time_from_headers_only(tmp_path):
-    w = random_divfree_field(Grid(8), seed=5)
+    grid = Grid(8)
+    w = random_divfree_field(grid, seed=5)
     for name, t in (("a.vslb", 1.0), ("b.vslb", 0.0), ("c.vslb", 0.5)):
-        persist_field(tmp_path / name, w, t)
+        persist_field(tmp_path / name, w, t, grid)
     (tmp_path / "notes.txt").write_text("not a snapshot")
     corrupt_negative_half(tmp_path / "c.vslb", 8)
     n, times, paths = scan_snapshots(tmp_path)

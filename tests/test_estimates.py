@@ -127,7 +127,7 @@ def test_energy_identity_zero_trajectory():
 
 def test_energy_identity_beltrami_closed_form(grid8):
     # u(t) = e^{-t} u0 with lambda = 1: energy 2t-decay balances dissipation
-    e0 = grid8.l2sq(grid8.kept(abc_velocity(grid8)))
+    e0 = grid8.l2sq(abc_velocity(grid8))
     times = np.linspace(0.0, 1.0, 1001)
     energy = e0 * np.exp(-2.0 * times)
     dissipation = energy  # |grad u|^2 = lambda^2 |u|^2
@@ -167,7 +167,7 @@ def test_grad_vorticity_constant_field(grid8):
 
 def test_grad_vorticity_random_fields(grid8):
     for seed in range(10):
-        u = grid8.biot_savart(grid8.kept(random_divfree_field(grid8, seed=seed)))
+        u = grid8.biot_savart(random_divfree_field(grid8, seed=seed))
         assert grad_vorticity_check(grid8, u) < 1e-12
 
 
@@ -268,7 +268,7 @@ def test_average_cs_zero_trajectory(grid8):
 
 
 def test_average_cs_equality_for_constant_trajectory(grid8):
-    w0 = random_divfree_field(grid8, seed=11)
+    w0 = grid8.spread(random_divfree_field(grid8, seed=11))
     sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
     sol.forcing = grid8.kept(grid8.ksq * w0)  # freezes the state
     assert abs(average_cs_check(sol)) < 1e-12
@@ -291,7 +291,7 @@ def test_average_cs_single_decaying_mode(grid8):
 @given(seed=st.integers(min_value=0, max_value=2**32), width=st.floats(min_value=0.01, max_value=0.5))
 def test_average_cs_margin_nonnegative(seed, width):
     grid = Grid(8)
-    w0 = grid.kept(random_divfree_field(grid, seed=seed))
+    w0 = random_divfree_field(grid, seed=seed)
     sol = picard_solve_slab(grid, w0, 0.0, width)
     assert average_cs_check(sol) >= -1e-12
 
@@ -356,8 +356,8 @@ def direct_hgamma(times, fields, gamma, freq_points):
 @pytest.mark.parametrize("seed", [3, 41])
 def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
     # 16 held samples; 9 frequency points are fewer than the lags
-    fields = [random_divfree_field(grid8, seed + m) for m in range(17)]
-    blocks = [grid8.kept(f) for f in fields]
+    blocks = [random_divfree_field(grid8, seed + m) for m in range(17)]
+    fields = [grid8.spread(b) for b in blocks]
     times = np.linspace(0.0, 0.5, 17)
     got = hgamma_diagnostic(times, blocks, 0.2, grid8, freq_points=freq_points).value
     want = direct_hgamma(times, fields, 0.2, freq_points)
@@ -371,7 +371,7 @@ def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
 
 def test_hgamma_stack_rows_are_the_same_from_either_layout(grid8):
     # a row is the kept modes of the half spectrum weighted plane by plane
-    w = random_divfree_field(grid8, seed=5)
+    w = grid8.spread(random_divfree_field(grid8, seed=5))
     stack = HGammaStack(grid8, 1)
     stack.set_row(0, grid8.kept(w))
     assert np.array_equal(stack.rows[0], grid8.kept(w * np.sqrt(grid8.plane_weight)).ravel())
@@ -393,7 +393,7 @@ def test_hgamma_monotone_in_gamma(grid8):
 def test_hgamma_frequency_grid_transients_are_bounded():
     # three 4^3 snapshots: nearly all the memory is the 131073-point frequency grid
     grid = Grid(4)
-    w = grid.kept(random_divfree_field(grid, seed=3))
+    w = random_divfree_field(grid, seed=3)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -427,7 +427,7 @@ def test_dt_monitor_zero_trajectory(grid8):
 
 
 def test_dt_monitor_beltrami_analytic(grid8):
-    u0 = grid8.kept(abc_velocity(grid8))
+    u0 = abc_velocity(grid8)
     times = np.linspace(0.0, 0.1, 11)
     fields = [np.exp(-t) * u0 for t in times]
     enstrophy = [grid8.l2sq(grid8.curl(u)) for u in fields]
@@ -441,7 +441,7 @@ def test_dt_monitor_beltrami_analytic(grid8):
 
 
 def test_dt_monitor_phi_is_the_enstrophy_series(grid8):
-    u0 = grid8.kept(abc_velocity(grid8))
+    u0 = abc_velocity(grid8)
     times = np.linspace(0.0, 0.1, 11)
     enstrophy = np.linspace(3.0, 1.0, 11)
     mon = dt_u_monitor(times, [np.exp(-t) * u0 for t in times], enstrophy, grid8)
@@ -510,7 +510,7 @@ def test_cosine_average_study_rate(grid8):
 
 
 def test_sup_l2_distance_self_is_zero(grid8):
-    w0 = grid8.kept(random_divfree_field(grid8, seed=5))
+    w0 = random_divfree_field(grid8, seed=5)
     times = np.array([0.0, 1.0])
     traj = Trajectory(grid=grid8, nu=1.0, times=times, fields=[w0, 0.5 * w0])
     assert sup_l2_distance(grid8, traj, traj, [0.0, 0.5, 1.0]) == 0.0

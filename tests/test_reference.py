@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 import sympy as sp
-from oracles import collect_reference, hermitian_defect, run_reference_velocity, velocity_rhs
+from oracles import (
+    collect_reference,
+    cut_block,
+    hermitian_defect,
+    run_reference_velocity,
+    velocity_rhs,
+)
 
 from vslab import _fft
 from vslab.estimates import HGammaStack
@@ -41,7 +47,7 @@ def test_rhs_zero_field(grid16):
 
 
 def test_rhs_vanishes_on_beltrami(grid16):
-    w = grid16.kept(abc_vorticity(grid16))
+    w = abc_vorticity(grid16)
     rhs = vorticity_rhs(grid16, w)
     assert np.sqrt(grid16.l2sq(rhs)) < 1e-13
 
@@ -65,7 +71,7 @@ def test_rhs_taylor_green_symbolic_oracle(grid16):
     ]
     fns = [sp.lambdify(xs, sp.expand(e), "numpy") for e in rhs_sym]
     want = np.stack([np.broadcast_to(f(*grid16.x), grid16.x[0].shape) for f in fns])
-    rhs = vorticity_rhs(grid16, grid16.kept(taylor_green_vorticity(grid16)))
+    rhs = vorticity_rhs(grid16, taylor_green_vorticity(grid16))
     got = grid16.to_physical(grid16.spread(rhs))
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -75,7 +81,7 @@ def test_rhs_postconditions():
     for n in (8, 16, 24, 32):
         grid = Grid(n)
         for w in (random_divfree_field(grid, seed=101), taylor_green_vorticity(grid)):
-            rhs = vorticity_rhs(grid, grid.kept(w))
+            rhs = vorticity_rhs(grid, w)
             assert grid.divergence_rel(rhs) < 1e-14
             assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0  # the block starts at k = 0
             assert hermitian_defect(full_spectrum(grid.spread(rhs))) < 1e-13
@@ -89,20 +95,20 @@ def test_rhs_matches_curl_of_convective_velocity_rhs(n, seed):
     2/3 rule drops |k_i| = n/3, whose products alias onto kept modes.
     """
     grid = Grid(n)
-    u = grid.kept(random_divfree_field(grid, seed=seed))
+    u = random_divfree_field(grid, seed=seed)
     want = grid.curl(velocity_rhs(grid, u))
     got = vorticity_rhs(grid, grid.curl(u))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_slab_forcing_is_the_rhs_kernel(grid8):
-    w = grid8.kept(random_divfree_field(grid8, seed=11))
+    w = random_divfree_field(grid8, seed=11)
     forcing = slab_forcing(grid8, SlabAverages(w, grid8.biot_savart(w)))
     assert np.array_equal(forcing, vorticity_rhs(grid8, w))
 
 
 def test_kernel_output_is_hermitian(grid16):
-    w = grid16.kept(random_divfree_field(grid16, seed=13))
+    w = random_divfree_field(grid16, seed=13)
     out = full_spectrum(grid16.spread(nonlinear_term(grid16, grid16.biot_savart(w), w)))
     assert hermitian_defect(out) <= 1e-15 * np.max(np.abs(out))
 
@@ -123,6 +129,7 @@ def test_kernel_output_is_hermitian(grid16):
         lambda grid, w: grid.l2sq_h1sq(w),
         lambda grid, w: grid.l4(w),
         lambda grid, w: HGammaStack(grid, 1).set_row(0, w),
+        lambda grid, w: grid.require_solenoidal(w),
     ],
     ids=[
         "vorticity_rhs",
@@ -138,13 +145,14 @@ def test_kernel_output_is_hermitian(grid16):
         "l2sq_h1sq",
         "l4",
         "set_row",
+        "require_solenoidal",
     ],
 )
 def test_solvers_refuse_a_half_spectrum(grid8, solver):
-    # kept blocks are the one layout of the solver states and of the
-    # operators and norms (``Grid.kept``)
+    # kept blocks are the one layout of the solver states, of the operators
+    # and norms (``Grid.kept``) and of a field entering a run
     with pytest.raises(FieldShapeError):
-        solver(grid8, random_divfree_field(grid8, seed=19))
+        solver(grid8, grid8.spread(random_divfree_field(grid8, seed=19)))
 
 
 def test_rhs_transform_count(grid8, monkeypatch):
@@ -172,7 +180,7 @@ def test_rhs_transform_count(grid8, monkeypatch):
     counting("fft", lambda axis, *rest: axis)
     counting("rfftn", lambda axes, workers: axes)
     counting("irfftn", lambda s, axes, workers: axes)
-    vorticity_rhs(grid8, grid8.kept(random_divfree_field(grid8, seed=17)))
+    vorticity_rhs(grid8, random_divfree_field(grid8, seed=17))
     # (function, axis, input shape): the lines are the size over the axis length
     assert done == [
         ("fft", -3, (6, 8, 5, 3)),
@@ -196,7 +204,7 @@ def test_step_pure_diffusion_is_exact(grid8):
 
 
 def test_step_beltrami_single_step(grid16):
-    w = grid16.kept(abc_vorticity(grid16))
+    w = abc_vorticity(grid16)
     cfg = StepperConfig(dt=0.01, nu=1.0)
     stepped = rk4_step(grid16, w, cfg)
     rel = np.sqrt(grid16.l2sq(stepped - np.exp(-cfg.dt) * w) / grid16.l2sq(w))
@@ -219,7 +227,7 @@ def test_step_order_four_richardson(grid16):
 
 
 def test_run_zero_initial_data(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)  # the kept block of 8^3
     traj = collect_reference(grid8, zeros, 0.05, StepperConfig(dt=0.01))
     assert all(np.all(f == 0.0) for f in traj.fields)
     assert np.all(traj.series.enstrophy == 0.0)
@@ -228,8 +236,8 @@ def test_run_zero_initial_data(grid8):
 def test_run_beltrami_exact_decay(grid16):
     w0 = abc_vorticity(grid16)
     traj = collect_reference(grid16, w0, 0.1, StepperConfig(dt=1e-3), field_every=100)
-    want = np.exp(-0.1) * grid16.kept(w0)  # the run carries kept blocks
-    rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(grid16.kept(w0)))
+    want = np.exp(-0.1) * w0
+    rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(w0))
     assert rel < 1e-10
 
 
@@ -251,7 +259,7 @@ def test_run_invariants_on_taylor_green(tg16_run, grid16):
 
 def test_blowup_report(grid8):
     w = random_divfree_field(grid8, seed=7)
-    cfg = StepperConfig(dt=0.01, nu=1.0, enstrophy_ceiling=grid8.l2sq(grid8.kept(w)) * 0.5)
+    cfg = StepperConfig(dt=0.01, nu=1.0, enstrophy_ceiling=grid8.l2sq(w) * 0.5)
     with pytest.raises(BlowUpError) as err:
         run_reference(grid8, w, 0.05, cfg, lambda t, w: None)
     assert err.value.time > 0.0
@@ -261,17 +269,18 @@ def test_blowup_report(grid8):
 def test_velocity_form_cross_check(grid16):
     """Curl of the velocity-form solution tracks the vorticity-form solution."""
     u0 = taylor_green_velocity(grid16)
-    w0 = grid16.spread(grid16.curl(grid16.kept(u0)))
+    w0 = grid16.curl(u0)
     T = 0.1
-    times, snaps = run_reference_velocity(grid16, u0, T, StepperConfig(dt=1e-3), field_every=100)
-    traj = collect_reference(grid16, w0, T, StepperConfig(dt=1e-3), field_every=100)
+    cfg = StepperConfig(dt=1e-3)
+    times, snaps = run_reference_velocity(grid16, grid16.spread(u0), T, cfg, field_every=100)
+    traj = collect_reference(grid16, w0, T, cfg, field_every=100)
     w = traj.fields[-1]
     rel = np.sqrt(grid16.l2sq(grid16.curl(snaps[-1]) - w) / grid16.l2sq(w))
     assert rel < 1e-8
 
 
 def test_velocity_rhs_is_projected(grid8):
-    u = grid8.biot_savart(grid8.kept(random_divfree_field(grid8, seed=55)))
+    u = grid8.biot_savart(random_divfree_field(grid8, seed=55))
     rhs = velocity_rhs(grid8, u)
     assert grid8.divergence_rel(rhs) < 1e-12
     assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0
@@ -326,8 +335,8 @@ def test_runner_hands_the_sink_the_callers_field_first(grid8, runner, make):
     before = w0.tobytes()
     seen = []
     runner(grid8, w0, lambda t, w: seen.append((t, w.tobytes())))
-    # the runs carry kept blocks: the first is the caller's field's, bit for bit
-    assert seen[0] == (0.0, grid8.kept(w0).tobytes())
+    # the runs carry kept blocks: the first is the caller's field, bit for bit
+    assert seen[0] == (0.0, w0.tobytes())
     assert w0.tobytes() == before
 
 
@@ -336,7 +345,7 @@ def _with_mean(grid, w):
 
 
 def _with_divergence(grid, w):
-    w += grid.gradient(grid.to_spectral(np.sin(grid.x[0])))
+    w += cut_block(grid, grid.gradient(grid.to_spectral(np.sin(grid.x[0]))))
 
 
 def _with_nan(grid, w):

@@ -131,7 +131,7 @@ def _zero_averages(grid):
 
 
 def test_slab_solve_pure_diffusion(grid8):
-    w0 = random_divfree_field(grid8, seed=71)
+    w0 = grid8.spread(random_divfree_field(grid8, seed=71))
     sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.05, nu=1.0)
     assert np.all(sol.forcing == 0.0)
     want = np.exp(-grid8.ksq * 0.03) * w0
@@ -139,7 +139,7 @@ def test_slab_solve_pure_diffusion(grid8):
 
 
 def test_slab_solve_duhamel_from_rest(grid8):
-    w_bar = grid8.kept(random_divfree_field(grid8, seed=73))
+    w_bar = random_divfree_field(grid8, seed=73)
     u_bar = grid8.biot_savart(w_bar)
     averages = SlabAverages(w_bar, u_bar)
     zeros = np.zeros_like(w_bar)
@@ -152,8 +152,8 @@ def test_slab_solve_duhamel_from_rest(grid8):
 
 def test_slab_solve_against_fine_stepper_oracle(grid8):
     """Closed form vs a dt=1e-5 integrating-factor stepper on the same ODEs."""
-    w0 = grid8.kept(random_divfree_field(grid8, seed=79))
-    w_bar = grid8.kept(random_divfree_field(grid8, seed=83))
+    w0 = random_divfree_field(grid8, seed=79)
+    w_bar = random_divfree_field(grid8, seed=83)
     averages = SlabAverages(w_bar, grid8.biot_savart(w_bar))
     sol = linear_slab_solve(grid8, w0, averages, 0.0, 0.05, nu=1.0)
     forcing = sol.forcing
@@ -166,8 +166,8 @@ def test_slab_solve_against_fine_stepper_oracle(grid8):
 
 
 def test_slab_at_matches_decay_plus_duhamel_formula(grid8):
-    w0 = grid8.kept(random_divfree_field(grid8, seed=61))
-    forcing = grid8.kept(random_divfree_field(grid8, seed=67))
+    w0 = random_divfree_field(grid8, seed=61)
+    forcing = random_divfree_field(grid8, seed=67)
     forcing[:, 0, 0, 0] = [0.5, -0.25, 0.125]  # exercise the k=0 limit
     t_lo, t_hi, nu = 0.3, 0.35, 0.7
     sol = SlabSolution(grid8, 0, t_lo, t_hi, nu, w0, forcing)
@@ -192,7 +192,7 @@ def test_psi_is_one_over_x_at_huge_x(x):
 
 def test_slab_average_constant_trajectory(grid8):
     # forcing balancing diffusion exactly freezes the state
-    w0 = random_divfree_field(grid8, seed=89)
+    w0 = grid8.spread(random_divfree_field(grid8, seed=89))
     sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
     sol.forcing = grid8.kept(grid8.ksq * w0)
     assert np.max(np.abs(grid8.spread(sol.at(0.07)) - w0)) < 1e-14
@@ -200,7 +200,7 @@ def test_slab_average_constant_trajectory(grid8):
 
 
 def test_slab_average_pure_decay(grid8):
-    w0 = random_divfree_field(grid8, seed=97)
+    w0 = grid8.spread(random_divfree_field(grid8, seed=97))
     width = 0.2
     sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, width, nu=1.0)
     a = grid8.ksq.copy()
@@ -211,8 +211,8 @@ def test_slab_average_pure_decay(grid8):
 
 
 def test_slab_average_against_simpson(grid8):
-    w0 = grid8.kept(random_divfree_field(grid8, seed=101))
-    w_bar = grid8.kept(random_divfree_field(grid8, seed=103))
+    w0 = random_divfree_field(grid8, seed=101)
+    w_bar = random_divfree_field(grid8, seed=103)
     averages = SlabAverages(w_bar, grid8.biot_savart(w_bar))
     sol = linear_slab_solve(grid8, w0, averages, 0.0, 0.08, nu=1.0)
     ts = np.linspace(0.0, 0.08, 257)
@@ -233,7 +233,7 @@ def test_picard_zero_initial_one_iteration(grid8):
 
 
 def test_picard_zero_reference_two_iterations(grid8):
-    w0 = random_divfree_field(grid8, seed=107)
+    w0 = grid8.spread(random_divfree_field(grid8, seed=107))
     zero_ref = zero_trajectory(grid8, 1.0)
     sol = picard_solve_slab(grid8, grid8.kept(w0), 0.0, 0.9, reference=zero_ref)
     assert sol.diagnostics.converged
@@ -243,7 +243,7 @@ def test_picard_zero_reference_two_iterations(grid8):
 
 
 def test_picard_taylor_green_contracts(grid16, tg16_run):
-    w0 = grid16.kept(taylor_green_vorticity(grid16))  # the layout of the reference run
+    w0 = taylor_green_vorticity(grid16)
     width = 1.0 / 32.0
     sol = picard_solve_slab(grid16, w0, 0.0, width, tol=1e-10, max_iter=20)
     diag = sol.diagnostics
@@ -254,7 +254,7 @@ def test_picard_taylor_green_contracts(grid16, tg16_run):
 
 
 def test_picard_failure_carries_ratio_history(grid8):
-    w0 = grid8.kept(50.0 * taylor_green_vorticity(grid8))
+    w0 = 50.0 * taylor_green_vorticity(grid8)
     with pytest.raises(PicardError) as err:
         picard_solve_slab(grid8, w0, 0.0, 0.5, max_iter=8)
     assert err.value.diagnostics.iterations == 8
@@ -264,7 +264,7 @@ def test_picard_failure_carries_ratio_history(grid8):
 def test_picard_stops_at_the_first_non_finite_change(grid16):
     # at nu = 0.01 one slab over (0, 1.5) is far too wide: the iterates grow
     # until the change overflows, 22 finite changes in
-    w0 = grid16.kept(taylor_green_vorticity(grid16))
+    w0 = taylor_green_vorticity(grid16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PicardError, match="non-finite change") as err:
@@ -276,7 +276,7 @@ def test_picard_stops_at_the_first_non_finite_change(grid16):
 
 
 def test_fixed_point_residual(grid8):
-    w0 = grid8.kept(taylor_green_vorticity(grid8))
+    w0 = taylor_green_vorticity(grid8)
     tol = 1e-10
     sol = picard_solve_slab(grid8, w0, 0.0, 0.0625, tol=tol)
     rerun = linear_slab_solve(
@@ -290,7 +290,7 @@ def test_fixed_point_residual(grid8):
 
 
 def test_run_zero_initial(grid8):
-    zeros = np.zeros((3, 8, 8, 5), dtype=complex)
+    zeros = np.zeros((3, 5, 5, 3), dtype=complex)  # the kept block of 8^3
     result, traj, _ = collect_slabs(grid8, zeros, uniform_partition(0.5, 4))
     assert all(np.all(f == 0.0) for f in traj.fields)
     assert all(r.iterations == 1 for r in result.records)
@@ -300,8 +300,8 @@ def test_run_zero_initial(grid8):
 def test_run_beltrami_cancellation(grid16):
     w0 = abc_vorticity(grid16)
     _, traj, solutions = collect_slabs(grid16, w0, uniform_partition(0.5, 4))
-    want = np.exp(-0.5) * grid16.kept(w0)  # the run carries kept blocks
-    rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(grid16.kept(w0)))
+    want = np.exp(-0.5) * w0
+    rel = np.sqrt(grid16.l2sq(traj.fields[-1] - want) / grid16.l2sq(w0))
     assert rel < 1e-10
     # transport and stretching cancel; only transform roundoff survives
     assert all(np.sqrt(grid16.l2sq(sol.forcing)) < 1e-12 for sol in solutions)
@@ -408,10 +408,31 @@ def test_contraction_diagnostic_bounds_measured_ratio(grid8):
         assert sol.diagnostics.max_ratio <= delta_star + 0.05
 
 
+@pytest.mark.parametrize("n_slabs", [12, 6])
+def test_contraction_factor_bounds_the_ratio_on_slabs_narrower_than_delta(grid8, n_slabs):
+    # at nu = 0.01 delta* is about 0.505, far from 1, so the bound is held with no slack
+    w0 = taylor_green_vorticity(grid8)
+    _, _, solutions = collect_slabs(grid8, w0, uniform_partition(1.5, n_slabs), nu=0.01)
+    for sol in solutions:
+        delta_star, delta = contraction_diagnostic(grid8, sol.averages, nu=0.01)
+        assert sol.t_hi - sol.t_lo < delta  # the paper's slab-width hypothesis
+        assert sol.diagnostics.max_ratio <= delta_star
+
+
+def test_contraction_factor_is_exceeded_on_a_slab_wider_than_delta(grid8):
+    # the counter-example outside the hypothesis: one slab of width 1.5 at nu = 0.01
+    sol = picard_solve_slab(grid8, taylor_green_vorticity(grid8), 0.0, 1.5, nu=0.01)
+    delta_star, delta = contraction_diagnostic(grid8, sol.averages, nu=0.01)
+    want = (0.5047250508370635, 0.46808166438611304)
+    assert (delta_star, delta) == pytest.approx(want, rel=1e-10)
+    assert sol.diagnostics.max_ratio == pytest.approx(0.5308279498342282, rel=1e-10)
+    assert 1.5 > 3.0 * delta and sol.diagnostics.max_ratio > delta_star
+
+
 @pytest.mark.parametrize("which", ["taylor-green", "random-5"])
 def test_coupling_block_is_the_slab_forcing_kernel(grid8, which):
     w = taylor_green_vorticity(grid8) if which == "taylor-green" else random_divfree_field(grid8, 5)
-    u_bar = grid8.biot_savart(grid8.kept(w))
+    u_bar = grid8.biot_savart(w)
     pick, pol, block = _coupling_block(grid8, u_bar)
 
     def components(f):  # e_r(q).f(q) of a kept block at the retained modes, row r*m + q
@@ -419,17 +440,17 @@ def test_coupling_block_is_the_slab_forcing_kernel(grid8, which):
         return np.einsum("qrc,cq->rq", pol, full[(slice(None),) + pick]).ravel()
 
     for seed in (1, 2, 3):
-        v = grid8.kept(random_divfree_field(grid8, seed))
+        v = random_divfree_field(grid8, seed)
         want = components(slab_forcing(grid8, SlabAverages(v, u_bar)))
         got = block @ components(v)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_contraction_diagnostic_pinned_pairs(grid8):
-    w = grid8.kept(random_divfree_field(grid8, 5))
+    w = random_divfree_field(grid8, 5)
     frozen = contraction_diagnostic(grid8, SlabAverages(w, grid8.biot_savart(w)), nu=1.0)
     assert frozen == pytest.approx((0.9788975345450147, 0.08153688505774054), rel=1e-13)
-    sol = picard_solve_slab(grid8, grid8.kept(taylor_green_vorticity(grid8)), 0.0, 1.0 / 32.0)
+    sol = picard_solve_slab(grid8, taylor_green_vorticity(grid8), 0.0, 1.0 / 32.0)
     converged = contraction_diagnostic(grid8, sol.averages, nu=1.0)
     assert converged == pytest.approx((0.9997102324635988, 0.08330917903950304), rel=1e-13)
 

@@ -7,15 +7,18 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    conjugate_reflection,
     cut_block,
     full_tables,
     hermitian_defect,
     norm_suite,
     physical_l2sq,
+    random_divfree_half,
     stacked_curl,
 )
 
 from vslab import _fft
+from vslab.snapshots import SnapshotError, load_field, persist_field
 from vslab.spectral import (
     _FFT_WORKERS,
     BOX_VOLUME,
@@ -25,7 +28,6 @@ from vslab.spectral import (
     MeanModeError,
     abc_velocity,
     abc_vorticity,
-    conjugate_reflection,
     full_spectrum,
     initial_vorticity,
     random_divfree_field,
@@ -242,7 +244,7 @@ def _whole_cube_samples(grid, blocks):
 @pytest.mark.parametrize("n", [6, 8, 16, 24, 32])
 def test_pruned_transforms_are_the_whole_cube_ones_bit_for_bit(n):
     grid = Grid(n)
-    u, w = (grid.kept(random_divfree_field(grid, seed=n + i)) for i in range(2))
+    u, w = (random_divfree_field(grid, seed=n + i) for i in range(2))
     # twice each, and the buffer of each leading shape shared in between
     for blocks in ((u, w), (w, u), (u,), (u[2],), (w,), (w[0],), (u, w)):
         assert same_bits(grid.block_to_physical(*blocks), _whole_cube_samples(grid, blocks))
@@ -254,7 +256,7 @@ def test_pruned_transforms_are_the_whole_cube_ones_bit_for_bit(n):
 
 
 def test_pruned_transforms_refuse_other_layouts(grid8):
-    u = grid8.kept(random_divfree_field(grid8, seed=4))
+    u = random_divfree_field(grid8, seed=4)
     before = grid8.block_to_physical(u, u)
     half = grid8.spread(u)
     for blocks in ((half,), (u, half), (half, u), (u, u[0]), (u[..., :2],)):
@@ -294,7 +296,8 @@ def _layouts(v):
 @pytest.mark.parametrize("n", [8, 16])
 def test_curl_is_the_stacked_formula_bit_for_bit(n):
     grid = Grid(n)
-    v = random_divfree_field(grid, seed=n) + 0.5 * grid.gradient(random_divfree_field(grid, 3)[0])
+    v = grid.spread(random_divfree_field(grid, seed=n))
+    v += 0.5 * grid.gradient(grid.spread(random_divfree_field(grid, 3))[0])
     for layout in _layouts(grid.kept(v)):
         got = grid.curl(layout)
         assert got.flags.c_contiguous
@@ -315,7 +318,7 @@ def test_curl_taylor_green_symbolic_oracle(grid16):
     )
     fns = [sp.lambdify((x1, x2, x3), expr, "numpy") for expr in curl_sym]
     want = np.stack([np.broadcast_to(f(*grid16.x), grid16.x[0].shape) for f in fns])
-    got = grid16.to_physical(grid16.spread(grid16.curl(grid16.kept(taylor_green_velocity(grid16)))))
+    got = grid16.to_physical(grid16.spread(grid16.curl(taylor_green_velocity(grid16))))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -330,14 +333,14 @@ def test_divergence_single_mode(grid8):
 
 
 def test_divergence_of_curl_vanishes(grid8):
-    v = random_divfree_field(grid8, seed=3) + 0.3 * grid8.gradient(
+    v = grid8.spread(random_divfree_field(grid8, seed=3)) + 0.3 * grid8.gradient(
         grid8.to_spectral(np.sin(grid8.x[1]))
     )
     assert np.max(np.abs(grid8.divergence(grid8.curl(cut_block(grid8, v))))) < 1e-14
 
 
 def test_divergence_matches_modewise_loop(grid4):
-    v = random_divfree_field(grid4, seed=5) + 0.2 * grid4.gradient(
+    v = grid4.spread(random_divfree_field(grid4, seed=5)) + 0.2 * grid4.gradient(
         grid4.to_spectral(np.sin(grid4.x[0]))
     )
     got = grid4.spread(grid4.divergence(cut_block(grid4, v)))
@@ -357,7 +360,7 @@ def test_divergence_matches_modewise_loop(grid4):
 
 
 def test_leray_keeps_divergence_free_fields(grid8):
-    v = random_divfree_field(grid8, seed=11)
+    v = grid8.spread(random_divfree_field(grid8, seed=11))
     assert np.max(np.abs(grid8.leray_project(v) - v)) < 1e-14
 
 
@@ -367,7 +370,7 @@ def test_leray_kills_gradients(grid8):
 
 
 def test_leray_mixed_field_structure(grid8):
-    v = random_divfree_field(grid8, seed=13) + grid8.gradient(
+    v = grid8.spread(random_divfree_field(grid8, seed=13)) + grid8.gradient(
         grid8.to_spectral(np.sin(grid8.x[0]) * np.cos(grid8.x[2]))
     )
     proj = grid8.leray_project(v)
@@ -378,7 +381,7 @@ def test_leray_mixed_field_structure(grid8):
 
 
 def test_leray_idempotent(grid8):
-    v = random_divfree_field(grid8, seed=17) + grid8.gradient(
+    v = grid8.spread(random_divfree_field(grid8, seed=17)) + grid8.gradient(
         grid8.to_spectral(np.cos(grid8.x[1]))
     )
     once = grid8.leray_project(v)
@@ -403,7 +406,7 @@ def test_biot_savart_single_mode(grid8):
 
 
 def test_biot_savart_round_trip(grid8):
-    w = grid8.kept(random_divfree_field(grid8, seed=23))
+    w = random_divfree_field(grid8, seed=23)
     u = grid8.biot_savart(w)
     assert grid8.divergence_rel(u) < 1e-12
     assert np.max(np.abs(u[:, 0, 0, 0])) == 0.0
@@ -419,7 +422,7 @@ def test_require_solenoidal_rejects_mean_vorticity(grid8):
 
 
 def test_require_solenoidal_rejects_divergent_input(grid8):
-    w = grid8.gradient(grid8.to_spectral(np.sin(grid8.x[0])))
+    w = cut_block(grid8, grid8.gradient(grid8.to_spectral(np.sin(grid8.x[0]))))
     with pytest.raises(DivergenceError):
         grid8.require_solenoidal(w)
 
@@ -476,7 +479,7 @@ def test_norms_constant_field(grid8):
 )
 def test_l4_matches_full_spectrum_quadrature(n, seed, component):
     grid = Grid(n)
-    v = random_divfree_field(grid, seed)
+    v = grid.spread(random_divfree_field(grid, seed))
     if component is not None:
         v = v[component]
     phys = np.fft.ifftn(full_spectrum(v) * n**3, axes=(-3, -2, -1)).real
@@ -488,8 +491,8 @@ def test_l4_matches_full_spectrum_quadrature(n, seed, component):
 @pytest.mark.parametrize("n", [8, 16])
 def test_l2sq_h1sq_is_the_two_norms_bit_for_bit(n):
     grid = Grid(n)
-    v = random_divfree_field(grid, seed=n + 1) * 1e3
-    v += grid.gradient(random_divfree_field(grid, seed=5)[2])
+    v = grid.spread(random_divfree_field(grid, seed=n + 1)) * 1e3
+    v += grid.gradient(grid.spread(random_divfree_field(grid, seed=5))[2])
     v = grid.kept(v)
     for field in (v, v[1]):
         for layout in _layouts(field):
@@ -497,7 +500,7 @@ def test_l2sq_h1sq_is_the_two_norms_bit_for_bit(n):
 
 
 def test_h1_equals_enstrophy_of_curl(grid8):
-    u = grid8.biot_savart(grid8.kept(random_divfree_field(grid8, seed=31)))
+    u = grid8.biot_savart(random_divfree_field(grid8, seed=31))
     h1 = grid8.h1sq(u)
     enstrophy = grid8.l2sq(grid8.curl(u))
     assert abs(h1 - enstrophy) / h1 < 1e-12
@@ -505,8 +508,7 @@ def test_h1_equals_enstrophy_of_curl(grid8):
 
 def test_parseval(grid8):
     v = random_divfree_field(grid8, seed=37)
-    phys = grid8.to_physical(v)
-    v = grid8.kept(v)
+    phys = grid8.to_physical(grid8.spread(v))
     assert abs(physical_l2sq(grid8, phys) - grid8.l2sq(v)) / grid8.l2sq(v) < 1e-12
 
 
@@ -514,7 +516,7 @@ def test_parseval(grid8):
 def test_half_spectrum_sums_match_full_cube(n, seed):
     grid = Grid(n)
     v = grid.dealias(
-        random_divfree_field(grid, seed)
+        grid.spread(random_divfree_field(grid, seed))
         + 0.3 * grid.gradient(grid.to_spectral(np.sin(grid.x[0]) * np.cos(grid.x[2])))
     )
     full = full_spectrum(v)
@@ -542,9 +544,9 @@ def _one_mode_outside(grid, w):
 
 
 def _fields(grid):
-    """Seeded cut fields: solenoidal, divergent, and with a mean."""
+    """Seeded cut half spectra, built on the whole cube: solenoidal, divergent, with a mean."""
     for seed in (1, 5, 12):
-        w = random_divfree_field(grid, seed)
+        w = random_divfree_half(grid, seed)
         divergent = w.copy()
         divergent[0] += w[1]
         mean = w.copy()
@@ -568,6 +570,7 @@ def _solenoidal_error(grid, w):
 def test_kept_block_and_half_spectrum_agree_bit_for_bit(n):
     grid = Grid(n)
     order = np.flatnonzero(np.broadcast_to(grid.keep, grid.k.shape))
+    verdicts = []
     for w in _fields(grid):
         b = grid.kept(w)
         assert b is not None and b.shape == (3, *grid._block_shape)
@@ -575,20 +578,26 @@ def test_kept_block_and_half_spectrum_agree_bit_for_bit(n):
         assert same_bits(grid.kept(w[1]), b[1])
         # the sign of a zero outside the cut is the one thing spread does not keep
         assert same_bits(_without_signed_zeros(grid.spread(b)), _without_signed_zeros(w))
-        # a field enters from either layout with the same verdict
-        assert _solenoidal_error(grid, w) == _solenoidal_error(grid, b)
+        # a field enters as a kept block only
+        assert _solenoidal_error(grid, w)[0] is FieldShapeError
+        verdicts.append(_solenoidal_error(grid, b))
+    assert [v and v[0] for v in verdicts] == [None, DivergenceError, MeanModeError] * 3
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16])
-def test_fields_with_content_outside_the_cut_are_refused(n):
+def test_fields_with_content_outside_the_cut_are_refused(n, tmp_path):
     grid = Grid(n)
-    for w in _fields(grid):
+    for i, w in enumerate(_fields(grid)):
         v = _one_mode_outside(grid, w)
         assert grid.kept(v) is None
         assert grid.kept(v[1]) is None
-        # the mean and the divergence, on the kept modes, are refused first
-        outside = (ValueError, "content outside the 2/3 cut (max |w| there = 3.000e-01)")
-        assert _solenoidal_error(grid, v) == (_solenoidal_error(grid, w) or outside)
+        assert _solenoidal_error(grid, v)[0] is FieldShapeError
+        # a file of it is refused for the cut before its mean or divergence is looked at
+        path = tmp_path / f"{i}.vslb"
+        persist_field(path, v, 0.0)
+        there = r"outside the 2/3 cut \(max \|w\| there = 3.000e-01\)"
+        with pytest.raises(SnapshotError, match=there):
+            load_field(path, grid)
         for norm in (grid.l2sq, grid.h1sq, grid.l2sq_h1sq, grid.l4):
             with pytest.raises(FieldShapeError):
                 norm(v)
@@ -597,15 +606,15 @@ def test_fields_with_content_outside_the_cut_are_refused(n):
 def test_kept_block_shapes_are_checked(grid8):
     w = random_divfree_field(grid8, seed=2)
     with pytest.raises(ValueError):
-        grid8.spread(w)
+        grid8.spread(grid8.spread(w))
     with pytest.raises(ValueError):
-        grid8.kept(grid8.kept(w))
+        grid8.kept(w)
     with pytest.raises(ValueError):
-        grid8.l2sq(grid8.kept(w)[..., :2])
+        grid8.l2sq(w[..., :2])
     with pytest.raises(ValueError):
-        grid8.h1sq(grid8.kept(w)[:2])
+        grid8.h1sq(w[:2])
     with pytest.raises(ValueError):
-        grid8.l4(grid8.kept(w)[:2])
+        grid8.l4(w[:2])
 
 
 def test_full_spectrum_of_real_transform_is_complex_transform(grid8):
@@ -626,8 +635,8 @@ def test_symmetrize_is_the_full_cube_average_on_the_half(grid8):
 
 
 @pytest.mark.parametrize("name", ["taylor-green", "abc-beltrami", "random-divfree"])
-def test_initial_vorticity_is_a_half_spectrum(grid8, name):
-    assert initial_vorticity(grid8, name, seed=3).shape == (3, 8, 8, 5)
+def test_initial_vorticity_is_a_kept_block(grid8, name):
+    assert initial_vorticity(grid8, name, seed=3).shape == (3, 5, 5, 3)
 
 
 # -- property tests -----------------------------------------------------------------------------
@@ -638,11 +647,12 @@ def test_initial_vorticity_is_a_half_spectrum(grid8, name):
 def test_operations_preserve_hermitian_symmetry(seed):
     grid = Grid(8)
     v = random_divfree_field(grid, seed=seed)
+    half = grid.spread(v)
     for out in (
-        grid.spread(grid.curl(grid.kept(v))),
-        grid.leray_project(v),
-        grid.spread(grid.biot_savart(grid.kept(v))),
-        grid.dealias(v),
+        grid.spread(grid.curl(v)),
+        grid.leray_project(half),
+        grid.spread(grid.biot_savart(v)),
+        grid.dealias(half),
     ):
         assert hermitian_defect(full_spectrum(out)) < 1e-13
 
@@ -660,7 +670,7 @@ def test_round_trip_property(seed):
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_curl_biot_savart_identity_property(seed):
     grid = Grid(8)
-    w = grid.kept(random_divfree_field(grid, seed=seed))
+    w = random_divfree_field(grid, seed=seed)
     u = grid.biot_savart(w)
     assert np.sqrt(grid.l2sq(grid.curl(u) - w) / grid.l2sq(w)) < 1e-12
 
@@ -695,6 +705,15 @@ def test_random_field_is_deterministic(grid8):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 24, 32])
+def test_random_field_is_the_whole_cube_construction(n):
+    # at n = 6 and 24 the draws cover a box one row wider than the cut
+    grid = Grid(n)
+    for seed in (0, 1, 3, 123):
+        want = grid.kept(random_divfree_half(grid, seed))
+        assert same_bits(random_divfree_field(grid, seed), want)
+
+
 # -- canonical fields ------------------------------------------------------------------------------
 
 
@@ -706,11 +725,10 @@ def test_taylor_green_is_divergence_free(n):
         [np.sin(x1) * np.cos(x2) * np.cos(x3), -np.cos(x1) * np.sin(x2) * np.cos(x3), 0.0 * x1]
     )
     u = taylor_green_velocity(grid)
-    assert np.max(np.abs(u - grid.to_spectral(sampled))) < 1e-15
-    assert grid.kept(u) is not None
-    assert grid.divergence_rel(grid.kept(u)) < 1e-13
+    assert np.max(np.abs(grid.spread(u) - grid.to_spectral(sampled))) < 1e-15
+    assert grid.divergence_rel(u) < 1e-13
     w = taylor_green_vorticity(grid)
-    assert grid.divergence_rel(grid.kept(w)) < 1e-13
+    assert grid.divergence_rel(w) < 1e-13
     assert np.max(np.abs(w[:, 0, 0, 0])) == 0.0
 
 
@@ -727,8 +745,7 @@ def test_abc_flow_is_curl_eigenfield(n):
         ]
     )
     u = abc_velocity(grid, a, b, c)
-    assert np.max(np.abs(u - grid.to_spectral(sampled))) < 1e-15
-    assert grid.kept(u) is not None
+    assert np.max(np.abs(grid.spread(u) - grid.to_spectral(sampled))) < 1e-15
     w = abc_vorticity(grid, a, b, c)
-    assert np.max(np.abs(grid.curl(grid.kept(u)) - grid.kept(u))) < 1e-13
+    assert np.max(np.abs(grid.curl(u) - u)) < 1e-13
     assert np.max(np.abs(w - u)) < 1e-13

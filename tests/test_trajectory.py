@@ -10,7 +10,7 @@ from vslab.trajectory import Trajectory
 @pytest.fixture()
 def ramp(grid8):
     # field grows linearly in time: w(t) = (1 + t) w0
-    w0 = grid8.kept(random_divfree_field(grid8, seed=21))
+    w0 = random_divfree_field(grid8, seed=21)
     times = np.array([0.0, 0.25, 0.5, 1.0])
     fields = [(1.0 + t) * w0 for t in times]
     return w0, Trajectory(grid=grid8, nu=1.0, times=times, fields=fields)
