@@ -23,12 +23,12 @@ kept block, the snapshot reader decodes one, and ``Grid.require_solenoidal``
 takes nothing else.  Every solver state is one, and the curl, divergence,
 Biot-Savart inversion and the norms take no other layout.  Half spectra
 remain the layout of the whole-cube transforms, ``leray_project``,
-``dealias``, ``gradient`` and ``symmetrize``, which no command calls, and of
-the window the snapshot codec reads; ``Grid.kept`` and ``Grid.spread``
-convert between the two layouts.  A kept block goes to physical samples and
-back without its half spectrum (``Grid.block_to_physical`` and
-``physical_to_block``): the transforms run axis by axis on the lines the cut
-leaves nonzero, with the bits of the whole-cube ``irfftn`` and ``rfftn``.
+``dealias``, ``gradient`` and ``symmetrize``, which no command calls;
+``Grid.kept`` and ``Grid.spread`` convert between the two layouts.  A kept
+block goes to physical samples and back without its half spectrum
+(``Grid.block_to_physical`` and ``physical_to_block``): the transforms run
+axis by axis on the lines the cut leaves nonzero, with the bits of the
+whole-cube ``irfftn`` and ``rfftn``.
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
@@ -119,6 +119,16 @@ def full_spectrum(half):
     return out
 
 
+def kept_block_shape(n):
+    """(K, K, kmax + 1) of the kept block of the 2/3 cut on a grid of size n, K = 2 kmax + 1.
+
+    kmax = (n - 1) // 3 is the largest integer below n/3.  The cut is strict:
+    products of two |k_i| = n/3 modes would alias onto kept modes.
+    """
+    kmax = (n - 1) // 3
+    return 2 * kmax + 1, 2 * kmax + 1, kmax + 1
+
+
 class Grid:
     """Cubic periodic grid with n modes per axis and the operator tables on it.
 
@@ -143,21 +153,19 @@ class Grid:
         kd1 = k1.copy()
         kd1[n // 2] = 0.0
         self.kd = np.array(np.meshgrid(kd1, kd1, kd1[:h], indexing="ij"))
-        # strict: products of two |k_i| = n/3 modes would alias onto kept modes
-        self.keep = np.all(np.abs(self.k) < n / 3.0, axis=0)
+        # the kept block: on the axes -3 and -2 the rows k_i = 0 .. kmax and
+        # then -kmax .. -1, on the last axis k_3 = 0 .. kmax
+        self._block_shape = kept_block_shape(n)
+        kb, _, kk = self._block_shape  # kk = kmax + 1
+        self.keep = np.all(np.abs(self.k) < kk, axis=0)
         # each stored plane also stands for its conjugate mirror, except the
         # self-conjugate planes k_3 = 0 and k_3 = -n/2
         self.plane_weight = np.full(h, 2.0)
         self.plane_weight[[0, n // 2]] = 1.0
-        # the kept block: on the axes -3 and -2 the rows k_i = 0 .. kmax and
-        # then -kmax .. -1, on the last axis k_3 = 0 .. kmax; each entry of
-        # _runs pairs a range of block rows with the half-spectrum rows it holds
-        kk = int(np.count_nonzero(self.keep[0, 0]))  # kmax + 1
-        kb = 2 * kk - 1
+        # each entry of _runs pairs a range of block rows with the half-spectrum rows it holds
         self._runs = ((slice(0, kk), slice(0, kk)), (slice(kk, kb), slice(n - kk + 1, n)))
         self._cut_rows = slice(kk, n - kk + 1)  # the rows of an axis outside the cut
         self._half_shape = (n, n, h)
-        self._block_shape = (kb, kb, kk)
         # the tables of the kept block, the layout of the operators and norms
         self.block_kd = self._gather(self.kd)
         self.block_ksq = self._gather(self.ksq)
@@ -346,12 +354,15 @@ class Grid:
         return v - self.k * (kdotv * self.inv_ksq)[np.newaxis]
 
     def divergence_rel(self, v):
-        """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2 of a vector block."""
+        """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2 of a vector block.
+
+        NaN when the squared L2 norm of |k||vhat| overflows.
+        """
         num = self._mode_sum(_density(self.divergence(v)))
         den = self._mode_sum(self.block_ksq * np.sum(_density(v), axis=0))
         if den == 0.0:
             return 0.0
-        return float(np.sqrt(num / den))
+        return float(np.sqrt(num / den)) if np.isfinite(den) else float("nan")
 
     def require_solenoidal(self, w):
         """Raise unless the kept vector block w is zero-mean and divergence-free; returns w.
@@ -362,7 +373,9 @@ class Grid:
         Called where fields enter the program; the solvers preserve both
         properties by construction.  A field is cut by its layout: anything
         but a kept vector block raises ``FieldShapeError``.  Non-finite
-        coefficients are rejected first, since NaN passes every comparison.
+        coefficients are rejected first, since NaN passes every comparison,
+        and so are coefficients so large that the squared H1 norm overflows,
+        which the divergence test and every monitor need.
         """
         shape = (3, *self._block_shape)
         if w.shape != shape:
@@ -373,7 +386,10 @@ class Grid:
         mean = float(np.max(np.abs(w[:, 0, 0, 0])))
         if mean > MEAN_TOL * max(scale, 1.0):
             raise MeanModeError(f"mean vorticity {mean:.3e} is not zero")
-        rel = self.divergence_rel(w)
+        with np.errstate(over="ignore"):  # the squares of amplitudes near the float64 limit
+            rel = self.divergence_rel(w)
+        if np.isnan(rel):
+            raise ValueError(f"squared H1 norm overflows (max |w| = {scale:.3e})")
         if rel > DIV_TOL:
             raise DivergenceError(f"relative divergence {rel:.3e} exceeds {DIV_TOL:.1e}")
         return w

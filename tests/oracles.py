@@ -163,29 +163,48 @@ def physical_l2sq(grid, values):
     return float(np.sum(vals**2) * grid.cell_volume)
 
 
-def corrupt_negative_half(path, n, delta=0.25):
-    """Add ``delta`` to the real part of component 1 of a snapshot file at k = (1, -2, -1),
-    in the half that loading drops."""
-    index = np.ravel_multi_index((1, 1 + n // 2, -2 + n // 2, -1 + n // 2), (3, n, n, n))
-    blob = bytearray(path.read_bytes())
-    offset = 24 + 16 * index
-    value = struct.unpack_from("<d", blob, offset)[0]
-    struct.pack_into("<d", blob, offset, value + delta)
-    path.write_bytes(bytes(blob))
+def kept_modes(half):
+    """The kept modes of a half spectrum in the order of a snapshot payload.
+
+    Lists k_1, then k_2, over 0 .. kmax and then -kmax .. -1, and k_3 over
+    0 .. kmax, where kmax is the largest integer below n/3; picked by
+    wavevector, apart from ``Grid``'s gather.
+    """
+    n = half.shape[-2]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    rows = np.flatnonzero(np.abs(k) < n / 3.0)  # fftfreq order: 0 .. kmax, -kmax .. -1
+    planes = rows[: (len(rows) + 1) // 2]
+    return half[..., rows[:, None, None], rows[None, :, None], planes[None, None, :]]
 
 
-def gathered_half(path):
-    """The half spectrum of a snapshot file by one fancy-index gather of the stored cube.
+def stored_block(path):
+    """The payload of a snapshot file as a (3, K, K, kmax + 1) array, K = 2 kmax + 1.
 
-    Loading used to return this array; it keeps the component axis innermost
-    in memory.
+    The shape comes from the file's size alone: 16 bytes per amplitude.
     """
     blob = path.read_bytes()
-    n = struct.unpack_from("<I", blob, 8)[0]
-    payload = np.frombuffer(blob, dtype="<c16", offset=24).reshape(3, n, n, n)
-    order = (np.arange(n) + n // 2) % n
-    coeffs = payload[:, order[:, None, None], order[None, :, None], order[None, None, : n // 2 + 1]]
-    return coeffs.astype(np.complex128, copy=False)
+    count = (len(blob) - 24) // 48  # K^2 (K + 1) / 2 amplitudes per component
+    side = next(K for K in range(1, count + 2, 2) if K * K * (K + 1) // 2 == count)
+    return np.frombuffer(blob, dtype="<c16", offset=24).reshape(3, side, side, (side + 1) // 2)
+
+
+def corrupt_plane(path, delta=0.25):
+    """Add ``delta`` to the real part of component 1 of a snapshot file at k = (1, -2, 0).
+
+    The file also holds the mirror (-1, 2, 0) of that mode on the plane
+    k_3 = 0, so the change is a Hermitian defect.
+    """
+    block = stored_block(path).copy()
+    block[1, 1, -2, 0] += delta
+    path.write_bytes(path.read_bytes()[:24] + block.tobytes())
+
+
+def version_1_file(path, half, time):
+    """Write a half spectrum as a format 1 snapshot: the whole fftshift-ed cube."""
+    n = half.shape[-2]
+    cube = np.fft.fftshift(full_spectrum(half), axes=(-3, -2, -1))
+    header = struct.pack("<4sIIId", b"VSLB", 1, n, 3, time)
+    path.write_bytes(header + cube.astype("<c16").tobytes())
 
 
 def stacked_curl(grid, v):

@@ -292,15 +292,16 @@ def test_criterion_10_io_determinism(tmp_path, grid8):
         for name in ("slabs.csv", "series.csv", "summary.csv")
     )
 
-    w = grid8.spread(random_divfree_field(grid8, seed=123))
+    w = random_divfree_field(grid8, seed=123)
     snap = tmp_path / "field.vslb"
-    persist_field(snap, w, 0.5)
-    _, _, back = load_field(snap)
+    persist_field(snap, w, 0.5, grid8)
+    _, _, back = load_field(snap, grid8)
     round_trip = np.array_equal(back, w)
 
-    golden = tmp_path / "zero2.vslb"
-    persist_field(golden, np.zeros((3, 2, 2, 2), dtype=complex), 0.25)
-    want = struct.pack("<4sIIId", b"VSLB", 1, 2, 3, 0.25) + b"\x00" * 384
+    # the smallest grid, 4^3, whose kept block (3, 3, 3, 2) is 864 bytes
+    golden = tmp_path / "zero4.vslb"
+    persist_field(golden, np.zeros((3, 3, 3, 2), dtype=complex), 0.25, Grid(4))
+    want = struct.pack("<4sIIId", b"VSLB", 2, 4, 3, 0.25) + b"\x00" * 864
     golden_ok = golden.read_bytes() == want
 
     ok = identical and round_trip and golden_ok
@@ -308,5 +309,5 @@ def test_criterion_10_io_determinism(tmp_path, grid8):
         10,
         ok,
         f"ledger bytes identical={identical}, snapshot round trip exact={round_trip}, "
-        f"2^3 golden bytes={golden_ok}",
+        f"4^3 golden bytes={golden_ok}",
     )

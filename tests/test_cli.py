@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import corrupt_negative_half, cut_block, monitor_rows
+from oracles import corrupt_plane, cut_block, monitor_rows, version_1_file
 
 from vslab import cli, estimates, snapshots, spectral
 from vslab.cli import cli_dispatch
@@ -73,7 +73,7 @@ def test_run_ref_emits_reports_and_snapshots(tmp_path, capsys):
         assert (out / name).exists()
     snaps = sorted((out / "snapshots").glob("*.vslb"))
     assert snaps
-    n, t, w = load_field(snaps[0])
+    n, t, w = load_field(snaps[0], Grid(8))
     assert n == 8 and t == 0.0
 
 
@@ -358,8 +358,7 @@ def test_monitor_on_a_run_slab_directory_matches_the_oracle(tmp_path, capsys):
     snap = tmp_path / "out" / "snapshots"
     paths = sorted(snap.glob("*.vslb"))
     assert len(paths) == 33
-    grid = Grid(8)
-    assert all(grid.kept(load_field(path)[2]) is not None for path in paths)
+    assert {path.stat().st_size for path in paths} == {24 + 48 * 5 * 5 * 3}
     capsys.readouterr()
     assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("monitor: ")]
@@ -518,10 +517,10 @@ def test_run_slab_picard_failure_leaves_the_initial_snapshot(tmp_path, capsys):
     out = tmp_path / "out"
     assert not list(out.rglob("*.tmp"))
     assert [p.name for p in (out / "snapshots").iterdir()] == ["snap_000000.vslb"]
-    n, t, w = load_field(out / "snapshots" / "snap_000000.vslb")
-    assert (n, t) == (8, 0.0)
     grid = Grid(8)
-    assert w.tobytes() == grid.spread(taylor_green_vorticity(grid)).tobytes()
+    n, t, w = load_field(out / "snapshots" / "snap_000000.vslb", grid)
+    assert (n, t) == (8, 0.0)
+    assert w.tobytes() == taylor_green_vorticity(grid).tobytes()
 
 
 def _monitor_fails_before_reading(tmp_path, capsys, monkeypatch, damage):
@@ -570,12 +569,13 @@ def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):
     assert cli_dispatch(["run-ref", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "divergence" in err[0]
-    assert err[0].startswith("error: initial_path: w0.vslb: ")
+    assert err[0].startswith(f"error: initial_path: {path}: ")
     assert {p.name: p.read_bytes() for p in snapdir.glob("snap_*.vslb")} == stored
 
 
 def _uncut_field():
-    """A divergence-free 16^3 vorticity with the modes k = (+-6, 0, 0) of w_2 outside the cut."""
+    """A divergence-free 16^3 vorticity half spectrum with the modes k = (+-6, 0, 0) of w_2
+    outside the cut, which only a version 1 file, the whole cube, can hold."""
     grid = Grid(16)
     w = grid.spread(random_divfree_field(grid, seed=3))
     w[1, 6, 0, 0] = 0.05 - 0.02j
@@ -586,25 +586,23 @@ def _uncut_field():
 @pytest.mark.parametrize("command", ["run-ref", "run-slab"])
 def test_uncut_initial_file_is_refused(tmp_path, capsys, command):
     path = tmp_path / "w0.vslb"
-    persist_field(path, _uncut_field(), 0.0)
+    version_1_file(path, _uncut_field(), 0.0)
     cfg = write_cfg(tmp_path, n=16, initial="file", initial_path=str(path))
     assert cli_dispatch([command, "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "outside the 2/3 cut" in err[0]
-    assert err[0].startswith(f"error: initial_path: {path}: ")
+    assert err == [f"error: initial_path: {path}: unsupported format version 1"]
     assert not list((tmp_path / "out" / "snapshots").glob("*.vslb"))
 
 
 @pytest.mark.parametrize("reader", ["monitor", "compare", "reference_dir"])
 def test_uncut_snapshot_is_refused_by_name(tmp_path, capsys, reader):
     grid = Grid(16)
-    good = grid.spread(random_divfree_field(grid, seed=4))
-    for name, middle in (("good", good), ("bad", _uncut_field())):
+    for name in ("good", "bad"):
         (tmp_path / name).mkdir()
-        fields = [grid.spread(random_divfree_field(grid, seed=s)) for s in (1, 2)]
-        fields.insert(1, middle)
-        for i, w in enumerate(fields):
-            persist_field(tmp_path / name / snapshots.snapshot_name(i), w, 0.0625 * i)
+        for i, seed in enumerate((1, 4, 2)):
+            w = random_divfree_field(grid, seed=seed)
+            persist_field(tmp_path / name / snapshots.snapshot_name(i), w, 0.0625 * i, grid)
+    version_1_file(tmp_path / "bad" / snapshots.snapshot_name(1), _uncut_field(), 0.0625)
     cfg = write_cfg(tmp_path, n=16)
     bad = str(tmp_path / "bad")
     reference = ["--set", "provider=reference", "--set", f"reference_dir={bad}"]
@@ -616,7 +614,7 @@ def test_uncut_snapshot_is_refused_by_name(tmp_path, capsys, reader):
     assert cli_dispatch(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "snap_000001.vslb" in err[0] and "outside the 2/3 cut" in err[0]
+    assert err[0].endswith("snap_000001.vslb: unsupported format version 1")
 
 
 def test_run_ref_keeps_the_initial_file_as_its_first_snapshot(tmp_path):
@@ -656,9 +654,9 @@ def test_monitor_rejects_duplicate_snapshot_time(tmp_path, capsys):
 
 def _nan_snapshot(path):
     grid = Grid(8)
-    w = grid.spread(random_divfree_field(grid, seed=29))
-    w[1, 2, 3, 1] = np.nan  # k = (2, 3, 1), outside the cut
-    persist_field(path, w, 0.0)
+    w = random_divfree_field(grid, seed=29)
+    w[1, 2, 3, 1] = np.nan  # k = (2, -2, 1)
+    persist_field(path, w, 0.0, grid)
 
 
 def test_monitor_rejects_nan_snapshot(tmp_path, capsys):
@@ -712,8 +710,8 @@ def test_monitor_rejects_truncated_snapshot(tmp_path, capsys):
     assert "truncated payload" in _monitor_one_error(tmp_path, capsys, truncate)
 
 
-def test_monitor_rejects_snapshot_corrupt_in_dropped_half(tmp_path, capsys):
-    line = _monitor_one_error(tmp_path, capsys, lambda path: corrupt_negative_half(path, 8))
+def test_monitor_rejects_snapshot_with_a_hermitian_defect(tmp_path, capsys):
+    line = _monitor_one_error(tmp_path, capsys, corrupt_plane)
     assert "Hermitian symmetry violated" in line
 
 
@@ -870,10 +868,11 @@ def test_any_set_override_exits_cleanly_or_in_one_error_line(override_dir, comma
 
 
 # one word of a snapshot file: (offset, struct format, values) of each header
-# field; a payload word is a float64 of the (3, n, n, n, 2) words after them
+# field; a payload word is a float64 of the (3, K, K, kmax + 1, 2) words after
+# them, (3, 5, 5, 3, 2) at 8^3
 HEADER_WORDS = {
     "magic": (0, "4s", [b"XXXX", b"vslb", bytes(4)]),
-    "version": (4, "<I", [0, 2, 2**32 - 1]),
+    "version": (4, "<I", [0, 1, 3, 2**32 - 1]),
     "n": (8, "<I", [0, 4, 7, 16, 2**32 - 1]),
     "components": (12, "<I", [0, 1, 4]),
     "time": (16, "<d", [np.nan, np.inf, -np.inf, -0.0, 1e300, -1e300, 0.125]),
@@ -888,9 +887,10 @@ def corrupt_words(draw):
     field = draw(st.sampled_from([*HEADER_WORDS, "payload"]))
     if field != "payload":
         return (snap, *HEADER_WORDS[field][:2], draw(st.sampled_from(HEADER_WORDS[field][2])))
-    k = st.integers(-4, 3) | st.integers(-2, 2)  # anywhere, or in the box the cut keeps
-    index = (draw(st.integers(0, 2)), *(draw(k) + 4 for _ in range(3)), draw(st.integers(0, 1)))
-    offset = 24 + 8 * int(np.ravel_multi_index(index, (3, 8, 8, 8, 2)))
+    k3 = st.integers(0, 2) | st.just(0)  # anywhere, or on the plane k_3 = 0 that holds its mirror
+    row = st.integers(0, 4)
+    index = (draw(st.integers(0, 2)), draw(row), draw(row), draw(k3), draw(st.integers(0, 1)))
+    offset = 24 + 8 * int(np.ravel_multi_index(index, (3, 5, 5, 3, 2)))
     return snap, offset, "<d", draw(st.sampled_from(PAYLOAD_VALUES))
 
 
@@ -975,7 +975,7 @@ def test_run_slab_at_a_huge_viscosity_warns_nothing(tmp_path):
 
 
 def test_monitor_refuses_an_infinite_amplitude_in_one_line(tmp_path):
-    # inside the cut, so it reaches the Hermitian check, which forms inf - inf
+    # refused before the Hermitian check, which would form inf - inf
     snapdir = tmp_path / "snaps"
     snapdir.mkdir()
     grid = Grid(8)

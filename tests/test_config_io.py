@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import corrupt_negative_half, gathered_half
+from oracles import corrupt_plane, kept_modes, random_divfree_half, stored_block
 
 from vslab.atomic import atomic_open
 from vslab.config import ConfigError, echo_config, load_config, parse_config_text
@@ -130,193 +130,140 @@ def test_echo_replays_to_identical_config(tmp_path):
 
 def test_snapshot_round_trip_bit_exact(tmp_path):
     grid = Grid(8)
-    w = grid.spread(random_divfree_field(grid, seed=77))
+    w = random_divfree_field(grid, seed=77)
     path = tmp_path / "field.vslb"
-    persist_field(path, w, 0.375)
-    n, t, back = load_field(path)
+    persist_field(path, w, 0.375, grid)
+    n, t, back = load_field(path, grid)
     assert n == 8 and t == 0.375
-    assert back.shape == (3, 8, 8, 5)
+    assert back.shape == (3, 5, 5, 3)
     assert np.array_equal(back, w)
 
 
 def test_snapshot_golden_bytes_2cubed(tmp_path):
+    # format 1 pinned a zero field at 2^3, which has no Grid; format 2 pins
+    # one at 4^3, the smallest grid, whose kept block (3, 3, 3, 2) holds 54
+    # amplitudes of 16 bytes
     path = tmp_path / "zero.vslb"
-    size = persist_field(path, np.zeros((3, 2, 2, 2), dtype=complex), 0.25)
-    with open(path, "rb") as fh:
-        got = fh.read()
-    want = struct.pack("<4sIIId", b"VSLB", 1, 2, 3, 0.25) + b"\x00" * (3 * 8 * 16)
-    assert got == want
-    assert size == 24 + 384
+    size = persist_field(path, np.zeros((3, 3, 3, 2), dtype=complex), 0.25, Grid(4))
+    want = struct.pack("<4sIIId", b"VSLB", 2, 4, 3, 0.25) + b"\x00" * 864
+    assert path.read_bytes() == want
+    assert size == 24 + 864
 
 
 def test_snapshot_payload_order_is_lexicographic(tmp_path):
+    # lexicographic in the block rows, which hold k = 0 .. kmax and then
+    # -kmax .. -1 on the first two axes and k_3 = 0 .. kmax on the last
     n, h = 4, 3
+    grid = Grid(n)
     size = 3 * n * n * h
     distinct = (np.arange(size) + 1j * np.arange(size, 2 * size)).reshape(3, n, n, h)
-    coeffs = Grid(n).symmetrize(distinct)  # Hermitian; distinct amplitudes up to conjugate pairs
+    half = grid.dealias(grid.symmetrize(distinct))  # Hermitian; distinct up to conjugate pairs
     path = tmp_path / "order.vslb"
-    persist_field(path, coeffs, 0.0)
-    payload = np.frombuffer(path.read_bytes(), dtype="<f8", offset=24).reshape(3, n**3, 2)
-    ks = range(-n // 2, n // 2)
-
-    def amplitude(c, k1, k2, k3):  # stored k_3 are 0, 1 and -2; k_3 = -1 mirrors k_3 = 1
-        if k3 == -1:
-            return np.conj(coeffs[c, -k1 % n, -k2 % n, 1])
-        return coeffs[c, k1 % n, k2 % n, k3 % n if k3 >= 0 else 2]
-
-    want = np.array(
-        [[amplitude(c, *k) for k in itertools.product(ks, ks, ks)] for c in range(3)]
-    )
+    persist_field(path, grid.kept(half), 0.0, grid)
+    payload = np.frombuffer(path.read_bytes(), dtype="<f8", offset=24).reshape(3, 18, 2)
+    rows = (0, 1, -1)
+    modes = list(itertools.product(rows, rows, (0, 1)))
+    want = np.array([[half[c, k1 % n, k2 % n, k3] for k1, k2, k3 in modes] for c in range(3)])
     assert np.array_equal(payload[:, :, 0], want.real)
     assert np.array_equal(payload[:, :, 1], want.imag)
-    _, _, back = load_field(path)
-    assert np.array_equal(back, coeffs)
+    _, _, back = load_field(path, grid)
+    assert np.array_equal(grid.spread(back), half)
 
 
 def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "bad.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
+    grid = Grid(4)
+    persist_field(path, np.zeros((3, 3, 3, 2), dtype=complex), 0.0, grid)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
     with pytest.raises(SnapshotError, match="bad magic"):
-        load_field(path)
+        load_field(path, grid)
 
 
 def test_snapshot_bad_version(tmp_path):
     path = tmp_path / "ver.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", 9)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(SnapshotError, match="version"):
-        load_field(path)
+    grid = Grid(4)
+    persist_field(path, np.zeros((3, 3, 3, 2), dtype=complex), 0.0, grid)
+    for version in (9, 1):  # 1 held the whole cube, and no reader of it is kept
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match=f"ver.vslb: unsupported format version {version}$"):
+            load_field(path, grid)
 
 
 def test_snapshot_truncated(tmp_path):
     path = tmp_path / "short.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
+    grid = Grid(4)
+    persist_field(path, np.zeros((3, 3, 3, 2), dtype=complex), 0.0, grid)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(SnapshotError, match="truncated"):
-        load_field(path)
+        load_field(path, grid)
 
 
 def test_snapshot_symmetry_violation(tmp_path):
     grid = Grid(4)
-    w = np.zeros((3, 4, 4, 3), dtype=complex)
-    w[0, 1, 0, 0] = 1.0  # no conjugate partner on the plane k_3 = 0
+    w = np.zeros((3, 3, 3, 2), dtype=complex)
+    w[0, 1, 0, 1] = 1.0  # k_3 = 1 stands for its mirror at k_3 = -1, which the file lacks
     path = tmp_path / "asym.vslb"
-    persist_field(path, w, 0.0)
+    persist_field(path, w, 0.0, grid)
+    load_field(path, grid)
+    w[0, 1, 0, 0] = 1.0  # no conjugate partner on the plane k_3 = 0
+    persist_field(path, w, 0.0, grid)
     with pytest.raises(SnapshotError, match="symmetry"):
-        load_field(path)
+        load_field(path, grid)
 
 
-def test_snapshot_symmetry_violation_in_dropped_half(tmp_path):
-    grid = Grid(8)
-    path = tmp_path / "neg.vslb"
-    persist_field(path, grid.spread(random_divfree_field(grid, seed=41)), 0.0)
-    load_field(path)
-    corrupt_negative_half(path, 8)
-    with pytest.raises(SnapshotError, match="neg.vslb: Hermitian symmetry violated"):
-        load_field(path)
-
-
-def test_snapshot_huge_defect_in_dropped_half(tmp_path):
+def test_snapshot_huge_hermitian_defect(tmp_path):
     # squared magnitudes of 1e200 overflow, so only a check on |a - b| and |a| sees this
-    w = np.zeros((3, 8, 8, 5), dtype=complex)
-    w[1, -1, 2, 1] = 1e200  # its mirror is the amplitude at k = (1, -2, -1)
+    grid = Grid(8)
+    w = np.zeros((3, 5, 5, 3), dtype=complex)
+    w[1, 1, -2, 0] = w[1, -1, 2, 0] = 1e200  # k = (1, -2, 0) and its mirror
     path = tmp_path / "huge.vslb"
-    persist_field(path, w, 0.0)
-    load_field(path)
-    corrupt_negative_half(path, 8, delta=1e200)
+    persist_field(path, w, 0.0, grid)
+    load_field(path, grid)
+    corrupt_plane(path, delta=1e200)
     with pytest.raises(SnapshotError, match="huge.vslb: Hermitian symmetry violated"):
-        load_field(path)
+        load_field(path, grid)
 
 
 @pytest.mark.parametrize("n", [4, 32])
 def test_snapshot_load_is_contiguous_and_equals_the_gather(tmp_path, n):
-    h = n // 2 + 1
-    rng = np.random.default_rng(n)
-    draws = rng.standard_normal((2, 3, n, n, h))
-    coeffs = Grid(n).symmetrize(draws[0] + 1j * draws[1])  # Hermitian, nonzero Nyquist planes
-    coeffs[:, 1, 2, 1] = complex(-0.0, -0.0)
+    grid = Grid(n)
+    block = random_divfree_field(grid, seed=n)
+    block[:, 1, 2, 1] = complex(-0.0, -0.0)
     path = tmp_path / "layout.vslb"
-    persist_field(path, coeffs, 0.0)
-    _, _, back = load_field(path)
-    assert back.flags.c_contiguous
-    assert back.tobytes() == gathered_half(path).tobytes()
-    assert back.tobytes() == coeffs.tobytes()
+    persist_field(path, block, 0.0, grid)
+    _, _, back = load_field(path, grid)
+    assert back.flags.c_contiguous and back.flags.writeable
+    assert back.tobytes() == stored_block(path).tobytes()
+    assert back.tobytes() == block.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_block_encoding_is_the_half_spectrum_encoding(tmp_path, n):
+    # the payload is the half spectrum's kept modes, picked by wavevector
     grid = Grid(n)
     for seed in (0, 1, 2):
-        block = random_divfree_field(grid, seed)
-        persist_field(tmp_path / "block.vslb", block, 0.5, grid)
-        persist_field(tmp_path / "half.vslb", grid.spread(block), 0.5)
+        half = random_divfree_half(grid, seed)
+        persist_field(tmp_path / "block.vslb", grid.kept(half), 0.5, grid)
         got = (tmp_path / "block.vslb").read_bytes()
-        assert got == (tmp_path / "half.vslb").read_bytes(), seed
+        assert got == struct.pack("<4sIIId", b"VSLB", 2, n, 3, 0.5) + kept_modes(half).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_block_decode_is_the_kept_block_of_the_half_spectrum(tmp_path, n):
+    # a file written by hand from a half spectrum, apart from the encoder
     grid = Grid(n)
     path = tmp_path / "snap.vslb"
     for seed in (3, 4):
-        persist_field(path, grid.spread(random_divfree_field(grid, seed)), 0.25)
+        half = random_divfree_half(grid, seed)
+        header = struct.pack("<4sIIId", b"VSLB", 2, n, 3, 0.25)
+        path.write_bytes(header + kept_modes(half).tobytes())
         got_n, t, block = load_field(path, grid)
         assert (got_n, t) == (n, 0.25) and block.flags.c_contiguous
-        assert block.tobytes() == grid.kept(load_field(path)[2]).tobytes()
-
-
-def _set_word(path, index, value):
-    """Write the float64 ``value`` over the payload word ``index`` of the (3, n, n, n, 2) words."""
-    blob = bytearray(path.read_bytes())
-    n = struct.unpack_from("<I", blob, 8)[0]
-    offset = 24 + 8 * np.ravel_multi_index(index, (3, n, n, n, 2))
-    struct.pack_into("<d", blob, offset, value)
-    path.write_bytes(bytes(blob))
-
-
-# at 8^3 the file's box [-2, 2]^3 is the rows 2 .. 6 of every axis; one word in
-# each of the six views the decoder tests outside it
-OUTSIDE_8CUBED = [
-    (0, 0, 3, 3, 0),  # k_1 below the box
-    (1, 7, 4, 4, 1),  # k_1 above it
-    (2, 4, 1, 4, 0),  # k_2 below it
-    (0, 3, 7, 5, 1),  # k_2 above it
-    (1, 4, 4, 1, 1),  # k_3 below it, in the half a half spectrum drops
-    (2, 5, 3, 7, 0),  # k_3 above it
-]
-
-
-@pytest.mark.parametrize("index", OUTSIDE_8CUBED)
-def test_block_decode_refuses_a_word_outside_the_cut(tmp_path, index):
-    grid = Grid(8)
-    path = tmp_path / "snap.vslb"
-    persist_field(path, random_divfree_field(grid, 5), 0.0, grid)
-    _set_word(path, index, 1e-3)
-    there = r"snap.vslb: content outside the 2/3 cut \(max \|w\| there = 1.000e-03\)"
-    with pytest.raises(SnapshotError, match=there):
-        load_field(path, grid)
-    _set_word(path, index, np.nan)
-    with pytest.raises(SnapshotError, match="snap.vslb: non-finite coefficients"):
-        load_field(path, grid)
-
-
-def test_block_decode_refuses_a_sub_tolerance_word_in_the_dropped_half(tmp_path):
-    # the one behaviour change of the block decoder: a nonzero word in the
-    # k_3 < 0 half outside the cut, far below the Hermitian tolerance, passes
-    # the half-spectrum load, which drops that half, and is refused on a block
-    grid = Grid(8)
-    path = tmp_path / "snap.vslb"
-    persist_field(path, random_divfree_field(grid, 6), 0.0, grid)
-    half = load_field(path)[2]
-    _set_word(path, OUTSIDE_8CUBED[4], 1e-14)
-    assert load_field(path)[2].tobytes() == half.tobytes()
-    with pytest.raises(SnapshotError, match="outside the 2/3 cut"):
-        load_field(path, grid)
+        assert block.tobytes() == grid.kept(half).tobytes()
 
 
 def test_block_decode_refuses_a_hermitian_defect_inside_the_box(tmp_path):
@@ -324,7 +271,7 @@ def test_block_decode_refuses_a_hermitian_defect_inside_the_box(tmp_path):
     path = tmp_path / "snap.vslb"
     persist_field(path, random_divfree_field(grid, 7), 0.0, grid)
     load_field(path, grid)
-    corrupt_negative_half(path, 8)  # k = (1, -2, -1), inside the box
+    corrupt_plane(path)  # k = (1, -2, 0), on the plane k_3 = 0 of the box
     with pytest.raises(SnapshotError, match="snap.vslb: Hermitian symmetry violated"):
         load_field(path, grid)
 
@@ -351,35 +298,23 @@ def test_trajectory_save_load(tmp_path):
 
 @pytest.mark.parametrize("runner, count", [("reference", 6), ("slabs", 5)])
 def test_snapshot_files_are_canonical(tmp_path, runner, count):
-    # a file is a function of the kept block alone: outside the kept window
-    # every word is +0.0, but the imaginary words that conjugate reflection
-    # fills (k_3 = -(n/2-1) .. -1), which are -0.0
+    # a file is a function of the kept block alone: the header and the block's bytes
     grid = Grid(8)
-    n = grid.n
     w0 = random_divfree_field(grid, seed=13)
     write = snapshot_sink(tmp_path, grid)
     handed = []
 
     def sink(t, w):
-        handed.append(w.tobytes())
+        handed.append(struct.pack("<4sIIId", b"VSLB", 2, 8, 3, t) + w.tobytes())
         write(t, w)
 
     if runner == "reference":
         run_reference(grid, w0, 0.05, StepperConfig(dt=0.01), sink, field_every=1)
     else:
         run_slab_scheme(grid, w0, uniform_partition(0.05, 2), sink, slab_samples=2)
-    k = np.arange(n) - n // 2  # the fftshift-ed order of the file
-    inside = np.abs(k) < n / 3
-    window = inside[:, None, None] & inside[None, :, None] & inside[None, None, :]
-    zeros = np.zeros((n, n, n, 2))
-    zeros[:, :, (k < 0) & (k > -n // 2), 1] = -0.0
     paths = sorted(tmp_path.glob("*.vslb"))
     assert len(paths) == len(handed) == count
-    for path, block in zip(paths, handed):
-        words = np.frombuffer(path.read_bytes(), dtype="<f8", offset=24).reshape(3, n, n, n, 2)
-        outside = words[:, ~window]
-        assert outside.tobytes() == np.broadcast_to(zeros[~window], outside.shape).tobytes()
-        assert grid.kept(load_field(path)[2]).tobytes() == block
+    assert [path.read_bytes() for path in paths] == handed
 
 
 def test_atomic_open_keeps_the_old_file_when_the_write_fails(tmp_path):
@@ -409,7 +344,7 @@ def test_scan_orders_by_time_from_headers_only(tmp_path):
     for name, t in (("a.vslb", 1.0), ("b.vslb", 0.0), ("c.vslb", 0.5)):
         persist_field(tmp_path / name, w, t, grid)
     (tmp_path / "notes.txt").write_text("not a snapshot")
-    corrupt_negative_half(tmp_path / "c.vslb", 8)
+    corrupt_plane(tmp_path / "c.vslb")
     n, times, paths = scan_snapshots(tmp_path)
     assert n == 8 and times == [0.0, 0.5, 1.0]
     assert [os.path.basename(p) for p in paths] == ["b.vslb", "c.vslb", "a.vslb"]
@@ -419,22 +354,23 @@ def test_scan_orders_by_time_from_headers_only(tmp_path):
 
 def test_scan_rejects_overlong_payload_as_a_size_mismatch(tmp_path):
     path = tmp_path / "long.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
+    persist_field(path, np.zeros((3, 3, 3, 2), dtype=complex), 0.0, Grid(4))
     path.write_bytes(path.read_bytes() + bytes(16))
-    mismatch = r"long.vslb: payload size mismatch \(3112 bytes, expected 3096\)"
+    mismatch = r"long.vslb: payload size mismatch \(904 bytes, expected 888\)"
     with pytest.raises(SnapshotError, match=mismatch):
         scan_snapshots(tmp_path)
 
 
 def test_scan_rejects_a_non_finite_time(tmp_path):
-    persist_field(tmp_path / "a.vslb", np.zeros((3, 4, 4, 3), dtype=complex), float("nan"))
+    zero = np.zeros((3, 3, 3, 2), dtype=complex)
+    persist_field(tmp_path / "a.vslb", zero, float("nan"), Grid(4))
     with pytest.raises(SnapshotError, match="a.vslb: non-finite sample time nan"):
         scan_snapshots(tmp_path)
 
 
 def test_scan_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.vslb"
-    persist_field(path, np.zeros((3, 4, 4, 3), dtype=complex), 0.0)
+    persist_field(path, np.zeros((3, 3, 3, 2), dtype=complex), 0.0, Grid(4))
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(SnapshotError, match="short.vslb: truncated payload"):
         scan_snapshots(tmp_path)

@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from vslab import _fft
-from vslab.snapshots import SnapshotError, load_field, persist_field
+from vslab.snapshots import SnapshotError, persist_field
 from vslab.spectral import (
     _FFT_WORKERS,
     BOX_VOLUME,
@@ -427,6 +427,15 @@ def test_require_solenoidal_rejects_divergent_input(grid8):
         grid8.require_solenoidal(w)
 
 
+def test_require_solenoidal_rejects_a_field_whose_squares_overflow(grid8):
+    # divergence-free and zero-mean, but no norm of it is finite
+    w = random_divfree_field(grid8, seed=29)
+    w[0, 0, 0, 1] = 1e300  # w_1 at k = (0, 0, 1)
+    refusal = r"^squared H1 norm overflows \(max \|w\| = 1.000e\+300\)$"
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=refusal):
+        grid8.require_solenoidal(w)
+
+
 # -- dealiasing ----------------------------------------------------------------------------
 
 
@@ -592,12 +601,9 @@ def test_fields_with_content_outside_the_cut_are_refused(n, tmp_path):
         assert grid.kept(v) is None
         assert grid.kept(v[1]) is None
         assert _solenoidal_error(grid, v)[0] is FieldShapeError
-        # a file of it is refused for the cut before its mean or divergence is looked at
-        path = tmp_path / f"{i}.vslb"
-        persist_field(path, v, 0.0)
-        there = r"outside the 2/3 cut \(max \|w\| there = 3.000e-01\)"
-        with pytest.raises(SnapshotError, match=there):
-            load_field(path, grid)
+        # nor can a file hold it: a snapshot is a kept block
+        with pytest.raises(SnapshotError, match="expected a kept block"):
+            persist_field(tmp_path / f"{i}.vslb", v, 0.0, grid)
         for norm in (grid.l2sq, grid.h1sq, grid.l2sq_h1sq, grid.l4):
             with pytest.raises(FieldShapeError):
                 norm(v)
