@@ -27,13 +27,13 @@ the block's bytes.  Loading refuses:
 
 Round trips are bit-exact.
 
-A directory is read in two steps: ``scan_snapshots`` checks every header and
-orders the files by time, reading 24 bytes of each, and ``read_snapshots``
-then loads the payloads one at a time.  A directory is written one file at a
-time by ``snapshot_sink``, which first clears it of snapshots and then
-encodes the kept blocks the solvers hand it.  Each file is written under a
-temporary name that does not end in ``.vslb`` and renamed when complete, so
-a scan never sees a partial file.
+A directory is read in two steps: ``scan_snapshots`` checks every header,
+reading 24 bytes of each, and that the times increase in name order, and
+``read_snapshots`` then loads the payloads one at a time.  A directory is
+written one file at a time by ``snapshot_sink``, which first clears it of
+snapshots and then encodes the kept blocks the solvers hand it.  Each file
+is written under a temporary name that does not end in ``.vslb`` and
+renamed when complete, so a scan never sees a partial file.
 """
 
 from __future__ import annotations
@@ -142,12 +142,14 @@ def snapshot_sink(outdir, grid: Grid):
 
 
 def scan_snapshots(snapdir):
-    """Validated headers of every .vslb file in a directory, in time order.
+    """Validated headers of every .vslb file in a directory, in name order.
 
     Reads only the 24-byte header and the size of each file.  Returns
     (n, times, paths); raises SnapshotError on an empty directory, a bad
-    header, a file whose grid size differs from the first one's, or two
-    files with the same sample time.
+    header, a file whose grid size differs from the first one's, two files
+    with the same sample time, or times that do not increase in name order.
+    ``snapshot_sink`` names its files in time order, so a time out of that
+    order is a corrupt header, not a sample to be sorted into place.
     """
     names = sorted(f for f in os.listdir(snapdir) if f.endswith(".vslb"))
     if not names:
@@ -166,7 +168,13 @@ def scan_snapshots(snapdir):
     for a, b in zip(order[:-1], order[1:]):
         if times[a] == times[b]:
             raise SnapshotError(f"{names[a]} and {names[b]}: same sample time {times[a]!r}")
-    return first, [times[i] for i in order], [os.path.join(snapdir, names[i]) for i in order]
+    for i in range(1, len(names)):
+        if times[i] < times[i - 1]:
+            raise SnapshotError(
+                f"{names[i]}: sample time {times[i]!r} is before {times[i - 1]!r} of "
+                f"{names[i - 1]}; times must increase in name order"
+            )
+    return first, times, [os.path.join(snapdir, name) for name in names]
 
 
 def read_snapshots(grid: Grid, paths):

@@ -60,7 +60,9 @@ from vslab import _fft
 TWO_PI = 2.0 * np.pi
 BOX_VOLUME = TWO_PI**3
 
-_FFT_WORKERS = 2
+# pocketfft runs on the calling thread; a second worker adds CPU time and
+# gives the same bits (see ``cli._pin_blas_threads`` for the BLAS half)
+_FFT_WORKERS = 1
 _AXES = (-3, -2, -1)
 
 # tolerances of the solenoidal check applied where fields enter the program

@@ -927,9 +927,18 @@ def test_any_corrupt_snapshot_word_exits_cleanly_or_in_one_error_line(corrupt_di
         path.write_bytes(pristine)
     if offset == 16:
         # a non-finite time is refused by every reader; a finite one that
-        # moves a sample breaks the uniform spacing that monitor needs
+        # moves a sample breaks the uniform spacing that monitor needs, and
+        # one that leaves name order is refused by both directory readers
         old = struct.unpack_from("<d", pristine, 16)[0]
+        times = [
+            struct.unpack_from("<d", p.read_bytes(), 16)[0]
+            for p in sorted((corrupt_dir / "pristine").iterdir())
+        ]
+        times[snap] = value
+        out_of_order = any(b <= a for a, b in zip(times, times[1:]))
         if not np.isfinite(value) or (command == "monitor" and value != old):
+            assert code == 1
+        if command in ("monitor", "compare") and out_of_order:
             assert code == 1
 
 
@@ -1036,3 +1045,38 @@ def test_commands_reuse_their_heap(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     faults = int(proc.stdout.splitlines()[-1])
     assert faults < 1000, faults
+
+
+def test_monitor_refuses_a_row_that_is_not_finite_in_one_line(tmp_path):
+    # amplitudes near 1e150 overflow the squares of the norms, with no warning
+    snapdir = tmp_path / "snaps"
+    snapdir.mkdir()
+    grid = Grid(8)
+    for i in range(5):
+        w = random_divfree_field(grid, seed=i + 1)
+        w *= 1e150 / np.max(np.abs(w))
+        persist_field(snapdir / snapshots.snapshot_name(i), w, 0.01 * i, grid)
+    proc = _run_child("monitor", "--config", write_cfg(tmp_path), str(snapdir))
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: monitor: "), proc.stderr
+    assert "is not finite" in err[0]
+    assert not (tmp_path / "out" / "monitors.csv").exists()
+
+
+def test_a_command_leaves_openblas_on_one_thread(tmp_path):
+    """``cli._pin_blas_threads`` runs numpy's OpenBLAS on the calling thread."""
+    if cli._openblas() is None:
+        pytest.skip("no OpenBLAS with a thread-count setter in this process")
+    code = (
+        "import vslab.cli\n"
+        "lib, name = vslab.cli._openblas()\n"
+        "getattr(lib, name)(2)\n"
+        f"assert vslab.cli.cli_dispatch(['run-ref', '--config', {write_cfg(tmp_path)!r}]) == 0\n"
+        "print(getattr(lib, name.replace('_set_', '_get_'))())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"

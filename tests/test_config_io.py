@@ -3,6 +3,7 @@
 import glob
 import itertools
 import os
+import re
 import struct
 
 import numpy as np
@@ -341,15 +342,33 @@ def test_writers_leave_no_temporary_files(tmp_path):
 def test_scan_orders_by_time_from_headers_only(tmp_path):
     grid = Grid(8)
     w = random_divfree_field(grid, seed=5)
-    for name, t in (("a.vslb", 1.0), ("b.vslb", 0.0), ("c.vslb", 0.5)):
+    for name, t in (("a.vslb", 0.0), ("b.vslb", 0.5), ("c.vslb", 1.0)):
         persist_field(tmp_path / name, w, t, grid)
     (tmp_path / "notes.txt").write_text("not a snapshot")
-    corrupt_plane(tmp_path / "c.vslb")
+    corrupt_plane(tmp_path / "b.vslb")
     n, times, paths = scan_snapshots(tmp_path)
     assert n == 8 and times == [0.0, 0.5, 1.0]
-    assert [os.path.basename(p) for p in paths] == ["b.vslb", "c.vslb", "a.vslb"]
-    with pytest.raises(SnapshotError, match="c.vslb: Hermitian symmetry violated"):
+    assert [os.path.basename(p) for p in paths] == ["a.vslb", "b.vslb", "c.vslb"]
+    with pytest.raises(SnapshotError, match="b.vslb: Hermitian symmetry violated"):
         load_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "times, refusal",
+    [
+        ((0.0, 1.0, 0.5), "c.vslb: sample time 0.5 is before 1.0 of b.vslb"),
+        ((1.0, 0.0, 0.5), "b.vslb: sample time 0.0 is before 1.0 of a.vslb"),
+        ((0.0, 0.5, 0.5), "b.vslb and c.vslb: same sample time 0.5"),
+        ((0.0, -0.0, 0.5), "a.vslb and b.vslb: same sample time 0.0"),
+    ],
+)
+def test_scan_refuses_times_out_of_name_order(tmp_path, times, refusal):
+    # snapshot_sink names its files in time order: any other order is a corrupt header
+    zero = np.zeros((3, 3, 3, 2), dtype=complex)
+    for name, t in zip(("a.vslb", "b.vslb", "c.vslb"), times):
+        persist_field(tmp_path / name, zero, t, Grid(4))
+    with pytest.raises(SnapshotError, match=re.escape(refusal)):
+        scan_snapshots(tmp_path)
 
 
 def test_scan_rejects_overlong_payload_as_a_size_mismatch(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import collect_reference, cut_block
 from scipy.integrate import quad
 
+from vslab import cli
 from vslab.estimates import (
     _weighted_linear_integral,
     average_cs_check,
@@ -378,6 +379,34 @@ def test_hgamma_stack_rows_are_the_same_from_either_layout(grid8):
     for other in (w, full_spectrum(w), grid8.kept(w)[1]):
         with pytest.raises(FieldShapeError):
             stack.set_row(0, other)
+
+
+def test_hgamma_gram_on_two_blas_threads_differs_from_one_by_rounding_only():
+    """The Gram's bits depend on OpenBLAS's thread count, which commands pin to one.
+
+    On this 100 x 29,106 stack (the monitor32 shape) two threads of numpy
+    2.4's OpenBLAS move 92 of the 10,000 entries by up to 1.1e-17 of the
+    largest; one thread gives the same bits on every call.
+    """
+    found = cli._openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS with a thread-count setter in this process")
+    lib, name = found
+    get, set_threads = getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name)
+    stack = HGammaStack(Grid(32), 100)
+    real = stack.rows.view(np.float64)
+    real[:] = np.random.default_rng(7).standard_normal(real.shape)
+    before = get()
+    try:
+        grams = []
+        for threads in (1, 2, 1):
+            set_threads(threads)
+            grams.append(stack.gram())
+    finally:
+        set_threads(before)
+    one, two, again = grams
+    assert one.tobytes() == again.tobytes()
+    assert np.max(np.abs(two - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_hgamma_monotone_in_gamma(grid8):

@@ -17,7 +17,8 @@ from oracles import (
     stacked_curl,
 )
 
-from vslab import _fft
+from vslab import _fft, spectral
+from vslab.reference import nonlinear_term
 from vslab.snapshots import SnapshotError, persist_field
 from vslab.spectral import (
     _FFT_WORKERS,
@@ -162,20 +163,22 @@ def samples(n, fields, seed):
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_fft_binding_matches_scipy_fft_bit_for_bit(n, fields):
     vals = samples(n, fields, seed=n + fields)
-    half = scipy.fft.rfftn(vals, axes=AXES, workers=_FFT_WORKERS)
-    assert same_bits(_fft.rfftn(vals, AXES, _FFT_WORKERS), half)
-    half = half * (1.0 + 0.25j)  # not Hermitian on the self-conjugate planes
-    want = scipy.fft.irfftn(half, s=(n, n, n), axes=AXES, workers=_FFT_WORKERS)
-    assert same_bits(_fft.irfftn(half, (n, n, n), AXES, _FFT_WORKERS), want)
-    want = scipy.fft.irfft(half, n=n, norm="forward", workers=_FFT_WORKERS)
-    assert same_bits(_fft.irfftn(half, (n,), (-1,), _FFT_WORKERS, norm="forward"), want)
-    for axis in (-3, -2):
-        want = scipy.fft.fft(half, axis=axis, workers=_FFT_WORKERS)
-        assert same_bits(_fft.fft(half, axis, True, _FFT_WORKERS), want)
-        want = scipy.fft.ifft(half, axis=axis, norm="forward", workers=_FFT_WORKERS)
-        got = half.copy()
-        assert _fft.fft(got, axis, False, _FFT_WORKERS, out=got) is got
-        assert same_bits(got, want)
+    # the program's one worker, and two, which the binding passes on as well
+    for workers in (1, 2):
+        half = scipy.fft.rfftn(vals, axes=AXES, workers=workers)
+        assert same_bits(_fft.rfftn(vals, AXES, workers), half)
+        half = half * (1.0 + 0.25j)  # not Hermitian on the self-conjugate planes
+        want = scipy.fft.irfftn(half, s=(n, n, n), axes=AXES, workers=workers)
+        assert same_bits(_fft.irfftn(half, (n, n, n), AXES, workers), want)
+        want = scipy.fft.irfft(half, n=n, norm="forward", workers=workers)
+        assert same_bits(_fft.irfftn(half, (n,), (-1,), workers, norm="forward"), want)
+        for axis in (-3, -2):
+            want = scipy.fft.fft(half, axis=axis, workers=workers)
+            assert same_bits(_fft.fft(half, axis, True, workers), want)
+            want = scipy.fft.ifft(half, axis=axis, norm="forward", workers=workers)
+            got = half.copy()
+            assert _fft.fft(got, axis, False, workers, out=got) is got
+            assert same_bits(got, want)
 
 
 def test_fft_binding_is_the_extension_where_it_exists():
@@ -253,6 +256,21 @@ def test_pruned_transforms_are_the_whole_cube_ones_bit_for_bit(n):
         want = grid._gather(_fft.rfftn(vals, AXES, _FFT_WORKERS))
         want *= 1.0 / n**3
         assert same_bits(grid.physical_to_block(vals), want)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_transforms_and_kernel_have_the_same_bits_on_one_and_two_fft_workers(n, monkeypatch):
+    grid = Grid(n)
+    u, w = (random_divfree_field(grid, seed=n + i) for i in range(2))
+    vals = samples(n, 3, seed=n)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(spectral, "_FFT_WORKERS", workers)
+        results.append(
+            (grid.block_to_physical(u, w), grid.physical_to_block(vals), nonlinear_term(grid, u, w))
+        )
+    for one, two in zip(*results):
+        assert same_bits(one, two)
 
 
 def test_pruned_transforms_refuse_other_layouts(grid8):
