@@ -258,9 +258,9 @@ def cmd_monitor(cfg, snapdir):
 def _monitor_rows(cfg, snapdir):
     """The (quantity, value) rows of one pass over the snapshots in time order.
 
-    Each snapshot is read as its kept block (``Grid.kept``; every snapshot
-    must be zero outside the 2/3 cut), and its velocity, norms, checks and
-    stack row are formed on the block.  Only the H^gamma stack of the kept
+    Each snapshot is read as its kept block (a file holds nothing outside
+    the 2/3 cut; see ``vslab.spectral``), and its velocity, norms, checks
+    and stack row are formed on the block.  Only the H^gamma stack of the kept
     modes of every snapshot but the last is held whole (``HGammaStack``).
     The centered differences need a window of the last five velocities:
     dt u at t_{m-1} from u_m - u_{m-2}, and at t_{m-2} on the every-other-

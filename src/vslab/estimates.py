@@ -299,15 +299,14 @@ def uniform_step(times):
 class HGammaStack:
     """The rows of the H^gamma diagnostic: one dense (rows, 3K) array.
 
-    Row m is the kept block (``Grid.kept``) of a snapshot, the only layout
-    ``set_row`` takes, each plane weighted by the square root of its
-    ``Grid.plane_weight``.  Every field the program holds is zero outside
+    Row m is the kept block of a snapshot, the only layout ``set_row``
+    takes, each plane weighted by the square root of its
+    ``Grid.block_weight``.  Every field the program holds is zero outside
     the 2/3 cut, so the K kept modes per component are the whole snapshot.
     """
 
     def __init__(self, grid: Grid, rows):
-        weight = grid.kept(np.sqrt(grid.plane_weight) * grid.keep)
-        self._weight = np.broadcast_to(weight, (3, *weight.shape))
+        self._weight = np.broadcast_to(np.sqrt(grid.block_weight), (3, *grid._block_shape))
         self.rows = np.empty((rows, self._weight.size), dtype=np.complex128)
 
     def __len__(self):
@@ -353,8 +352,8 @@ def hgamma_from_stack(times, stack, gamma, freq_points=131073):
     of the lag-d diagonals of the snapshots' Gram matrix.  The snapshots are
     Hermitian, so that Gram matrix is real: it is formed from their kept
     blocks viewed as real numbers, each plane weighted by the square root of
-    its ``Grid.plane_weight`` (sqrt(2) except on k_3 = 0 and k_3 = -n/2) to
-    stand for its conjugate mirror.  On the uniform frequency grid
+    its ``Grid.block_weight`` (sqrt(2) except on k_3 = 0) to stand for its
+    conjugate mirror.  On the uniform frequency grid
     sigma_j = j pi / (h L), j = 0..L, the cosine sums are the real part of
     one real FFT of length 2L of the lag sums.
     """

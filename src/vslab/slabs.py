@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vslab.reference import nonlinear_term
-from vslab.spectral import Grid, full_spectrum
+from vslab.spectral import FieldShapeError, Grid, _mirror
 from vslab.trajectory import ScalarSeries, Trajectory, scalar_record, series_from_records
 
 
@@ -482,22 +482,28 @@ def _coupling_block(grid: Grid, u_bar):
 
         i [(e_p(k).ubar(k-q)) (k.e_r(q)) - (e_p(k).e_r(q)) (k.ubar(k-q))]
 
-    with k-q taken mod n.  The gather needs ubar on the whole cube, so its
-    kept block is spread and expanded, and the mode tables are built here
-    for the full cube; the block is quadratic in the mode count,
-    so grids are limited to 8^3.  Returns the full-cube mode indices (a tuple of three
-    index arrays), the polarizations (m, 2, 3) and the (2m, 2m) block, whose
-    row and column (p, k) is p*m + k.
+    with k-q taken mod n.  The modes are the rows of the kept block on every
+    axis of the full cube, k = 0 left out, and k-q reaches the whole cube,
+    so ubar is placed there, in the layout of ``np.fft.fftn``: its kept
+    block on k_3 = 0 .. kmax and the conjugate mirrors of k_3 = kmax .. 1
+    on k_3 = -kmax .. -1.  The block is
+    quadratic in the mode count, so grids are limited to 8^3.  A ``u_bar``
+    that is not a kept vector block raises ``FieldShapeError``.  Returns the
+    full-cube mode indices (a tuple of three index arrays), the
+    polarizations (m, 2, 3) and the (2m, 2m) block, whose row and column
+    (p, k) is p*m + k.
     """
     n = grid.n
     if n > 8:
         raise ValueError("row-sum diagnostic is restricted to grids up to 8^3")
-    k1 = np.fft.fftfreq(n, d=1.0 / n)
-    k = np.array(np.meshgrid(k1, k1, k1, indexing="ij"))
-    keep = full_spectrum(grid.keep.astype(np.complex128)).real > 0  # the cut is even in k
-    idx = np.argwhere(keep)[1:]  # C order puts k = 0 first
-    pick = tuple(idx.T)
-    kv = k[(slice(None),) + pick].T  # (m, 3)
+    shape = (3, *grid._block_shape)
+    if u_bar.shape != shape:
+        raise FieldShapeError(f"expected a kept vector block {shape}, got {u_bar.shape}")
+    kk = grid._block_shape[-1]
+    rows = np.r_[0:kk, n - kk + 1 : n]  # the kept rows of an axis, in index order
+    idx = np.stack(np.meshgrid(rows, rows, rows, indexing="ij"), axis=-1).reshape(-1, 3)[1:]
+    pick = tuple(idx.T)  # C order, with k = 0 first and dropped
+    kv = np.fft.fftfreq(n, d=1.0 / n)[idx.T].T  # (m, 3)
     helper = np.eye(3)[np.argmin(np.abs(kv), axis=1)]
     e1 = np.cross(kv, helper)
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
@@ -505,7 +511,9 @@ def _coupling_block(grid: Grid, u_bar):
     e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
     pol = np.stack((e1, e2), axis=1)
     diff = tuple((idx[:, None, d] - idx[None, :, d]) % n for d in range(3))
-    u_full = full_spectrum(grid.spread(u_bar))
+    u_full = np.zeros((3, n, n, n), dtype=np.complex128)
+    u_full[:, rows[:, None], rows[None, :], :kk] = u_bar
+    _mirror(u_full[..., kk - 1 : 0 : -1], out=u_full[..., n - kk + 1 :])
     ub = np.moveaxis(u_full[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
     pu = np.einsum("kpc,kqc->pkq", pol, ub)
     ke = np.einsum("kc,qrc->kqr", kv, pol)

@@ -7,7 +7,7 @@ Layout (all little-endian):
     bytes 8..11   grid size n per axis, uint32
     bytes 12..15  component count, uint32 (always 3)
     bytes 16..23  sample time, float64
-    payload       the kept block of the 2/3 cut (``Grid.kept``), shape
+    payload       the kept block of the 2/3 cut (``vslab.spectral``), shape
                   (3, K, K, kmax + 1) with K = 2 kmax + 1, as (re, im)
                   float64 pairs in its C order: per component, the rows
                   k = 0 .. kmax and then -kmax .. -1 on the first two

@@ -4,31 +4,30 @@ Fields are real and carried by their Fourier amplitudes
 
     f(x) = sum_k  fhat[k] * exp(i k.x),
 
-which are Hermitian-symmetric, fhat[-k] == conj(fhat[k]).  The half
-spectrum k_3 >= 0 holds them all: a scalar field is a complex array of shape
-(n, n, n//2+1), a vector field (3, n, n, n//2+1), with k_1 and k_2 in numpy
-``fftfreq`` ordering and k_3 = 0 .. n/2-1 followed by the Nyquist plane at
-index n/2 (stored as k_3 = -n/2, as ``fftfreq`` labels it).  This is the
-layout of ``rfftn``.  Hermitian symmetry then constrains only the two
-self-conjugate planes k_3 = 0 and k_3 = -n/2, which the real transforms
-keep; ``full_spectrum`` rebuilds the whole cube where one is needed.  Sums over
-modes weight every plane by 2 for its conjugate mirror, except those two
-planes, which stand for themselves (``Grid.plane_weight``).
+which are Hermitian-symmetric, fhat[-k] == conj(fhat[k]), so the modes with
+k_3 >= 0 hold them all.  Every field the program holds is zero outside the
+2/3 cut, and is carried as its kept block: the dense array of the kept modes
+with k_3 >= 0, shape (K, K, kmax + 1) for a scalar field and (3, K, K,
+kmax + 1) for a vector field, K = 2 kmax + 1 (``kept_block_shape``).  On the
+axes -3 and -2 the rows are k_i = 0 .. kmax and then -kmax .. -1, as numpy's
+``fftfreq`` orders them; on the last axis k_3 = 0 .. kmax.  Hermitian
+symmetry then constrains only the plane k_3 = 0.  Sums over modes weight
+every plane by 2 for its conjugate mirror, except k_3 = 0, which stands for
+itself (``Grid.block_weight``).
 
-A field that is zero outside the 2/3 cut, as every field the program holds
-is, is carried as its kept block (``Grid.kept``), the dense array of the
-kept modes, 3.6 times smaller than its half spectrum.  It is the layout
-every field is born in: the builders below write their amplitudes into a
-kept block, the snapshot reader decodes one, and ``Grid.require_solenoidal``
-takes nothing else.  Every solver state is one, and the curl, divergence,
-Biot-Savart inversion and the norms take no other layout.  Half spectra
-remain the layout of the whole-cube transforms, ``leray_project``,
-``dealias``, ``gradient`` and ``symmetrize``, which no command calls;
-``Grid.kept`` and ``Grid.spread`` convert between the two layouts.  A kept
-block goes to physical samples and back without its half spectrum
+The kept block is the layout every field is born in: the builders below
+write their amplitudes into one, the snapshot reader decodes one, and
+``Grid.require_solenoidal`` takes nothing else.  Every solver state is one,
+and the curl, divergence, Biot-Savart inversion and the norms take no other
+layout.  A kept block goes to physical samples and back
 (``Grid.block_to_physical`` and ``physical_to_block``): the transforms run
 axis by axis on the lines the cut leaves nonzero, with the bits of the
-whole-cube ``irfftn`` and ``rfftn``.
+whole-cube ``irfftn`` and ``rfftn``.  Their working array, which the real
+transform along k_3 needs, is the one half spectrum, the (n, n, n//2+1)
+layout of ``rfftn``, that a command makes.  The whole-cube methods
+``to_spectral``, ``to_physical``, ``leray_project``, ``dealias`` and
+``symmetrize`` take half spectra too; no command calls them, and they
+remain as references for the tests and as names the bench tracer wraps.
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
@@ -40,9 +39,8 @@ Conventions fixed here and relied on everywhere else:
 
 * the box edge is 2*pi, so ``l2sq`` carries the volume factor (2*pi)**3;
 * the 2/3 rule keeps the modes with every |k_i| < n/3;
-* odd-derivative operators (curl, divergence, gradient) use wavenumbers
-  with the Nyquist plane zeroed, which keeps them Hermitian-safe;
-* norms and diffusion use the full |k|^2 including the Nyquist plane;
+* the kept block holds no Nyquist row, so the derivative wavenumbers of
+  the odd-derivative operators (curl, divergence) are k itself;
 * the mean mode k=0 of velocities and vorticities is zero, checked where a
   field enters (``Grid.require_solenoidal``), and every field the program
   holds is zero outside the 2/3 cut, by its layout; every operation after
@@ -50,8 +48,6 @@ Conventions fixed here and relied on everywhere else:
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -110,17 +106,6 @@ def _cross(a, b, out):
     return out
 
 
-def full_spectrum(half):
-    """Full (..., n, n, n) amplitudes of a real field from its k_3 >= 0 half."""
-    n = half.shape[-2]
-    h = n // 2 + 1
-    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :h] = half
-    # k_3 = -(n/2-1) .. -1 are the mirrors of k_3 = n/2-1 .. 1
-    _mirror(half[..., h - 2 : 0 : -1], out[..., h:])
-    return out
-
-
 def kept_block_shape(n):
     """(K, K, kmax + 1) of the kept block of the 2/3 cut on a grid of size n, K = 2 kmax + 1.
 
@@ -132,55 +117,39 @@ def kept_block_shape(n):
 
 
 class Grid:
-    """Cubic periodic grid with n modes per axis and the operator tables on it.
+    """Cubic periodic grid with n modes per axis and the operator tables of its kept block.
 
-    The wavevector tables ``k``, ``kd``, ``ksq``, ``inv_ksq`` and ``keep``
-    cover the stored half spectrum, the ``block_`` tables the kept block;
-    ``x`` is the full physical grid.
+    ``block_kd`` holds the wavevectors of the kept block, ``block_ksq`` and
+    ``block_inv_ksq`` |k|^2 and 1/|k|^2 (0 at k = 0), and ``block_weight``
+    the weight of each k_3 plane in a sum over the full spectrum.
     """
 
     def __init__(self, n: int):
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {n}")
         self.n = int(n)
-        h = n // 2 + 1
-        k1 = np.fft.fftfreq(n, d=1.0 / n)  # integers 0..n/2-1, -n/2..-1
-        self.k = np.array(np.meshgrid(k1, k1, k1[:h], indexing="ij"))
-        self.ksq = np.sum(self.k**2, axis=0)
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / self.ksq
-        inv[0, 0, 0] = 0.0
-        self.inv_ksq = inv
-        # derivative wavenumbers: Nyquist zeroed so i*k keeps Hermitian symmetry
-        kd1 = k1.copy()
-        kd1[n // 2] = 0.0
-        self.kd = np.array(np.meshgrid(kd1, kd1, kd1[:h], indexing="ij"))
-        # the kept block: on the axes -3 and -2 the rows k_i = 0 .. kmax and
-        # then -kmax .. -1, on the last axis k_3 = 0 .. kmax
         self._block_shape = kept_block_shape(n)
         kb, _, kk = self._block_shape  # kk = kmax + 1
-        self.keep = np.all(np.abs(self.k) < kk, axis=0)
-        # each stored plane also stands for its conjugate mirror, except the
-        # self-conjugate planes k_3 = 0 and k_3 = -n/2
-        self.plane_weight = np.full(h, 2.0)
-        self.plane_weight[[0, n // 2]] = 1.0
+        # the rows of the kept block: on the axes -3 and -2 k_i = 0 .. kmax and
+        # then -kmax .. -1, on the last axis k_3 = 0 .. kmax
+        k1 = np.fft.fftfreq(n, d=1.0 / n)  # integers 0..n/2-1, -n/2..-1
+        rows = np.concatenate((k1[:kk], k1[n - kk + 1 :]))
+        # the cut holds no Nyquist row, so the derivative wavenumbers are k itself
+        self.block_kd = np.array(np.meshgrid(rows, rows, k1[:kk], indexing="ij"))
+        self.block_ksq = np.sum(self.block_kd**2, axis=0)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / self.block_ksq
+        inv[0, 0, 0] = 0.0
+        self.block_inv_ksq = inv
+        # each plane also stands for its conjugate mirror, except k_3 = 0
+        self.block_weight = np.full(kk, 2.0)
+        self.block_weight[0] = 1.0
         # each entry of _runs pairs a range of block rows with the half-spectrum rows it holds
         self._runs = ((slice(0, kk), slice(0, kk)), (slice(kk, kb), slice(n - kk + 1, n)))
         self._cut_rows = slice(kk, n - kk + 1)  # the rows of an axis outside the cut
-        self._half_shape = (n, n, h)
-        # the tables of the kept block, the layout of the operators and norms
-        self.block_kd = self._gather(self.kd)
-        self.block_ksq = self._gather(self.ksq)
-        self.block_inv_ksq = self._gather(self.inv_ksq)
-        self.block_weight = self.plane_weight[:kk]
+        self._half_shape = (n, n, n // 2 + 1)
         self._spread_buffers = {}  # block_to_physical's half spectrum per leading shape
         self.cell_volume = (TWO_PI / n) ** 3
-
-    @functools.cached_property
-    def x(self):
-        """The full physical grid, (3, n, n, n), built on first use."""
-        x1 = TWO_PI * np.arange(self.n) / self.n
-        return np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
 
     def __repr__(self):
         return f"Grid(n={self.n})"
@@ -217,27 +186,6 @@ class Grid:
         if lead not in self._spread_buffers:
             self._spread_buffers[lead] = np.zeros(lead + self._half_shape, dtype=np.complex128)
         return self._spread_buffers[lead]
-
-    def kept(self, field):
-        """The dense block (..., K, K, K3) of the modes ``keep`` retains, or None.
-
-        None when the half-spectrum ``field`` has content outside the 2/3 cut,
-        which shows as fewer nonzero entries in the block than in the field.
-        The block lists the kept modes in the C order of ``np.flatnonzero(keep)``.
-        """
-        self._check_shape(field)
-        block = self._gather(field)
-        return block if np.count_nonzero(block) == np.count_nonzero(field) else None
-
-    def spread(self, block):
-        """The half spectrum of a kept block, zero outside the cut."""
-        self._check_shape(block, self._block_shape)
-        out = np.zeros(block.shape[:-3] + self._half_shape, dtype=block.dtype)
-        kk = self._block_shape[-1]
-        for block1, half1 in self._runs:
-            for block2, half2 in self._runs:
-                out[..., half1, half2, :kk] = block[..., block1, block2, :]
-        return out
 
     # -- transforms ---------------------------------------------------------
 
@@ -302,39 +250,7 @@ class Grid:
         block *= 1.0 / self.n**3
         return block
 
-    def to_spectral(self, values):
-        """Forward real transform of physical samples to half-spectrum amplitudes."""
-        vals = np.asarray(values, dtype=np.float64)
-        self._check_shape(vals, (self.n,) * 3)
-        return _fft.rfftn(vals, _AXES, _FFT_WORKERS) / self.n**3
-
-    def to_physical(self, coeffs):
-        """Inverse real transform of half-spectrum amplitudes to physical samples."""
-        self._check_shape(coeffs)
-        n = self.n
-        return _fft.irfftn(coeffs * n**3, (n, n, n), _AXES, _FFT_WORKERS)
-
-    # -- symmetry helpers ----------------------------------------------------
-
-    def symmetrize(self, coeffs):
-        """Hermitian fix-up of the self-conjugate planes k_3 = 0 and k_3 = -n/2.
-
-        On each of them the amplitude at (k_1, k_2) is averaged with the
-        conjugate of the one at (-k_1, -k_2); the other planes have their
-        mirrors outside the stored half and are returned unchanged.
-        """
-        out = np.array(coeffs, dtype=np.complex128)
-        planes = [0, self.n // 2]
-        edge = out[..., planes]
-        out[..., planes] = 0.5 * (edge + _mirror(edge))
-        return out
-
     # -- differential operators ----------------------------------------------
-
-    def gradient(self, s):
-        """Scalar -> vector, modewise i*k*shat."""
-        self._check_shape(s)
-        return 1j * self.kd * s[np.newaxis]
 
     def divergence(self, v):
         """Vector block -> scalar block, modewise i*k.vhat."""
@@ -348,12 +264,6 @@ class Grid:
         out = _cross(self.block_kd, v, np.empty(v.shape, dtype=np.complex128))
         out *= 1j
         return out
-
-    def leray_project(self, v):
-        """Remove the gradient part: vhat - k (k.vhat)/|k|^2, identity at k=0."""
-        self._check_shape(v)
-        kdotv = self.k[0] * v[0] + self.k[1] * v[1] + self.k[2] * v[2]
-        return v - self.k * (kdotv * self.inv_ksq)[np.newaxis]
 
     def divergence_rel(self, v):
         """Dimensionless divergence residual |k.vhat| / |k||vhat| in L2 of a vector block.
@@ -405,11 +315,6 @@ class Grid:
         u *= self.block_inv_ksq
         return u
 
-    def dealias(self, coeffs):
-        """Zero every mode with any |k_i| >= n/3 (2/3 rule)."""
-        self._check_shape(coeffs)
-        return coeffs * self.keep
-
     # -- norms ----------------------------------------------------------------
 
     def _mode_sum(self, density):
@@ -454,6 +359,57 @@ class Grid:
             mag_sq = np.sum(mag_sq, axis=0)
         np.square(mag_sq, out=mag_sq)
         return float((np.sum(mag_sq) * self.cell_volume) ** 0.25)
+
+    # -- whole-cube references ---------------------------------------------------
+    #
+    # Half-spectrum methods that no command calls.  The tests use them as
+    # references, and bench/tracer.py wraps them by name.
+
+    def _half_wavevectors(self):
+        """The wavevectors (3, n, n, n//2+1) of the half spectrum, built on each call."""
+        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return np.array(np.meshgrid(k1, k1, k1[: self.n // 2 + 1], indexing="ij"))
+
+    def to_spectral(self, values):
+        """Forward real transform of physical samples to half-spectrum amplitudes."""
+        vals = np.asarray(values, dtype=np.float64)
+        self._check_shape(vals, (self.n,) * 3)
+        return _fft.rfftn(vals, _AXES, _FFT_WORKERS) / self.n**3
+
+    def to_physical(self, coeffs):
+        """Inverse real transform of half-spectrum amplitudes to physical samples."""
+        self._check_shape(coeffs)
+        n = self.n
+        return _fft.irfftn(coeffs * n**3, (n, n, n), _AXES, _FFT_WORKERS)
+
+    def symmetrize(self, coeffs):
+        """Hermitian fix-up of the self-conjugate planes k_3 = 0 and k_3 = -n/2.
+
+        On each of them the amplitude at (k_1, k_2) is averaged with the
+        conjugate of the one at (-k_1, -k_2); the other planes have their
+        mirrors outside the stored half and are returned unchanged.
+        """
+        out = np.array(coeffs, dtype=np.complex128)
+        planes = [0, self.n // 2]
+        edge = out[..., planes]
+        out[..., planes] = 0.5 * (edge + _mirror(edge))
+        return out
+
+    def leray_project(self, v):
+        """Remove the gradient part of a half spectrum: vhat - k (k.vhat)/|k|^2, identity at k=0."""
+        self._check_shape(v)
+        k = self._half_wavevectors()
+        with np.errstate(divide="ignore"):
+            inv_ksq = 1.0 / np.sum(k**2, axis=0)
+        inv_ksq[0, 0, 0] = 0.0
+        kdotv = k[0] * v[0] + k[1] * v[1] + k[2] * v[2]
+        return v - k * (kdotv * inv_ksq)[np.newaxis]
+
+    def dealias(self, coeffs):
+        """Zero every mode of a half spectrum with any |k_i| >= n/3 (2/3 rule)."""
+        self._check_shape(coeffs)
+        keep = np.all(np.abs(self._half_wavevectors()) < self._block_shape[-1], axis=0)
+        return coeffs * keep
 
 
 # -- canonical initial fields ----------------------------------------------

@@ -1,12 +1,17 @@
 """Independent reference computations and file corruptions that only the tests use.
 
 The computations work on the whole (n, n, n) cube with complex transforms,
-apart from the half-spectrum and kept-block layouts the program keeps, so
-they check it rather than share its code.
+apart from the kept-block layout the program keeps, so they check it rather
+than share its code.  The half spectrum (n, n, n//2+1) of ``rfftn`` lives
+here too: its wavevector tables (``half_tables``), the converters between it
+and the kept block (``kept``, ``spread``) and the whole cube
+(``full_spectrum``), and the physical grid (``physical_grid``).
 """
 
+import functools
 import itertools
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ import scipy.fft
 from vslab import estimates, slabs
 from vslab.reference import StepperConfig, rk4_step, run_reference
 from vslab.snapshots import load_trajectory
-from vslab.spectral import full_spectrum, splitmix64_uniform
+from vslab.spectral import FieldShapeError, splitmix64_uniform
 from vslab.trajectory import Trajectory, scalar_record, series_from_records
 
 
@@ -46,6 +51,145 @@ def collect_slabs(grid, omega0, partition, **kwargs):
         result = slabs.run_slab_scheme(grid, omega0, partition, traj.append, **kwargs)
     traj.series = result.series
     return result, traj, solutions
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def plane_weights(n):
+    """The weight of each k_3 plane of the whole cube (``fftfreq`` order) in a half-spectrum sum.
+
+    A plane of the half spectrum k_3 >= 0 stands for itself and its conjugate
+    mirror, weight 2, except the self-conjugate planes k_3 = 0 and k_3 = -n/2,
+    weight 1; the planes k_3 < 0 are the mirrors, listed with the same rule.
+    """
+    k3 = np.fft.fftfreq(n, d=1.0 / n)
+    return np.where((k3 == 0) | (k3 == -n // 2), 1.0, 2.0)
+
+
+@functools.lru_cache(maxsize=8)
+def half_tables(n):
+    """The wavevector tables of the half spectrum (n, n, n//2+1), read-only.
+
+    ``k`` and the derivative wavevectors ``kd`` (Nyquist zeroed) are
+    (3, n, n, n//2+1); ``ksq`` is |k|^2, ``inv_ksq`` 1/|k|^2 with 0 at k = 0,
+    ``keep`` the modes of the 2/3 cut, and ``plane_weight`` the weight of
+    each k_3 plane in a sum over the full spectrum: 2, except 1 on the
+    self-conjugate planes k_3 = 0 and k_3 = -n/2.
+    """
+    h = n // 2 + 1
+    k, kd = full_tables(n)
+    k, kd = k[..., :h].copy(), kd[..., :h].copy()
+    ksq = np.sum(k**2, axis=0)
+    with np.errstate(divide="ignore"):
+        inv_ksq = 1.0 / ksq
+    inv_ksq[0, 0, 0] = 0.0
+    keep = np.all(np.abs(k) < n / 3.0, axis=0)
+    plane_weight = plane_weights(n)[:h]
+    _read_only(k, kd, ksq, inv_ksq, keep, plane_weight)
+    return SimpleNamespace(
+        k=k, kd=kd, ksq=ksq, inv_ksq=inv_ksq, keep=keep, plane_weight=plane_weight
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def physical_grid(grid):
+    """The sample points (3, n, n, n) of the grid on [0, 2pi)^3, read-only."""
+    x1 = 2.0 * np.pi * np.arange(grid.n) / grid.n
+    x = np.array(np.meshgrid(x1, x1, x1, indexing="ij"))
+    _read_only(x)
+    return x
+
+
+def _kept_index(n):
+    """Index arrays that pick the kept block out of a half spectrum, by wavevector.
+
+    Lists k_1, then k_2, over 0 .. kmax and then -kmax .. -1, and k_3 over
+    0 .. kmax, where kmax is the largest integer below n/3.
+    """
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    rows = np.flatnonzero(np.abs(k) < n / 3.0)  # fftfreq order: 0 .. kmax, -kmax .. -1
+    planes = rows[: (len(rows) + 1) // 2]
+    return rows[:, None, None], rows[None, :, None], planes[None, None, :]
+
+
+def kept_modes(half):
+    """The kept modes of a half spectrum in the order of a snapshot payload.
+
+    Picked by wavevector (``_kept_index``), apart from ``Grid``'s gather.
+    """
+    return half[(..., *_kept_index(half.shape[-2]))]
+
+
+def kept(grid, field):
+    """The kept block of a half-spectrum ``field``, or None.
+
+    None when the field has content outside the 2/3 cut, which shows as
+    fewer nonzero entries in the block than in the field.  A field of any
+    other shape raises ``FieldShapeError``.
+    """
+    grid._check_shape(field)
+    block = kept_modes(field)
+    return block if np.count_nonzero(block) == np.count_nonzero(field) else None
+
+
+def spread(grid, block):
+    """The half spectrum of a kept block, zero outside the cut; other shapes raise."""
+    grid._check_shape(block, grid._block_shape)
+    out = np.zeros(block.shape[:-3] + grid._half_shape, dtype=block.dtype)
+    out[(..., *_kept_index(grid.n))] = block
+    return out
+
+
+def full_spectrum(half):
+    """Full (..., n, n, n) amplitudes of a real field from its k_3 >= 0 half."""
+    n = half.shape[-2]
+    h = n // 2 + 1
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    # k_3 = -(n/2-1) .. -1 are the conjugates of k_3 = n/2-1 .. 1 at (-k_1, -k_2)
+    mirror = np.roll(np.flip(half[..., h - 2 : 0 : -1], axis=(-3, -2)), 1, axis=(-3, -2))
+    out[..., h:] = np.conj(mirror)
+    return out
+
+
+def gradient(grid, s):
+    """Scalar half spectrum -> vector half spectrum, modewise i*kd*shat."""
+    if s.shape != grid._half_shape:
+        raise FieldShapeError(f"expected a scalar half spectrum, got {s.shape}")
+    return 1j * half_tables(grid.n).kd * s[np.newaxis]
+
+
+def coupling_block(grid, u_bar):
+    """``slabs._coupling_block`` built from the whole cube of ``u_bar`` and of the cut.
+
+    The kept modes are the nonzero ones of the cut's indicator on the cube,
+    in C order, and ubar(k-q) is read from ``full_spectrum(spread(u_bar))``.
+    """
+    n = grid.n
+    k, _ = full_tables(n)
+    keep = full_spectrum(half_tables(n).keep.astype(np.complex128)).real > 0
+    idx = np.argwhere(keep)[1:]  # C order puts k = 0 first
+    pick = tuple(idx.T)
+    kv = k[(slice(None),) + pick].T  # (m, 3)
+    helper = np.eye(3)[np.argmin(np.abs(kv), axis=1)]
+    e1 = np.cross(kv, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(kv, e1)
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    pol = np.stack((e1, e2), axis=1)
+    diff = tuple((idx[:, None, d] - idx[None, :, d]) % n for d in range(3))
+    u_full = full_spectrum(spread(grid, u_bar))
+    ub = np.moveaxis(u_full[(slice(None),) + diff], 0, -1)  # (m, m, 3): ubar(k-q)
+    pu = np.einsum("kpc,kqc->pkq", pol, ub)
+    ke = np.einsum("kc,qrc->kqr", kv, pol)
+    pe = np.einsum("kpc,qrc->pkqr", pol, pol)
+    ku = np.einsum("kc,kqc->kq", kv, ub)
+    block = 1j * (pu[:, :, :, None] * ke[None] - pe * ku[None, :, :, None])
+    m = len(kv)
+    return pick, pol, block.transpose(0, 1, 3, 2).reshape(2 * m, 2 * m)
 
 
 def conjugate_reflection(coeffs):
@@ -79,7 +223,7 @@ def random_divfree_half(grid, seed):
     coeffs = 0.5 * (full + conjugate_reflection(full))[..., : n // 2 + 1]
     coeffs[:, 0, 0, 0] = 0.0
     coeffs = grid.dealias(grid.leray_project(coeffs))
-    return coeffs / np.sqrt(grid.l2sq(grid.kept(coeffs)))
+    return coeffs / np.sqrt(grid.l2sq(kept(grid, coeffs)))
 
 
 def hermitian_defect(coeffs):
@@ -101,9 +245,9 @@ def cut_block(grid, coeffs):
     """The kept block of ``coeffs`` after the 2/3 cut.
 
     Transformed samples of a formula carry rounding noise outside the cut,
-    so ``grid.kept`` alone would find content there.
+    so ``kept`` alone would find content there.
     """
-    return grid.kept(grid.dealias(coeffs))
+    return kept(grid, grid.dealias(coeffs))
 
 
 def velocity_rhs(grid, u):
@@ -115,7 +259,7 @@ def velocity_rhs(grid, u):
     """
     n = grid.n
     _, kd = full_tables(n)
-    full = full_spectrum(grid.spread(u))
+    full = full_spectrum(spread(grid, u))
     stack = np.empty((12, n, n, n), dtype=np.complex128)
     stack[0:3] = full
     for j in range(3):
@@ -127,7 +271,7 @@ def velocity_rhs(grid, u):
     for i in range(3):
         out[i] = -(up[0] * du[0, i] + up[1] * du[1, i] + up[2] * du[2, i])
     rhs = scipy.fft.fftn(out, axes=(-3, -2, -1))[..., : n // 2 + 1] / n**3
-    rhs = grid.kept(grid.leray_project(grid.dealias(rhs)))
+    rhs = kept(grid, grid.leray_project(grid.dealias(rhs)))
     rhs[:, 0, 0, 0] = 0.0
     return rhs
 
@@ -141,7 +285,7 @@ def run_reference_velocity(grid, u0, T, cfg, field_every=10):
     n_steps = max(1, int(round(T / cfg.dt)))
     dt = T / n_steps
     cfg = StepperConfig(dt=dt, nu=cfg.nu, enstrophy_ceiling=cfg.enstrophy_ceiling)
-    u = grid.kept(grid.symmetrize(grid.leray_project(np.array(u0, dtype=np.complex128))))
+    u = kept(grid, grid.symmetrize(grid.leray_project(np.array(u0, dtype=np.complex128))))
     u[:, 0, 0, 0] = 0.0
     times = [0.0]
     snaps = [u.copy()]
@@ -161,20 +305,6 @@ def physical_l2sq(grid, values):
     """Direct physical-space L2 quadrature, for Parseval cross-checks."""
     vals = np.asarray(values, dtype=np.float64)
     return float(np.sum(vals**2) * grid.cell_volume)
-
-
-def kept_modes(half):
-    """The kept modes of a half spectrum in the order of a snapshot payload.
-
-    Lists k_1, then k_2, over 0 .. kmax and then -kmax .. -1, and k_3 over
-    0 .. kmax, where kmax is the largest integer below n/3; picked by
-    wavevector, apart from ``Grid``'s gather.
-    """
-    n = half.shape[-2]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    rows = np.flatnonzero(np.abs(k) < n / 3.0)  # fftfreq order: 0 .. kmax, -kmax .. -1
-    planes = rows[: (len(rows) + 1) // 2]
-    return half[..., rows[:, None, None], rows[None, :, None], planes[None, None, :]]
 
 
 def stored_block(path):

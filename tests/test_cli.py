@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import os
 import shutil
@@ -15,7 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import corrupt_plane, cut_block, monitor_rows, version_1_file
+from oracles import (
+    corrupt_plane,
+    cut_block,
+    gradient,
+    monitor_rows,
+    physical_grid,
+    spread,
+    version_1_file,
+)
 
 from vslab import cli, estimates, snapshots, spectral
 from vslab.cli import cli_dispatch
@@ -372,7 +381,7 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
     # lists would hold 66 states beyond the 32-row H^gamma stack of kept
     # blocks.  The window holds kept blocks too (32% of a state at 16^3).
     grid = Grid(16)
-    state = grid.k.size * 16
+    state = 3 * int(np.prod(grid._half_shape)) * 16  # a vector half spectrum
     block = random_divfree_field(grid, seed=3).nbytes
     grid4 = Grid(4)
     w = random_divfree_field(grid4, seed=3)
@@ -402,7 +411,7 @@ def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):
     # and 8 four-state slab solutions until the snapshots were written; run-ref
     # over 100 steps would hold 101 snapshots.  A state here is a half
     # spectrum; the runs carry kept blocks (32% of one at 16^3).
-    state = Grid(16).k.size * 16
+    state = 3 * int(np.prod(Grid(16)._half_shape)) * 16
     for command, count in (("run-slab", 129), ("run-ref", 101)):
         outdir = tmp_path / command
         cfg = write_cfg(
@@ -561,7 +570,7 @@ def test_run_ref_rejects_divergent_initial_file(tmp_path, capsys):
     stored = {p.name: p.read_bytes() for p in snapdir.glob("snap_*.vslb")}
     assert len(stored) == 11
     grid = Grid(8)
-    divergent = cut_block(grid, grid.gradient(grid.to_spectral(np.sin(grid.x[0]))))
+    divergent = cut_block(grid, gradient(grid, grid.to_spectral(np.sin(physical_grid(grid)[0]))))
     path = tmp_path / "w0.vslb"
     persist_field(path, divergent, 0.0, grid)
     cfg = write_cfg(tmp_path, initial="file", initial_path=str(path))
@@ -577,7 +586,7 @@ def _uncut_field():
     """A divergence-free 16^3 vorticity half spectrum with the modes k = (+-6, 0, 0) of w_2
     outside the cut, which only a version 1 file, the whole cube, can hold."""
     grid = Grid(16)
-    w = grid.spread(random_divfree_field(grid, seed=3))
+    w = spread(grid, random_divfree_field(grid, seed=3))
     w[1, 6, 0, 0] = 0.05 - 0.02j
     w[1, -6, 0, 0] = 0.05 + 0.02j
     return w
@@ -1080,3 +1089,16 @@ def test_a_command_leaves_openblas_on_one_thread(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"
+
+
+def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
+    # ``--trace 1`` installs bench/tracer.py, which looks each target up with
+    # getattr: a name deleted from the program fails every traced sample
+    path = os.path.join(HERE, os.pardir, "bench", "tracer.py")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing is written under bench/
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets()
+    assert targets
+    assert [(name, attr) for name, owner, attr, _ in targets if not hasattr(owner, attr)] == []

@@ -8,7 +8,16 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import collect_reference, cut_block
+from oracles import (
+    collect_reference,
+    cut_block,
+    full_spectrum,
+    gradient,
+    half_tables,
+    kept,
+    physical_grid,
+    spread,
+)
 from scipy.integrate import quad
 
 from vslab import cli
@@ -42,7 +51,6 @@ from vslab.spectral import (
     FieldShapeError,
     Grid,
     abc_velocity,
-    full_spectrum,
     random_divfree_field,
     taylor_green_vorticity,
 )
@@ -155,7 +163,7 @@ def test_energy_identity_needs_two_samples():
 
 def test_grad_vorticity_single_mode(grid8):
     u = np.zeros((3, 8, 8, 8))
-    u[2] = np.sin(grid8.x[0])
+    u[2] = np.sin(physical_grid(grid8)[0])
     uc = cut_block(grid8, grid8.to_spectral(u))
     assert grad_vorticity_check(grid8, uc) < 1e-12
     assert grid8.h1sq(uc) == pytest.approx(BOX_VOLUME / 2.0, rel=1e-13)
@@ -173,7 +181,7 @@ def test_grad_vorticity_random_fields(grid8):
 
 
 def test_grad_vorticity_rejects_divergent_field(grid8):
-    v = cut_block(grid8, grid8.gradient(grid8.to_spectral(np.sin(grid8.x[0]))))
+    v = cut_block(grid8, gradient(grid8, grid8.to_spectral(np.sin(physical_grid(grid8)[0]))))
     with pytest.raises(ValueError, match="must be divergence-free"):
         grad_vorticity_check(grid8, v)
 
@@ -190,9 +198,10 @@ def test_ladyzhenskaya_rejects_constant_and_zero(grid8):
 
 def test_ladyzhenskaya_sine_calibration(grid8, grid32):
     # calibration fixture: for v = sin x1 the ratio is sqrt(3 / (2 (2 pi)^3))
-    got = ladyzhenskaya_ratio(grid8, cut_block(grid8, grid8.to_spectral(np.sin(grid8.x[0]))))
+    sine = cut_block(grid8, grid8.to_spectral(np.sin(physical_grid(grid8)[0])))
+    got = ladyzhenskaya_ratio(grid8, sine)
     assert got == pytest.approx(math.sqrt(3.0 / (2.0 * BOX_VOLUME)), rel=1e-12)
-    sine = cut_block(grid32, grid32.to_spectral(np.sin(grid32.x[0])))
+    sine = cut_block(grid32, grid32.to_spectral(np.sin(physical_grid(grid32)[0])))
     refined = ladyzhenskaya_ratio(grid32, sine)
     assert abs(got - refined) / refined < 1e-8
     assert got < 2.0  # comfortably below the monitor's default constant
@@ -258,20 +267,20 @@ def test_ledger_taylor_green_small(grid8):
 
 
 def _zero_averages(grid):
-    zeros = grid.kept(np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
+    zeros = kept(grid, np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
     return SlabAverages(zeros, zeros.copy())
 
 
 def test_average_cs_zero_trajectory(grid8):
-    zeros = grid8.kept(np.zeros((3, 8, 8, 5), dtype=complex))
+    zeros = kept(grid8, np.zeros((3, 8, 8, 5), dtype=complex))
     sol = linear_slab_solve(grid8, zeros, _zero_averages(grid8), 0.0, 0.1, nu=1.0)
     assert abs(average_cs_check(sol)) < 1e-14
 
 
 def test_average_cs_equality_for_constant_trajectory(grid8):
-    w0 = grid8.spread(random_divfree_field(grid8, seed=11))
-    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
-    sol.forcing = grid8.kept(grid8.ksq * w0)  # freezes the state
+    w0 = spread(grid8, random_divfree_field(grid8, seed=11))
+    sol = linear_slab_solve(grid8, kept(grid8, w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
+    sol.forcing = kept(grid8, half_tables(8).ksq * w0)  # freezes the state
     assert abs(average_cs_check(sol)) < 1e-12
 
 
@@ -358,7 +367,7 @@ def direct_hgamma(times, fields, gamma, freq_points):
 def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
     # 16 held samples; 9 frequency points are fewer than the lags
     blocks = [random_divfree_field(grid8, seed + m) for m in range(17)]
-    fields = [grid8.spread(b) for b in blocks]
+    fields = [spread(grid8, b) for b in blocks]
     times = np.linspace(0.0, 0.5, 17)
     got = hgamma_diagnostic(times, blocks, 0.2, grid8, freq_points=freq_points).value
     want = direct_hgamma(times, fields, 0.2, freq_points)
@@ -372,11 +381,12 @@ def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
 
 def test_hgamma_stack_rows_are_the_same_from_either_layout(grid8):
     # a row is the kept modes of the half spectrum weighted plane by plane
-    w = grid8.spread(random_divfree_field(grid8, seed=5))
+    w = spread(grid8, random_divfree_field(grid8, seed=5))
     stack = HGammaStack(grid8, 1)
-    stack.set_row(0, grid8.kept(w))
-    assert np.array_equal(stack.rows[0], grid8.kept(w * np.sqrt(grid8.plane_weight)).ravel())
-    for other in (w, full_spectrum(w), grid8.kept(w)[1]):
+    stack.set_row(0, kept(grid8, w))
+    weighted = kept(grid8, w * np.sqrt(half_tables(8).plane_weight))
+    assert np.array_equal(stack.rows[0], weighted.ravel())
+    for other in (w, full_spectrum(w), kept(grid8, w)[1]):
         with pytest.raises(FieldShapeError):
             stack.set_row(0, other)
 

@@ -6,8 +6,13 @@ import sympy as sp
 from oracles import (
     collect_reference,
     cut_block,
+    full_spectrum,
+    gradient,
     hermitian_defect,
+    kept,
+    physical_grid,
     run_reference_velocity,
+    spread,
     velocity_rhs,
 )
 
@@ -34,7 +39,6 @@ from vslab.spectral import (
     Grid,
     MeanModeError,
     abc_vorticity,
-    full_spectrum,
     random_divfree_field,
     taylor_green_velocity,
     taylor_green_vorticity,
@@ -42,7 +46,7 @@ from vslab.spectral import (
 
 
 def test_rhs_zero_field(grid16):
-    w = grid16.kept(np.zeros((3, 16, 16, 9), dtype=complex))
+    w = kept(grid16, np.zeros((3, 16, 16, 9), dtype=complex))
     assert np.all(vorticity_rhs(grid16, w) == 0.0)
 
 
@@ -70,9 +74,10 @@ def test_rhs_taylor_green_symbolic_oracle(grid16):
         for i in range(3)
     ]
     fns = [sp.lambdify(xs, sp.expand(e), "numpy") for e in rhs_sym]
-    want = np.stack([np.broadcast_to(f(*grid16.x), grid16.x[0].shape) for f in fns])
+    x = physical_grid(grid16)
+    want = np.stack([np.broadcast_to(f(*x), x[0].shape) for f in fns])
     rhs = vorticity_rhs(grid16, taylor_green_vorticity(grid16))
-    got = grid16.to_physical(grid16.spread(rhs))
+    got = grid16.to_physical(spread(grid16, rhs))
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -84,7 +89,7 @@ def test_rhs_postconditions():
             rhs = vorticity_rhs(grid, w)
             assert grid.divergence_rel(rhs) < 1e-14
             assert np.max(np.abs(rhs[:, 0, 0, 0])) == 0.0  # the block starts at k = 0
-            assert hermitian_defect(full_spectrum(grid.spread(rhs))) < 1e-13
+            assert hermitian_defect(full_spectrum(spread(grid, rhs))) < 1e-13
 
 
 @pytest.mark.parametrize("seed, n", [(1, 8), (1, 16), (5, 8), (5, 16), (5, 24)])
@@ -109,7 +114,7 @@ def test_slab_forcing_is_the_rhs_kernel(grid8):
 
 def test_kernel_output_is_hermitian(grid16):
     w = random_divfree_field(grid16, seed=13)
-    out = full_spectrum(grid16.spread(nonlinear_term(grid16, grid16.biot_savart(w), w)))
+    out = full_spectrum(spread(grid16, nonlinear_term(grid16, grid16.biot_savart(w), w)))
     assert hermitian_defect(out) <= 1e-15 * np.max(np.abs(out))
 
 
@@ -150,9 +155,9 @@ def test_kernel_output_is_hermitian(grid16):
 )
 def test_solvers_refuse_a_half_spectrum(grid8, solver):
     # kept blocks are the one layout of the solver states, of the operators
-    # and norms (``Grid.kept``) and of a field entering a run
+    # and norms (see ``vslab.spectral``) and of a field entering a run
     with pytest.raises(FieldShapeError):
-        solver(grid8, grid8.spread(random_divfree_field(grid8, seed=19)))
+        solver(grid8, spread(grid8, random_divfree_field(grid8, seed=19)))
 
 
 def test_rhs_transform_count(grid8, monkeypatch):
@@ -252,7 +257,7 @@ def test_run_invariants_on_taylor_green(tg16_run, grid16):
         assert worst_div <= 1e-14
         assert all(np.max(np.abs(f[:, 0, 0, 0])) == 0.0 for f in run.fields)
         for f in run.fields:
-            assert hermitian_defect(full_spectrum(grid16.spread(f))) <= 1e-14 * np.max(np.abs(f))
+            assert hermitian_defect(full_spectrum(spread(grid16, f))) <= 1e-14 * np.max(np.abs(f))
         # low-Reynolds regime: enstrophy decays monotonically
         assert np.all(np.diff(run.series.enstrophy) <= 0.0)
 
@@ -272,7 +277,7 @@ def test_velocity_form_cross_check(grid16):
     w0 = grid16.curl(u0)
     T = 0.1
     cfg = StepperConfig(dt=1e-3)
-    times, snaps = run_reference_velocity(grid16, grid16.spread(u0), T, cfg, field_every=100)
+    times, snaps = run_reference_velocity(grid16, spread(grid16, u0), T, cfg, field_every=100)
     traj = collect_reference(grid16, w0, T, cfg, field_every=100)
     w = traj.fields[-1]
     rel = np.sqrt(grid16.l2sq(grid16.curl(snaps[-1]) - w) / grid16.l2sq(w))
@@ -345,7 +350,7 @@ def _with_mean(grid, w):
 
 
 def _with_divergence(grid, w):
-    w += cut_block(grid, grid.gradient(grid.to_spectral(np.sin(grid.x[0]))))
+    w += cut_block(grid, gradient(grid, grid.to_spectral(np.sin(physical_grid(grid)[0]))))
 
 
 def _with_nan(grid, w):

@@ -4,7 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import collect_reference, collect_slabs
+from oracles import (
+    collect_reference,
+    collect_slabs,
+    coupling_block,
+    full_spectrum,
+    half_tables,
+    kept,
+    spread,
+)
 from scipy.integrate import simpson
 
 from vslab.reference import StepperConfig, rk4_step
@@ -26,8 +34,8 @@ from vslab.slabs import (
 from vslab.slabs import _coupling_block, _phi, _psi
 from vslab.spectral import (
     BOX_VOLUME,
+    Grid,
     abc_vorticity,
-    full_spectrum,
     random_divfree_field,
     taylor_green_vorticity,
 )
@@ -35,7 +43,7 @@ from vslab.trajectory import Trajectory
 
 
 def zero_trajectory(grid, T):
-    zeros = grid.kept(np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
+    zeros = kept(grid, np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
     times = np.array([0.0, T])
     fields = [zeros, zeros.copy()]
     return Trajectory(grid=grid, nu=1.0, times=times, fields=fields)
@@ -126,16 +134,16 @@ def test_adaptive_partition_reports_unsatisfiable_rule(grid8):
 
 
 def _zero_averages(grid):
-    zeros = grid.kept(np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
+    zeros = kept(grid, np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=complex))
     return SlabAverages(omega_bar=zeros, u_bar=zeros.copy())
 
 
 def test_slab_solve_pure_diffusion(grid8):
-    w0 = grid8.spread(random_divfree_field(grid8, seed=71))
-    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.05, nu=1.0)
+    w0 = spread(grid8, random_divfree_field(grid8, seed=71))
+    sol = linear_slab_solve(grid8, kept(grid8, w0), _zero_averages(grid8), 0.0, 0.05, nu=1.0)
     assert np.all(sol.forcing == 0.0)
-    want = np.exp(-grid8.ksq * 0.03) * w0
-    assert np.max(np.abs(grid8.spread(sol.at(0.03)) - want)) < 1e-15
+    want = np.exp(-half_tables(8).ksq * 0.03) * w0
+    assert np.max(np.abs(spread(grid8, sol.at(0.03)) - want)) < 1e-15
 
 
 def test_slab_solve_duhamel_from_rest(grid8):
@@ -144,10 +152,10 @@ def test_slab_solve_duhamel_from_rest(grid8):
     averages = SlabAverages(w_bar, u_bar)
     zeros = np.zeros_like(w_bar)
     sol = linear_slab_solve(grid8, zeros, averages, 0.0, 0.05, nu=1.0)
-    a = grid8.ksq.copy()
+    a = half_tables(8).ksq.copy()
     a[0, 0, 0] = 1.0  # forcing is pinned to zero at k=0
-    want = grid8.spread(sol.forcing) * (1.0 - np.exp(-a * 0.05)) / a
-    assert np.max(np.abs(grid8.spread(sol.endpoint()) - want)) < 1e-15
+    want = spread(grid8, sol.forcing) * (1.0 - np.exp(-a * 0.05)) / a
+    assert np.max(np.abs(spread(grid8, sol.endpoint()) - want)) < 1e-15
 
 
 def test_slab_solve_against_fine_stepper_oracle(grid8):
@@ -192,22 +200,22 @@ def test_psi_is_one_over_x_at_huge_x(x):
 
 def test_slab_average_constant_trajectory(grid8):
     # forcing balancing diffusion exactly freezes the state
-    w0 = grid8.spread(random_divfree_field(grid8, seed=89))
-    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
-    sol.forcing = grid8.kept(grid8.ksq * w0)
-    assert np.max(np.abs(grid8.spread(sol.at(0.07)) - w0)) < 1e-14
-    assert np.max(np.abs(grid8.spread(sol.average()) - w0)) < 1e-14
+    w0 = spread(grid8, random_divfree_field(grid8, seed=89))
+    sol = linear_slab_solve(grid8, kept(grid8, w0), _zero_averages(grid8), 0.0, 0.1, nu=1.0)
+    sol.forcing = kept(grid8, half_tables(8).ksq * w0)
+    assert np.max(np.abs(spread(grid8, sol.at(0.07)) - w0)) < 1e-14
+    assert np.max(np.abs(spread(grid8, sol.average()) - w0)) < 1e-14
 
 
 def test_slab_average_pure_decay(grid8):
-    w0 = grid8.spread(random_divfree_field(grid8, seed=97))
+    w0 = spread(grid8, random_divfree_field(grid8, seed=97))
     width = 0.2
-    sol = linear_slab_solve(grid8, grid8.kept(w0), _zero_averages(grid8), 0.0, width, nu=1.0)
-    a = grid8.ksq.copy()
+    sol = linear_slab_solve(grid8, kept(grid8, w0), _zero_averages(grid8), 0.0, width, nu=1.0)
+    a = half_tables(8).ksq.copy()
     a[0, 0, 0] = 1.0
     want = w0 * (1.0 - np.exp(-a * width)) / (a * width)
     want[:, 0, 0, 0] = w0[:, 0, 0, 0]
-    assert np.max(np.abs(grid8.spread(sol.average()) - want)) < 1e-14
+    assert np.max(np.abs(spread(grid8, sol.average()) - want)) < 1e-14
 
 
 def test_slab_average_against_simpson(grid8):
@@ -225,7 +233,7 @@ def test_slab_average_against_simpson(grid8):
 
 
 def test_picard_zero_initial_one_iteration(grid8):
-    zeros = grid8.kept(np.zeros((3, 8, 8, 5), dtype=complex))
+    zeros = kept(grid8, np.zeros((3, 8, 8, 5), dtype=complex))
     sol = picard_solve_slab(grid8, zeros, 0.0, 0.1)
     assert sol.diagnostics.converged
     assert sol.diagnostics.iterations == 1
@@ -233,13 +241,13 @@ def test_picard_zero_initial_one_iteration(grid8):
 
 
 def test_picard_zero_reference_two_iterations(grid8):
-    w0 = grid8.spread(random_divfree_field(grid8, seed=107))
+    w0 = spread(grid8, random_divfree_field(grid8, seed=107))
     zero_ref = zero_trajectory(grid8, 1.0)
-    sol = picard_solve_slab(grid8, grid8.kept(w0), 0.0, 0.9, reference=zero_ref)
+    sol = picard_solve_slab(grid8, kept(grid8, w0), 0.0, 0.9, reference=zero_ref)
     assert sol.diagnostics.converged
     assert sol.diagnostics.iterations <= 2
-    want = np.exp(-grid8.ksq * 0.9) * w0
-    assert np.max(np.abs(grid8.spread(sol.endpoint()) - want)) < 1e-14
+    want = np.exp(-half_tables(8).ksq * 0.9) * w0
+    assert np.max(np.abs(spread(grid8, sol.endpoint()) - want)) < 1e-14
 
 
 def test_picard_taylor_green_contracts(grid16, tg16_run):
@@ -436,7 +444,7 @@ def test_coupling_block_is_the_slab_forcing_kernel(grid8, which):
     pick, pol, block = _coupling_block(grid8, u_bar)
 
     def components(f):  # e_r(q).f(q) of a kept block at the retained modes, row r*m + q
-        full = full_spectrum(grid8.spread(f))
+        full = full_spectrum(spread(grid8, f))
         return np.einsum("qrc,cq->rq", pol, full[(slice(None),) + pick]).ravel()
 
     for seed in (1, 2, 3):
@@ -444,6 +452,23 @@ def test_coupling_block_is_the_slab_forcing_kernel(grid8, which):
         want = components(slab_forcing(grid8, SlabAverages(v, u_bar)))
         got = block @ components(v)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_coupling_block_is_the_whole_cube_construction_bit_for_bit(n):
+    # modes listed from the block's rows and ubar placed on the cube from the
+    # block give the bits of the construction from the cube's cut and spectrum
+    grid = Grid(n)
+    for seed in (0, 1, 7):
+        w = random_divfree_field(grid, seed)
+        for u_bar in (w, grid.biot_savart(w)):
+            (pick, pol, block), (want_pick, want_pol, want_block) = (
+                build(grid, u_bar) for build in (_coupling_block, coupling_block)
+            )
+            assert len(pick) == 3
+            for got, want in zip((*pick, pol, block), (*want_pick, want_pol, want_block)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_contraction_diagnostic_pinned_pairs(grid8):
