@@ -261,7 +261,8 @@ def _monitor_rows(cfg, snapdir):
     Each snapshot is read as its kept block (a file holds nothing outside
     the 2/3 cut; see ``vslab.spectral``), and its velocity, norms, checks
     and stack row are formed on the block.  Only the H^gamma stack of the kept
-    modes of every snapshot but the last is held whole (``HGammaStack``).
+    modes of every snapshot but the last is held whole (``HGammaStack``),
+    until it has given its lag sums to the frequency pass.
     The centered differences need a window of the last five velocities:
     dt u at t_{m-1} from u_m - u_{m-2}, and at t_{m-2} on the every-other-
     sample grid of the finite-difference band from u_m - u_{m-4} when m is
@@ -324,7 +325,10 @@ def _monitor_rows(cfg, snapdir):
                 ("ladyzhenskaya_constant", cfg.ladyzhenskaya_c),
                 ("ladyzhenskaya_pass", int(worst <= cfg.ladyzhenskaya_c)),
             ]
-    hg = estimates.hgamma_from_stack(times, stack, cfg.gamma)
+    # the frequency pass needs only the lag sums: the rows go before it runs
+    lags = stack.lag_sums()
+    del stack
+    hg = estimates.hgamma_from_lag_sums(times, lags, cfg.gamma)
     rows.append((f"hgamma_{cfg.gamma}", hg.value))
     return rows
 

@@ -264,19 +264,18 @@ def _weighted_linear_integral(sigma, values, power):
     The weight is integrated exactly per interval, so the quadrature has no
     trouble with the fractional power at sigma = 0.
     """
-    a, b = sigma[:-1], sigma[1:]
+    a = sigma[:-1]
     fa, fb = values[:-1], values[1:]
     p1 = power + 1.0
     p2 = power + 2.0
-    # fa * i0 + slope * (i1 - a * i0), evaluated in place on three buffers
-    i0 = b**p1
-    i0 -= a**p1
+    # fa * i0 + slope * (i1 - a * i0); b^p - a^p is the difference of
+    # neighbours of one power pass over the grid
+    i0 = np.diff(sigma**p1)
     i0 /= p1
-    i1 = b**p2
-    i1 -= a**p2
+    i1 = np.diff(sigma**p2)
     i1 /= p2
     slope = fb - fa
-    slope /= b - a
+    slope /= np.diff(sigma)
     i1 -= a * i0
     slope *= i1
     i0 *= fa
@@ -323,30 +322,43 @@ class HGammaStack:
         real = self.rows.view(np.float64)
         return real @ real.T
 
+    def lag_sums(self):
+        """G_d, d = 0 .. M-1: the trace of the lag-d diagonal of ``BOX_VOLUME * gram()``.
+
+        Everything the frequency pass of ``hgamma_from_lag_sums`` needs of
+        the rows.
+        """
+        gram = BOX_VOLUME * self.gram()
+        return np.array([np.trace(gram, offset=d) for d in range(len(self))])
+
 
 def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     """Weighted time-frequency mass of the zero-extended trajectory.
 
-    Stacks every snapshot but the last in an ``HGammaStack`` and hands it to
-    ``hgamma_from_stack``, which defines the value.
+    Stacks every snapshot but the last in an ``HGammaStack``, releases it
+    once it has given its lag sums, and hands those to
+    ``hgamma_from_lag_sums``, which defines the value.
     """
     stack = HGammaStack(grid, max(len(fields) - 1, 0))
     for m, w in enumerate(fields[:-1]):
         stack.set_row(m, w)
-    return hgamma_from_stack(times, stack, gamma, freq_points)
+    lags = stack.lag_sums()
+    del stack
+    return hgamma_from_lag_sums(times, lags, gamma, freq_points)
 
 
-def hgamma_from_stack(times, stack, gamma, freq_points=131073):
-    """H^gamma mass of the zero-extended trajectory from its weighted stack.
+def hgamma_from_lag_sums(times, lags, gamma, freq_points=131073):
+    """H^gamma mass of the zero-extended trajectory from the lag sums of its stack.
 
-    Row m of the ``HGammaStack`` is the snapshot at ``times[m]``, for every
-    sample but the last, which only closes the span.  The trajectory is
-    extended by zero outside its span and held constant on each sampling
-    interval, whose transform is known in closed form; the
-    spatially-resolved spectrum S(sigma) = sum over components and modes of
-    the squared L2 amplitude is then integrated against |sigma|^(2 gamma)
-    over the resolvable band |sigma| <= pi/h (angular frequency).  Requires
-    gamma in (0, 1/4); the value is finite and deterministic given samples.
+    ``lags`` is ``HGammaStack.lag_sums()`` of the stack whose row m is the
+    snapshot at ``times[m]``, for every sample but the last, which only
+    closes the span.  The trajectory is extended by zero outside its span
+    and held constant on each sampling interval, whose transform is known
+    in closed form; the spatially-resolved spectrum S(sigma) = sum over
+    components and modes of the squared L2 amplitude is then integrated
+    against |sigma|^(2 gamma) over the resolvable band |sigma| <= pi/h
+    (angular frequency).  Requires gamma in (0, 1/4); the value is finite
+    and deterministic given samples.
 
     S(sigma) = sum_d G_d (2 cos(sigma d h) - [d = 0]) needs only the sums G_d
     of the lag-d diagonals of the snapshots' Gram matrix.  The snapshots are
@@ -365,23 +377,22 @@ def hgamma_from_stack(times, stack, gamma, freq_points=131073):
     sigma_max = np.pi / h
     # hold values on [t_m, t_m + h): the last sample only closes the span
     M = len(times) - 1
-    if len(stack) != M:
+    if len(lags) != M:
         raise ValueError(
-            f"need one stack row per sample but the last, got {len(stack)} for {M + 1} samples"
+            f"need one stack row per sample but the last, got {len(lags)} for {M + 1} samples"
         )
-    gram = BOX_VOLUME * stack.gram()
-    if not np.any(gram):
+    # G_0 sums the rows' squared norms, so it is 0 only for the zero trajectory
+    if not np.any(lags):
         return HGammaDiagnostic(gamma=gamma, value=0.0, sigma_max=sigma_max, freq_points=freq_points)
-    offsets = np.array([np.trace(gram, offset=d) for d in range(M)])
     sigma = np.linspace(0.0, sigma_max, freq_points)
     # sigma_j d h = pi j d / L: cos is 2L-periodic in d, so fold the lags mod 2L
     L = freq_points - 1
     pad = np.zeros(2 * L)
-    np.add.at(pad, np.arange(M) % (2 * L), offsets)
+    np.add.at(pad, np.arange(M) % (2 * L), lags)
     spectrum = np.fft.rfft(pad).real
     del pad
     spectrum *= 2.0
-    spectrum -= offsets[0]
+    spectrum -= lags[0]
     # hold-kernel factor |(1 - e^{-i sigma h}) / sigma|^2 = h^2 sinc^2(sigma h / 2),
     # built in place; sigma_0 = 0 is the only zero frequency
     weighted = np.empty_like(sigma)

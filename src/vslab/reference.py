@@ -63,6 +63,7 @@ def nonlinear_term(grid: Grid, u, w):
     """
     phys = grid.block_to_physical(u, w)
     uxw = _cross(phys[0:3], phys[3:6], np.empty(phys[0:3].shape))
+    del phys  # the six samples go before the forward transform's working arrays
     return grid.curl(grid.physical_to_block(uxw))
 
 

@@ -132,10 +132,13 @@ class Grid:
         kb, _, kk = self._block_shape  # kk = kmax + 1
         # the rows of the kept block: on the axes -3 and -2 k_i = 0 .. kmax and
         # then -kmax .. -1, on the last axis k_3 = 0 .. kmax
-        k1 = np.fft.fftfreq(n, d=1.0 / n)  # integers 0..n/2-1, -n/2..-1
-        rows = np.concatenate((k1[:kk], k1[n - kk + 1 :]))
+        # integers times fftfreq's own factor 1 / (n * (1 / n)): the bits of
+        # fftfreq(n, 1 / n), without importing numpy.fft
+        unit = 1.0 / (n * (1.0 / n))
+        k3 = np.arange(kk) * unit
+        rows = np.concatenate((np.arange(kk), np.arange(kk - kb, 0))) * unit
         # the cut holds no Nyquist row, so the derivative wavenumbers are k itself
-        self.block_kd = np.array(np.meshgrid(rows, rows, k1[:kk], indexing="ij"))
+        self.block_kd = np.array(np.meshgrid(rows, rows, k3, indexing="ij"))
         self.block_ksq = np.sum(self.block_kd**2, axis=0)
         with np.errstate(divide="ignore"):
             inv = 1.0 / self.block_ksq
@@ -507,7 +510,7 @@ def random_divfree_field(grid: Grid, seed: int):
     cut = grid._block_shape[-1] - 1  # the kmax of the cut: kmax - 1 when 3 divides n
     rows = slice(kmax - cut, kmax + cut + 1)
     # k_3 >= 0, and the rows of the axes -3 and -2 in block order, 0 .. cut, -cut .. -1
-    w = np.fft.ifftshift(box[:, rows, rows, kmax : kmax + cut + 1], axes=(-3, -2))
+    w = np.roll(box[:, rows, rows, kmax : kmax + cut + 1], -cut, axis=(-3, -2))
     w[:, 0, 0, 0] = 0.0
     kd = grid.block_kd  # equal to k on the kept modes, which hold no Nyquist row
     kdotv = kd[0] * w[0] + kd[1] * w[1] + kd[2] * w[2]

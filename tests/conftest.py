@@ -1,3 +1,6 @@
+import contextlib
+import io
+import os
 import shutil
 import tempfile
 import time
@@ -8,6 +11,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 from oracles import collect_reference
 
+from vslab.cli import cli_dispatch
 from vslab.reference import StepperConfig
 from vslab.spectral import Grid, taylor_green_vorticity
 
@@ -69,6 +73,27 @@ def tg32_run(grid32):
     )
     traj.elapsed = time.perf_counter() - start
     return traj
+
+
+@pytest.fixture(scope="session")
+def tg16_nu001_run(tmp_path_factory):
+    """`vslab run-ref` of Taylor-Green 16^3 at nu = 0.01 over (0, 1.5), 6 slabs, eps0 = 0.9.
+
+    The enstrophy grows there, so the ledger's per-slab recursion fails on
+    the last three slabs while the global cap holds.  The run is the
+    shipped sample config with every difference given as a ``--set``
+    override.  Returns (output directory, exit code, stdout).
+    """
+    outdir = tmp_path_factory.mktemp("tg16-nu001")
+    sample = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "sample.cfg")
+    overrides = {"n": 16, "nu": 0.01, "T": 1.5, "dt": 2e-3, "slabs": 6, "epsilon0": 0.9}
+    argv = ["run-ref", "--config", sample, "--set", f"outdir={outdir}"]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_dispatch(argv)
+    return outdir, code, stdout.getvalue()
 
 
 def l2_relative(grid, got, want):

@@ -96,6 +96,42 @@ def test_run_ref_ledger_recomputes(tmp_path):
     assert "PASS" in proc.stdout
 
 
+def test_ledger_at_nu_001_fails_its_recursion_on_a_resolved_flow(tg16_nu001_run):
+    """A ledger that fails: three recursion rows at nu = 0.01, with global_pass=1 on stdout.
+
+    The enstrophy grows from 186.0 to 208.0, under the global cap of 216.1
+    but faster than exp((1 - eps0) dt_k) allows from slab 3 on.  The flow
+    is resolved: in the last snapshot the shells round(|k|) >= 7 hold
+    1.6e-4 of the peak shell's enstrophy and the shells >= 5 about 1.9%.
+    """
+    import csv
+
+    outdir, code, stdout = tg16_nu001_run
+    assert code == 0
+    assert "global_pass=1" in stdout
+    with open(outdir / "summary.csv", newline="") as fh:
+        summary = {row["quantity"]: row["value"] for row in csv.DictReader(fh)}
+    assert summary["global_pass"] == "1"
+    assert summary["recursion_violations"] == "3"
+    assert summary["slab_rule_violations"] == "6"
+    with open(outdir / "slabs.csv", newline="") as fh:
+        margins = [float(row["margin"]) for row in csv.DictReader(fh)]
+    assert [m < 0.0 for m in margins] == [False] * 3 + [True] * 3
+    assert margins[3:] == pytest.approx([-0.0698, -1.889, -3.466], rel=1e-3)
+    proc = subprocess.run([sys.executable, RECOMPUTE, str(outdir)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS" in proc.stdout
+    # resolution: the enstrophy spectrum of the last snapshot, by shells of rounded |k|
+    traj = snapshots.load_trajectory(outdir / "snapshots", nu=0.01)
+    grid, w = traj.grid, traj.fields[-1]
+    assert traj.times[-1] == 1.5
+    density = np.sum(w.real**2 + w.imag**2, axis=0) * grid.block_weight
+    shells = np.bincount(np.rint(np.sqrt(grid.block_ksq)).astype(int).ravel(), density.ravel())
+    peak = np.max(shells)
+    assert np.sum(shells[7:]) / peak == pytest.approx(1.61e-4, rel=1e-2)
+    assert np.sum(shells[5:]) / peak == pytest.approx(0.0192, rel=1e-2)
+
+
 def test_run_slab_ledger_recomputes(tmp_path):
     cfg = write_cfg(tmp_path)
     assert cli_dispatch(["run-slab", "--config", cfg]) == 0
@@ -376,21 +412,32 @@ def test_monitor_on_a_run_slab_directory_matches_the_oracle(tmp_path, capsys):
     assert len(want) == 9
 
 
-def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
+def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path, monkeypatch):
     # 33 snapshots at 16^3: the whole trajectory as vorticity and velocity
     # lists would hold 66 states beyond the 32-row H^gamma stack of kept
     # blocks.  The window holds kept blocks too (32% of a state at 16^3).
+    # The stack is released before the frequency pass, so the peak is the
+    # larger of the two phases, not their sum.
     grid = Grid(16)
     state = 3 * int(np.prod(grid._half_shape)) * 16  # a vector half spectrum
     block = random_divfree_field(grid, seed=3).nbytes
     grid4 = Grid(4)
     w = random_divfree_field(grid4, seed=3)
+    frequency_pass = estimates.hgamma_from_lag_sums
+    held = []
+
+    def spy(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return frequency_pass(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "hgamma_from_lag_sums", spy)
     for command in ("run-ref", "run-slab"):
         cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1, outdir=str(tmp_path / command))
         assert cli_dispatch([command, "--config", cfg]) == 0
         snap = tmp_path / command / "snapshots"
         count = len(list(snap.glob("*.vslb")))
         assert count == 33
+        stack = (count - 1) * block
         tracemalloc.start()
         try:
             # the frequency-grid work of the diagnostic does not scale with n or M
@@ -399,11 +446,14 @@ def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path):
             freq = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
+            held.clear()
             assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < (count - 1) * block + freq + 10 * state, command
+        # the frequency pass starts with the window and a few arrays held, no stack rows
+        assert len(held) == 1 and held[0] < stack, (command, held, stack)
+        assert peak < max(stack, freq) + 10 * state, (command, (peak - max(stack, freq)) / state)
 
 
 def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):
@@ -498,6 +548,38 @@ def test_commands_import_no_unused_scipy_subpackage(tmp_path):
         assert loaded == "[]"
     else:
         assert not [m for m in UNUSED_SCIPY if repr(m) in loaded]
+
+
+def test_run_commands_import_no_numpy_fft(tmp_path):
+    """run-ref and run-slab, from Taylor-Green and from a seeded field, leave numpy.fft unimported.
+
+    Their transforms are SciPy's pocketfft extension (``vslab._fft``) and
+    the grid builds its wavevectors without ``fftfreq``.  On the public
+    ``scipy.fft`` fallback, which imports ``numpy.fft`` itself, there is
+    nothing to check.
+    """
+    runs = []
+    for initial in ("taylor-green", "random-divfree"):
+        for command in ("run-ref", "run-slab"):
+            out = str(tmp_path / f"{command}-{initial}")
+            cfg = write_cfg(tmp_path, f"{command}-{initial}.cfg", initial=initial, outdir=out)
+            runs.append(f"assert vslab.cli.cli_dispatch([{command!r}, '--config', {cfg!r}]) == 0\n")
+    code = (
+        "import sys\n"
+        "import vslab.cli\n"
+        "from vslab import _fft\n"
+        + "".join(runs)
+        + "print(_fft.rfftn is not _fft._scipy_rfftn)\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    direct, loaded = proc.stdout.splitlines()[-2:]
+    if direct != "True":
+        pytest.skip("the FFTs fall back to scipy.fft, which imports numpy.fft")
+    assert loaded == "False"
 
 
 def _one_error_line(capsys):

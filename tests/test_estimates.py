@@ -32,7 +32,7 @@ from vslab.estimates import (
     grad_vorticity_check,
     HGammaStack,
     hgamma_diagnostic,
-    hgamma_from_stack,
+    hgamma_from_lag_sums,
     ladyzhenskaya_ratio,
     piecewise_average_distance,
     simpson,
@@ -449,10 +449,13 @@ def test_hgamma_needs_uniform_samples(grid8):
         hgamma_diagnostic(np.array([0.0, 0.1, 0.5]), [zeros] * 3, 0.2, grid8)
 
 
-def test_hgamma_from_stack_needs_one_row_per_held_sample(grid8):
+def test_hgamma_from_lag_sums_needs_one_row_per_held_sample(grid8):
     stack = HGammaStack(grid8, 5)
-    with pytest.raises(ValueError, match="one stack row per sample but the last"):
-        hgamma_from_stack(np.linspace(0, 1, 5), stack, 0.2)
+    for m in range(5):
+        stack.set_row(m, np.zeros((3, 5, 5, 3), dtype=complex))
+    lags = stack.lag_sums()
+    with pytest.raises(ValueError, match="one stack row per sample but the last, got 5 for 5"):
+        hgamma_from_lag_sums(np.linspace(0, 1, 5), lags, 0.2)
 
 
 # -- time-derivative monitor ---------------------------------------------------------------------------
