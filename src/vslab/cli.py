@@ -256,35 +256,49 @@ def cmd_monitor(cfg, snapdir):
 
 
 def _monitor_rows(cfg, snapdir):
-    """The (quantity, value) rows of one pass over the snapshots in time order.
+    """The (quantity, value) rows of two passes over the snapshots in time order.
 
-    Each snapshot is read as its kept block (a file holds nothing outside
-    the 2/3 cut; see ``vslab.spectral``), and its velocity, norms, checks
-    and stack row are formed on the block.  Only the H^gamma stack of the kept
-    modes of every snapshot but the last is held whole (``HGammaStack``),
-    until it has given its lag sums to the frequency pass.
-    The centered differences need a window of the last five velocities:
-    dt u at t_{m-1} from u_m - u_{m-2}, and at t_{m-2} on the every-other-
-    sample grid of the finite-difference band from u_m - u_{m-4} when m is
-    even.
+    The first pass loads and checks each snapshot once, as its kept block
+    (a file holds nothing outside the 2/3 cut; see ``vslab.spectral``), and
+    forms its velocity, norms and checks on the block.  The centered
+    differences need a window of the last five velocities: dt u at t_{m-1}
+    from u_m - u_{m-2}, and at t_{m-2} on the every-other-sample grid of the
+    finite-difference band from u_m - u_{m-4} when m is even.  The second
+    pass forms the H^gamma lag sums (``estimates.lag_sums``) from the files
+    of every snapshot but the last, re-read a chunk of planes at a time
+    (``snapshots.read_planes``); a file that changed after its first read
+    is refused.  Neither pass holds more than a few snapshots, whatever
+    their count.
     """
     n, times, paths = snapshots.scan_snapshots(snapdir)
+    grid = Grid(n)
+    fingerprints = []
+    rows = _streamed_rows(cfg, grid, times, snapshots.read_snapshots(grid, paths, fingerprints))
+    held = len(times) - 1
+
+    def read_rows(lo, hi, out):
+        snapshots.read_planes(grid, paths[:held], fingerprints[:held], lo, out)
+
+    lags = estimates.lag_sums(grid, held, read_rows)
+    hg = estimates.hgamma_from_lag_sums(times, lags, cfg.gamma)
+    rows.append((f"hgamma_{cfg.gamma}", hg.value))
+    return rows
+
+
+def _streamed_rows(cfg, grid, times, blocks):
+    """The rows of every monitor but H^gamma, from one pass over the kept ``blocks``."""
     # a lone snapshot is still loaded and checked before the energy identity rejects it
     h = estimates.uniform_step(times) if len(times) > 1 else None
     h2 = times[2] - times[0] if len(times) > 2 else None  # spacing of times[::2]
-    grid = Grid(n)
-    stack = estimates.HGammaStack(grid, len(times) - 1)
     records, gaps, ratios = [], [], []
     fine_l2, fine_h1, coarse_l2, coarse_h1 = [], [], [], []
     window = deque(maxlen=5)
-    for m, w in enumerate(snapshots.read_snapshots(grid, paths)):
+    for m, w in enumerate(blocks):
         u = grid.biot_savart(w)
         window.append(u)
         records.append(scalar_record(grid, w, u))
         # the record's dissipation is h1sq(u)
         gaps.append(estimates.grad_vorticity_check(grid, u, h1sq=records[-1][2]))
-        if m < len(stack):
-            stack.set_row(m, w)
         if m >= 2:
             dtu = u - window[-3]
             dtu /= 2.0 * h
@@ -325,11 +339,6 @@ def _monitor_rows(cfg, snapdir):
                 ("ladyzhenskaya_constant", cfg.ladyzhenskaya_c),
                 ("ladyzhenskaya_pass", int(worst <= cfg.ladyzhenskaya_c)),
             ]
-    # the frequency pass needs only the lag sums: the rows go before it runs
-    lags = stack.lag_sums()
-    del stack
-    hg = estimates.hgamma_from_lag_sums(times, lags, cfg.gamma)
-    rows.append((f"hgamma_{cfg.gamma}", hg.value))
     return rows
 
 
@@ -393,11 +402,12 @@ def _openblas():
 def _pin_blas_threads():
     """Run OpenBLAS on the calling thread; where it or its setter is not found, do nothing.
 
-    Left at its default, OpenBLAS splits the H^gamma Gram product over one
-    thread per core, and the idle workers then spin: after one Gram of 100
-    rows of 29,106 numbers at 32^3 they burn 0.13 s of CPU, against 0.0001 s
-    on one thread.  The split also moves a few entries of the product in
-    their last bit, so one thread makes them the same on every host.
+    Left at its default, OpenBLAS splits the H^gamma Gram products over one
+    thread per core, and the idle workers then spin: after the 16 chunk
+    products of 100 rows at 32^3 (at most 1,848 numbers a row) they burn
+    0.13 s of CPU on a two-core host in the next half second, against
+    0.0001 s on one thread.  The split can also move entries of a product
+    in their last bit, so one thread makes them the same on every host.
     """
     import ctypes
 

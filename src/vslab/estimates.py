@@ -295,64 +295,69 @@ def uniform_step(times):
     return h
 
 
-class HGammaStack:
-    """The rows of the H^gamma diagnostic: one dense (rows, 3K) array.
+def lag_sums(grid: Grid, count, read_rows):
+    """G_d, d = 0 .. count-1: the lag-d diagonal traces of ``BOX_VOLUME`` times the rows' Gram.
 
-    Row m is the kept block of a snapshot, the only layout ``set_row``
-    takes, each plane weighted by the square root of its
-    ``Grid.block_weight``.  Every field the program holds is zero outside
-    the 2/3 cut, so the K kept modes per component are the whole snapshot.
+    Row m is the kept block of snapshot m, each plane weighted by the square
+    root of its ``Grid.block_weight``, viewed as real numbers.  The rows
+    are never held whole: the real Gram matrix is summed over chunks of
+    whole (component, k_1) planes, 3 K in the block.
+    ``read_rows(lo, hi, out)`` writes planes lo .. hi-1 of snapshot m to
+    ``out[m]`` for every m < count, ``out`` being a C-ordered (count,
+    hi - lo, K, kmax + 1) complex array that is reused from chunk to chunk.
+    A chunk holds as many planes as keep that buffer within the kernel's
+    (6, n, n, n/2+1) transform stack, and at least one, so the chunk
+    bounds depend only on the grid and ``count``: every reader gets the
+    same bounds and the same summation order, and so the same bits.
     """
-
-    def __init__(self, grid: Grid, rows):
-        self._weight = np.broadcast_to(np.sqrt(grid.block_weight), (3, *grid._block_shape))
-        self.rows = np.empty((rows, self._weight.size), dtype=np.complex128)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def set_row(self, m, w):
-        """Write the weighted row of the kept block ``w`` as row ``m``; other shapes raise."""
-        if w.shape != self._weight.shape:
-            raise FieldShapeError(f"expected a kept block {self._weight.shape}, got {w.shape}")
-        np.multiply(w, self._weight, out=self.rows[m].reshape(self._weight.shape))
-
-    def gram(self):
-        """The real Gram matrix of the rows viewed as real numbers."""
-        real = self.rows.view(np.float64)
-        return real @ real.T
-
-    def lag_sums(self):
-        """G_d, d = 0 .. M-1: the trace of the lag-d diagonal of ``BOX_VOLUME * gram()``.
-
-        Everything the frequency pass of ``hgamma_from_lag_sums`` needs of
-        the rows.
-        """
-        gram = BOX_VOLUME * self.gram()
-        return np.array([np.trace(gram, offset=d) for d in range(len(self))])
+    kb, _, kk = grid._block_shape
+    planes = 3 * kb
+    plane_bytes = kb * kk * 16
+    budget = 6 * grid.n * grid.n * (grid.n // 2 + 1) * 16
+    per_chunk = min(planes, max(1, budget // (max(count, 1) * plane_bytes)))
+    buffer = np.empty(count * per_chunk * kb * kk, dtype=np.complex128)
+    weight = np.sqrt(grid.block_weight)
+    gram = np.zeros((count, count))
+    part = np.empty_like(gram)
+    for lo in range(0, planes, per_chunk):
+        hi = min(lo + per_chunk, planes)
+        width = (hi - lo) * kb * kk
+        rows = buffer[: count * width].reshape(count, hi - lo, kb, kk)
+        read_rows(lo, hi, rows)
+        rows *= weight
+        real = rows.reshape(count, width).view(np.float64)
+        np.matmul(real, real.T, out=part)
+        gram += part
+    gram *= BOX_VOLUME
+    return np.array([np.trace(gram, offset=d) for d in range(count)])
 
 
 def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
     """Weighted time-frequency mass of the zero-extended trajectory.
 
-    Stacks every snapshot but the last in an ``HGammaStack``, releases it
-    once it has given its lag sums, and hands those to
-    ``hgamma_from_lag_sums``, which defines the value.
+    Every field but the last must be a kept block of ``grid``; their
+    ``lag_sums``, read from memory, go to ``hgamma_from_lag_sums``, which
+    defines the value.
     """
-    stack = HGammaStack(grid, max(len(fields) - 1, 0))
-    for m, w in enumerate(fields[:-1]):
-        stack.set_row(m, w)
-    lags = stack.lag_sums()
-    del stack
-    return hgamma_from_lag_sums(times, lags, gamma, freq_points)
+    held = fields[: max(len(fields) - 1, 0)]
+    shape = (3, *grid._block_shape)
+    for w in held:
+        if w.shape != shape:
+            raise FieldShapeError(f"expected a kept block {shape}, got {w.shape}")
+
+    def read_rows(lo, hi, out):
+        for row, w in zip(out, held):
+            row[...] = w.reshape(-1, *shape[2:])[lo:hi]
+
+    return hgamma_from_lag_sums(times, lag_sums(grid, len(held), read_rows), gamma, freq_points)
 
 
 def hgamma_from_lag_sums(times, lags, gamma, freq_points=131073):
-    """H^gamma mass of the zero-extended trajectory from the lag sums of its stack.
+    """H^gamma mass of the zero-extended trajectory from the lag sums of its snapshots.
 
-    ``lags`` is ``HGammaStack.lag_sums()`` of the stack whose row m is the
-    snapshot at ``times[m]``, for every sample but the last, which only
-    closes the span.  The trajectory is extended by zero outside its span
+    ``lags`` is ``lag_sums`` of the rows whose row m is the snapshot at
+    ``times[m]``, for every sample but the last, which only closes the
+    span.  The trajectory is extended by zero outside its span
     and held constant on each sampling interval, whose transform is known
     in closed form; the spatially-resolved spectrum S(sigma) = sum over
     components and modes of the squared L2 amplitude is then integrated

@@ -29,7 +29,10 @@ Round trips are bit-exact.
 
 A directory is read in two steps: ``scan_snapshots`` checks every header,
 reading 24 bytes of each, and that the times increase in name order, and
-``read_snapshots`` then loads the payloads one at a time.  A directory is
+``read_snapshots`` then loads the payloads one at a time.  A command that
+reads the payloads a second time, a range of whole planes at a time
+(``read_planes``), checks each file against the ``fingerprint`` taken
+before its first read, so both reads see the same bytes.  A directory is
 written one file at a time by ``snapshot_sink``, which first clears it of
 snapshots and then encodes the kept blocks the solvers hand it.  Each file
 is written under a temporary name that does not end in ``.vslb`` and
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -74,6 +78,16 @@ def persist_field(path, block, time, grid):
     return HEADER.size + block.nbytes
 
 
+def _plane_offset(n, plane):
+    """Byte offset of the (component, k_1) plane ``plane`` of the payload of an n^3 file.
+
+    The payload is the kept block's 3 K planes of K (kmax + 1) amplitudes
+    each, in C order after the header, so plane 3 K is the end of the file.
+    """
+    kb, _, kk = kept_block_shape(n)
+    return HEADER.size + plane * kb * kk * 16
+
+
 def _check_header(path, head, size):
     """(n, time) from the first bytes ``head`` of a snapshot file of ``size`` bytes."""
     if len(head) < HEADER.size:
@@ -87,7 +101,7 @@ def _check_header(path, head, size):
         raise SnapshotError(f"{path}: expected 3 components, got {ncomp}")
     if not math.isfinite(time):
         raise SnapshotError(f"{path}: non-finite sample time {time!r}")
-    expected = HEADER.size + 3 * 16 * math.prod(kept_block_shape(n))
+    expected = _plane_offset(n, 3 * kept_block_shape(n)[0])
     if size < expected:
         raise SnapshotError(f"{path}: truncated payload ({size} of {expected} bytes)")
     if size != expected:
@@ -96,13 +110,17 @@ def _check_header(path, head, size):
 
 
 def load_field(path, grid):
-    """Read one snapshot of ``grid``; returns (n, time, block), the kept block writable."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    n, time = _check_header(path, blob, len(blob))
-    if n != grid.n:
-        raise SnapshotError(f"{path}: grid size {n} differs from {grid.n}")
-    block = np.frombuffer(blob, dtype="<c16", offset=HEADER.size).reshape(3, *grid._block_shape)
+    """Read one snapshot of ``grid``; returns (n, time, block), the kept block writable.
+
+    The payload is read straight into the block that is returned.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(HEADER.size)
+        n, time = _check_header(path, head, os.fstat(fh.fileno()).st_size)
+        if n != grid.n:
+            raise SnapshotError(f"{path}: grid size {n} differs from {grid.n}")
+        block = np.empty((3, *grid._block_shape), dtype="<c16")
+        _read_exactly(fh, block, path)
     largest = float(np.max(np.abs(block)))
     if not math.isfinite(largest):
         raise SnapshotError(f"{path}: non-finite coefficients (max |w| = {largest})")
@@ -110,7 +128,14 @@ def load_field(path, grid):
     defect = float(np.max(np.abs(plane - _mirror(plane))))
     if defect > SYMMETRY_TOL * max(1.0, largest):
         raise SnapshotError(f"{path}: Hermitian symmetry violated (defect {defect:.3e})")
-    return n, time, block.copy()
+    return n, time, block
+
+
+def _read_exactly(fh, out, path):
+    """Fill the C-ordered array ``out`` from the unbuffered file ``fh``; a short read raises."""
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise SnapshotError(f"{path}: truncated payload ({got} of {out.nbytes} bytes read)")
 
 
 def snapshot_name(index):
@@ -177,20 +202,55 @@ def scan_snapshots(snapdir):
     return first, times, [os.path.join(snapdir, name) for name in names]
 
 
-def read_snapshots(grid: Grid, paths):
+def read_snapshots(grid: Grid, paths, fingerprints=None):
     """Load the snapshots one at a time, in the given order; yields each kept block.
 
     Every snapshot must pass ``load_field`` and be a zero-mean
     divergence-free vorticity field (``Grid.require_solenoidal``); either
-    refusal names the file by its path.
+    refusal names the file by its path.  Given a list ``fingerprints``,
+    each file's ``fingerprint``, taken before the file is opened, is
+    appended to it for ``read_planes``.
     """
     for path in paths:
+        if fingerprints is not None:
+            fingerprints.append(fingerprint(os.stat(path)))
         _, _, block = load_field(path, grid)
         try:
             block = grid.require_solenoidal(block)
         except ValueError as exc:
             raise SnapshotError(f"{path}: {exc}") from None
         yield block
+
+
+def fingerprint(st):
+    """(st_ino, st_size, st_mtime_ns) of a file's ``os.stat`` result: what ``read_planes`` checks.
+
+    Taken before a file's first read, it also catches a change made while
+    that read ran.  A rewrite in place that keeps the size within the file
+    system's timestamp granularity goes unseen.
+    """
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def read_planes(grid: Grid, paths, fingerprints, lo, out):
+    """Read the kept block of file ``paths[m]`` from its plane ``lo`` on into ``out[m]``.
+
+    The planes are the (component, k_1) planes of the block, 3 K in all;
+    ``out`` is a C-ordered (len(paths), planes, K, kmax + 1) complex array.
+    The files were loaded and checked before, and each must still match
+    its entry of ``fingerprints`` (see ``read_snapshots``); a file that
+    does not is refused by its path.  Each file is opened, read and closed
+    in turn, so at most one is open at a time.
+    """
+    offset = _plane_offset(grid.n, lo)
+    for path, expected, row in zip(paths, fingerprints, out, strict=True):
+        with open(path, "rb", buffering=0) as fh:
+            if fingerprint(os.fstat(fh.fileno())) != expected:
+                raise SnapshotError(f"{path}: changed since it was checked")
+            fh.seek(offset)
+            _read_exactly(fh, row, path)
+    if sys.byteorder != "little":  # the files hold little-endian pairs
+        out.byteswap(inplace=True)
 
 
 def load_trajectory(snapdir, nu=1.0):

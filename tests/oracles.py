@@ -10,6 +10,7 @@ and the kept block (``kept``, ``spread``) and the whole cube
 
 import functools
 import itertools
+import math
 import struct
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ import scipy.fft
 from vslab import estimates, slabs
 from vslab.reference import StepperConfig, rk4_step, run_reference
 from vslab.snapshots import load_trajectory
-from vslab.spectral import FieldShapeError, splitmix64_uniform
+from vslab.spectral import BOX_VOLUME, FieldShapeError, splitmix64_uniform
 from vslab.trajectory import Trajectory, scalar_record, series_from_records
 
 
@@ -347,6 +348,23 @@ def stacked_curl(grid, v):
             kd[0] * v[1] - kd[1] * v[0],
         ]
     )
+
+
+def stack_lag_sums(grid, fields):
+    """The H^gamma lag sums G_d of ``fields`` from one dense stack of every field but the last.
+
+    The whole-stack construction the program replaced by chunked sums: row m
+    is the kept block of ``fields[m]``, each plane weighted by the square
+    root of its ``Grid.block_weight``, and G_d is the lag-d diagonal trace of
+    ``BOX_VOLUME`` times the real Gram matrix of the rows.
+    """
+    weight = np.sqrt(grid.block_weight)
+    rows = np.empty((max(len(fields) - 1, 0), 3 * math.prod(grid._block_shape)), dtype=complex)
+    for row, w in zip(rows, fields):
+        row[:] = np.ravel(w * weight)
+    real = rows.view(np.float64)
+    gram = BOX_VOLUME * (real @ real.T)
+    return np.array([np.trace(gram, offset=d) for d in range(len(rows))])
 
 
 def monitor_rows(snapdir, nu, gamma, ladyzhenskaya_c):

@@ -300,6 +300,33 @@ def test_study_rejects_levels_before_running(tmp_path, capsys, levels):
     assert not list(tmp_path.glob("out/N*"))
 
 
+def test_slab_scheme_is_second_order_in_the_slab_width_at_nu_001(tg16_nu001_run, tmp_path, capsys):
+    """Halving the slab width cuts the sup-L2 distance to the nu = 0.01 reference fourfold.
+
+    run-slab at 6, 12 and 24 slabs, with the reference run's own settings
+    (its ``config.echo.cfg``), against its snapshots through ``vslab
+    compare``: errors 5.87e-2, 1.55e-2 and 3.86e-3, ratios 0.264 and 0.249.
+    A first-order scheme would give ratios near 0.5.
+    """
+    refdir, code, _ = tg16_nu001_run
+    assert code == 0
+    settings = str(refdir / "config.echo.cfg")
+    errors = []
+    for slabs in (6, 12, 24):
+        outdir = tmp_path / f"N{slabs}"
+        argv = ["--config", settings, "--set", f"slabs={slabs}", "--set", f"outdir={outdir}"]
+        assert cli_dispatch(["run-slab", *argv]) == 0
+        capsys.readouterr()
+        dirs = [str(refdir / "snapshots"), str(outdir / "snapshots")]
+        assert cli_dispatch(["compare", "--config", settings, *dirs]) == 0
+        out = capsys.readouterr().out
+        errors.append(float(out.split("sup_l2_distance=")[1].split()[0]))
+    assert errors == pytest.approx([5.874e-2, 1.553e-2, 3.861e-3], rel=1e-3)
+    ratios = [b / a for a, b in zip(errors, errors[1:])]
+    assert ratios == pytest.approx([0.2644, 0.2486], rel=1e-3)
+    assert max(ratios) <= 0.3
+
+
 @pytest.mark.parametrize("provider", ["self-consistent", "reference"])
 def test_study_measures_second_order_in_the_slab_width(tmp_path, provider):
     # halving the slab width cuts the sup-L2 error about fourfold (ratios 0.26-0.27
@@ -412,48 +439,121 @@ def test_monitor_on_a_run_slab_directory_matches_the_oracle(tmp_path, capsys):
     assert len(want) == 9
 
 
-def test_monitor_memory_is_the_stack_plus_a_few_states(tmp_path, monkeypatch):
-    # 33 snapshots at 16^3: the whole trajectory as vorticity and velocity
-    # lists would hold 66 states beyond the 32-row H^gamma stack of kept
-    # blocks.  The window holds kept blocks too (32% of a state at 16^3).
-    # The stack is released before the frequency pass, so the peak is the
-    # larger of the two phases, not their sum.
+@pytest.fixture(scope="module")
+def monitor16_runs(tmp_path_factory):
+    """run-ref snapshot directories at 16^3 with 33 and 65 snapshots: {count: (cfg, snapdir)}."""
+    root = tmp_path_factory.mktemp("monitor16")
+    runs = {}
+    for count, T in ((33, 0.08), (65, 0.16)):
+        outdir = root / str(count)
+        cfg = write_cfg(root, name=f"{count}.cfg", n=16, T=T, field_every=1, outdir=str(outdir))
+        assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+        snap = outdir / "snapshots"
+        assert len(list(snap.glob("*.vslb"))) == count
+        runs[count] = cfg, snap
+    return runs
+
+
+def test_monitor_hgamma_from_chunked_rereads_is_the_in_memory_value(
+    monitor16_runs, capsys, monkeypatch
+):
+    # the lag sums come from the files, re-read a chunk of planes at a time;
+    # hgamma_diagnostic reads the same chunks from memory, to the same bits
+    cfg, snap = monitor16_runs[33]
+    chunks = []
+    read_planes = snapshots.read_planes
+
+    def counting(grid, paths, fingerprints, lo, out):
+        chunks.append((lo, out.shape[:2]))
+        return read_planes(grid, paths, fingerprints, lo, out)
+
+    monkeypatch.setattr(snapshots, "read_planes", counting)
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("monitor: ")]
+    # 32 rows, and the 33 planes of the 16^3 block in chunks of 6
+    assert [lo for lo, _ in chunks] == list(range(0, 33, 6)), chunks
+    assert {shape for _, shape in chunks} == {(32, 6), (32, 3)}, chunks
+    traj = snapshots.load_trajectory(snap)
+    want = estimates.hgamma_diagnostic(traj.times, traj.fields, 0.2, traj.grid).value
+    assert printed[-1] == f"monitor: hgamma_0.2={want}"
+    oracle = monitor_rows(snap, nu=1.0, gamma=0.2, ladyzhenskaya_c=2.0)
+    assert printed == [f"monitor: {name}={value}" for name, value in oracle]
+
+
+def test_monitor_memory_does_not_grow_with_the_snapshot_count(monitor16_runs, monkeypatch):
+    # At 16^3 the whole trajectory of 65 snapshots as vorticity and velocity
+    # lists would hold 130 states, and a stack of the H^gamma rows 64 kept
+    # blocks (32% of a state each).  The monitor holds a window of five
+    # velocities, the lag sums' chunk buffer (at most the kernel's
+    # (6, n, n, n/2+1) stack) and the frequency pass, one phase at a time.
+    # The frequency pass sets the peak, so the passes over the snapshots
+    # are also measured on their own, up to its start.
     grid = Grid(16)
     state = 3 * int(np.prod(grid._half_shape)) * 16  # a vector half spectrum
-    block = random_divfree_field(grid, seed=3).nbytes
+    buffer = 2 * state  # the (6, n, n, n/2+1) stack the chunk buffer stays within
     grid4 = Grid(4)
     w = random_divfree_field(grid4, seed=3)
     frequency_pass = estimates.hgamma_from_lag_sums
-    held = []
+    peaks, streamed = {}, {}
 
     def spy(*args, **kwargs):
-        held.append(tracemalloc.get_traced_memory()[0] - base)
+        streamed[count] = tracemalloc.get_traced_memory()[1] - base
         return frequency_pass(*args, **kwargs)
 
-    monkeypatch.setattr(estimates, "hgamma_from_lag_sums", spy)
-    for command in ("run-ref", "run-slab"):
-        cfg = write_cfg(tmp_path, n=16, T=0.08, field_every=1, outdir=str(tmp_path / command))
-        assert cli_dispatch([command, "--config", cfg]) == 0
-        snap = tmp_path / command / "snapshots"
-        count = len(list(snap.glob("*.vslb")))
-        assert count == 33
-        stack = (count - 1) * block
-        tracemalloc.start()
-        try:
-            # the frequency-grid work of the diagnostic does not scale with n or M
-            base = tracemalloc.get_traced_memory()[0]
-            estimates.hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, grid4)
-            freq = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.start()
+    try:
+        # the frequency-grid work of the diagnostic does not scale with n or M
+        base = tracemalloc.get_traced_memory()[0]
+        estimates.hgamma_diagnostic(np.linspace(0.0, 1.0, 3), [w, w, w], 0.2, grid4)
+        freq = tracemalloc.get_traced_memory()[1] - base
+        monkeypatch.setattr(estimates, "hgamma_from_lag_sums", spy)
+        for count, (cfg, snap) in monitor16_runs.items():
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            held.clear()
             assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 0
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # the frequency pass starts with the window and a few arrays held, no stack rows
-        assert len(held) == 1 and held[0] < stack, (command, held, stack)
-        assert peak < max(stack, freq) + 10 * state, (command, (peak - max(stack, freq)) / state)
+            peaks[count] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(streamed[65] - streamed[33]) < state, streamed
+    assert abs(peaks[65] - peaks[33]) < state, peaks
+    for count, peak in peaks.items():
+        assert streamed[count] < buffer + 10 * state, (count, (streamed[count] - buffer) / state)
+        assert peak < freq + buffer + 10 * state, (count, (peak - freq - buffer) / state)
+
+
+@pytest.mark.parametrize("change", ["replaced", "touched", "extended"])
+def test_monitor_refuses_a_snapshot_changed_between_its_passes(
+    tmp_path, capsys, monkeypatch, change
+):
+    # the lag sums re-read the files; one that changed after its first read
+    # (a new inode, a later modification time or another size) is refused
+    cfg = write_cfg(tmp_path, field_every=2)
+    assert cli_dispatch(["run-ref", "--config", cfg]) == 0
+    snap = tmp_path / "out" / "snapshots"
+    victim = sorted(snap.glob("*.vslb"))[7]
+    lag_sums = estimates.lag_sums
+
+    def rewrite_first(grid, count, read_rows):
+        st = victim.stat()
+        if change == "replaced":
+            # the same bytes under a new inode, as a second run's sink writes them
+            _, time, block = load_field(victim, grid)
+            persist_field(victim, block, time, grid)
+            assert victim.stat().st_ino != st.st_ino
+        elif change == "touched":
+            os.utime(victim, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        else:
+            with open(victim, "ab") as fh:
+                fh.write(b"\0")
+        return lag_sums(grid, count, read_rows)
+
+    monkeypatch.setattr(estimates, "lag_sums", rewrite_first)
+    capsys.readouterr()
+    assert cli_dispatch(["monitor", "--config", cfg, str(snap)]) == 1
+    err = _one_error_line(capsys)
+    assert str(victim) in err and "changed since it was checked" in err
+    assert not (tmp_path / "out" / "monitors.csv").exists()
 
 
 def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):

@@ -17,6 +17,7 @@ from oracles import (
     kept,
     physical_grid,
     spread,
+    stack_lag_sums,
 )
 from scipy.integrate import quad
 
@@ -30,9 +31,9 @@ from vslab.estimates import (
     energy_identity_residual,
     enstrophy_ledger,
     grad_vorticity_check,
-    HGammaStack,
     hgamma_diagnostic,
     hgamma_from_lag_sums,
+    lag_sums,
     ladyzhenskaya_ratio,
     piecewise_average_distance,
     simpson,
@@ -379,42 +380,89 @@ def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
             hgamma_diagnostic(times, mixed, 0.2, grid8, freq_points=freq_points)
 
 
-def test_hgamma_stack_rows_are_the_same_from_either_layout(grid8):
+def memory_rows(fields):
+    """A ``read_rows`` for ``lag_sums`` over kept blocks held in memory."""
+
+    def read_rows(lo, hi, out):
+        for row, w in zip(out, fields, strict=True):
+            row[...] = w.reshape(-1, *w.shape[2:])[lo:hi]
+
+    return read_rows
+
+
+def test_hgamma_rows_are_the_same_from_either_layout(grid8):
     # a row is the kept modes of the half spectrum weighted plane by plane
-    w = spread(grid8, random_divfree_field(grid8, seed=5))
-    stack = HGammaStack(grid8, 1)
-    stack.set_row(0, kept(grid8, w))
-    weighted = kept(grid8, w * np.sqrt(half_tables(8).plane_weight))
-    assert np.array_equal(stack.rows[0], weighted.ravel())
+    w, v = (spread(grid8, random_divfree_field(grid8, seed=s)) for s in (5, 6))
+    got = lag_sums(grid8, 2, memory_rows([kept(grid8, w), kept(grid8, v)]))
+    a, b = (kept(grid8, f * np.sqrt(half_tables(8).plane_weight)).ravel() for f in (w, v))
+    want = BOX_VOLUME * np.array([np.vdot(a, a) + np.vdot(b, b), np.vdot(a, b)]).real
+    assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+    # the in-memory reader takes kept blocks only, on any held row
+    zeros = [np.zeros((3, 5, 5, 3), dtype=complex)] * 3
     for other in (w, full_spectrum(w), kept(grid8, w)[1]):
-        with pytest.raises(FieldShapeError):
-            stack.set_row(0, other)
+        for m in (0, 1):
+            fields = zeros[:m] + [other] + zeros[m + 1 :]
+            with pytest.raises(FieldShapeError, match="expected a kept block"):
+                hgamma_diagnostic(np.linspace(0.0, 1.0, 3), fields, 0.2, grid8)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 17, 33])  # snapshots M; M - 1 rows
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_chunked_lag_sums_match_the_whole_stack(n, count):
+    """The chunked lag sums agree with one dense Gram of the stack to 1e-14 of G_0.
+
+    The chunks are whole (component, k_1) planes that tile the block in
+    order; at these sizes the last one is short on 6^3, 8^3 and 16^3 with
+    17 or 33 snapshots (8^3 with 17: chunks of 8 and 7 of the 15 planes).
+    """
+    grid = Grid(n)
+    fields = [random_divfree_field(grid, seed=100 * n + m) for m in range(count)]
+    bounds = []
+    read = memory_rows(fields[:-1])
+
+    def read_rows(lo, hi, out):
+        bounds.append((lo, hi))
+        read(lo, hi, out)
+
+    got = lag_sums(grid, count - 1, read_rows)
+    want = stack_lag_sums(grid, fields)
+    assert got.shape == want.shape == (count - 1,)
+    if count > 1:
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+    planes = 3 * grid._block_shape[0]
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == planes
+    widths = [hi - lo for lo, hi in bounds]
+    short = widths[-1] < widths[0]
+    assert short == ((n, count) in {(6, 33), (8, 17), (8, 33), (16, 17), (16, 33)}), widths
 
 
 def test_hgamma_gram_on_two_blas_threads_differs_from_one_by_rounding_only():
     """The Gram's bits depend on OpenBLAS's thread count, which commands pin to one.
 
-    On this 100 x 29,106 stack (the monitor32 shape) two threads of numpy
-    2.4's OpenBLAS move 92 of the 10,000 entries by up to 1.1e-17 of the
-    largest; one thread gives the same bits on every call.
+    On 100 rows of the monitor32 shape (32^3), summed over 16 chunks of at
+    most 1,848 real numbers a row, one thread gives the same bits on every
+    call and two threads agree with it to rounding.
     """
     found = cli._openblas()
     if found is None:
         pytest.skip("no OpenBLAS with a thread-count setter in this process")
     lib, name = found
     get, set_threads = getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name)
-    stack = HGammaStack(Grid(32), 100)
-    real = stack.rows.view(np.float64)
-    real[:] = np.random.default_rng(7).standard_normal(real.shape)
+
+    def read_rows(lo, hi, out):
+        real = out.view(np.float64)
+        real[...] = np.random.default_rng(lo).standard_normal(real.shape)
+
     before = get()
     try:
-        grams = []
+        lags = []
         for threads in (1, 2, 1):
             set_threads(threads)
-            grams.append(stack.gram())
+            lags.append(lag_sums(Grid(32), 100, read_rows))
     finally:
         set_threads(before)
-    one, two, again = grams
+    one, two, again = lags
     assert one.tobytes() == again.tobytes()
     assert np.max(np.abs(two - one)) <= 1e-14 * np.max(np.abs(one))
 
@@ -450,10 +498,7 @@ def test_hgamma_needs_uniform_samples(grid8):
 
 
 def test_hgamma_from_lag_sums_needs_one_row_per_held_sample(grid8):
-    stack = HGammaStack(grid8, 5)
-    for m in range(5):
-        stack.set_row(m, np.zeros((3, 5, 5, 3), dtype=complex))
-    lags = stack.lag_sums()
+    lags = lag_sums(grid8, 5, memory_rows([np.zeros((3, 5, 5, 3), dtype=complex)] * 5))
     with pytest.raises(ValueError, match="one stack row per sample but the last, got 5 for 5"):
         hgamma_from_lag_sums(np.linspace(0, 1, 5), lags, 0.2)
 

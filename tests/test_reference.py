@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from vslab import _fft
-from vslab.estimates import HGammaStack
+from vslab.estimates import hgamma_diagnostic
 from vslab.reference import (
     BlowUpError,
     StepperConfig,
@@ -133,7 +133,7 @@ def test_kernel_output_is_hermitian(grid16):
         lambda grid, w: grid.h1sq(w),
         lambda grid, w: grid.l2sq_h1sq(w),
         lambda grid, w: grid.l4(w),
-        lambda grid, w: HGammaStack(grid, 1).set_row(0, w),
+        lambda grid, w: hgamma_diagnostic(np.linspace(0.0, 1.0, 2), [w, w], 0.2, grid),
         lambda grid, w: grid.require_solenoidal(w),
     ],
     ids=[
@@ -149,7 +149,7 @@ def test_kernel_output_is_hermitian(grid16):
         "h1sq",
         "l2sq_h1sq",
         "l4",
-        "set_row",
+        "hgamma_diagnostic",
         "require_solenoidal",
     ],
 )
