@@ -403,11 +403,12 @@ def _pin_blas_threads():
     """Run OpenBLAS on the calling thread; where it or its setter is not found, do nothing.
 
     Left at its default, OpenBLAS splits the H^gamma Gram products over one
-    thread per core, and the idle workers then spin: after the 16 chunk
-    products of 100 rows at 32^3 (at most 1,848 numbers a row) they burn
-    0.13 s of CPU on a two-core host in the next half second, against
-    0.0001 s on one thread.  The split can also move entries of a product
-    in their last bit, so one thread makes them the same on every host.
+    thread per core, and the idle workers then spin: after the 32 block
+    products of 100 rows at 32^3 (16 chunks of at most 1,848 numbers a
+    row, each in blocks of 64 and 36 rows) they burn 0.13 s of CPU on a
+    two-core host in the next half second, against 0.0001 s on one thread.
+    The split can also move entries of a product in their last bit, so one
+    thread makes them the same on every host.
     """
     import ctypes
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from vslab import _fft
 from vslab.slabs import TimePartition, SlabSolution, compute_kstar, slab_window, trapezoid
 from vslab.spectral import BOX_VOLUME, DIV_TOL, FieldShapeError, Grid
 from vslab.trajectory import ScalarSeries, Trajectory
@@ -249,6 +250,9 @@ def average_cs_check(solution: SlabSolution, samples=257):
 
 # -- time-regularity diagnostic ----------------------------------------------------
 
+_GRAM_ROWS = 64  # rows of one block of a chunk's Gram product in lag_sums
+_FREQ_BATCH = 1 << 14  # complex entries of one batch of the frequency pass's short FFTs
+
 
 @dataclass
 class HGammaDiagnostic:
@@ -262,10 +266,11 @@ def _weighted_linear_integral(sigma, values, power):
     """Integral of sigma^power * f(sigma) with f piecewise linear on the grid.
 
     The weight is integrated exactly per interval, so the quadrature has no
-    trouble with the fractional power at sigma = 0.
+    trouble with the fractional power at sigma = 0.  On arrays of several
+    rows, each row is a grid of its own, and the integrals are summed.
     """
-    a = sigma[:-1]
-    fa, fb = values[:-1], values[1:]
+    a = sigma[..., :-1]
+    fa, fb = values[..., :-1], values[..., 1:]
     p1 = power + 1.0
     p2 = power + 2.0
     # fa * i0 + slope * (i1 - a * i0); b^p - a^p is the difference of
@@ -309,6 +314,11 @@ def lag_sums(grid: Grid, count, read_rows):
     (6, n, n, n/2+1) transform stack, and at least one, so the chunk
     bounds depend only on the grid and ``count``: every reader gets the
     same bounds and the same summation order, and so the same bits.
+
+    No (count, count) array is formed.  Each chunk's Gram is taken in
+    blocks of ``_GRAM_ROWS`` rows, from the diagonal rightwards only (the
+    upper triangle), into one zero-padded buffer whose diagonals are
+    summed through a view with one more element per row.
     """
     kb, _, kk = grid._block_shape
     planes = 3 * kb
@@ -317,8 +327,10 @@ def lag_sums(grid: Grid, count, read_rows):
     per_chunk = min(planes, max(1, budget // (max(count, 1) * plane_bytes)))
     buffer = np.empty(count * per_chunk * kb * kk, dtype=np.complex128)
     weight = np.sqrt(grid.block_weight)
-    gram = np.zeros((count, count))
-    part = np.empty_like(gram)
+    B = _GRAM_ROWS
+    # rows of count + B: a row's diagonal entries are never cut off by the row's end
+    product = np.empty(B * (count + B + 1))
+    lags = np.zeros(count)
     for lo in range(0, planes, per_chunk):
         hi = min(lo + per_chunk, planes)
         width = (hi - lo) * kb * kk
@@ -326,10 +338,15 @@ def lag_sums(grid: Grid, count, read_rows):
         read_rows(lo, hi, rows)
         rows *= weight
         real = rows.reshape(count, width).view(np.float64)
-        np.matmul(real, real.T, out=part)
-        gram += part
-    gram *= BOX_VOLUME
-    return np.array([np.trace(gram, offset=d) for d in range(count)])
+        for a in range(0, count, B):
+            k, c = min(B, count - a), count - a
+            block = product[: k * (c + B)].reshape(k, c + B)
+            block[:, c:] = 0.0
+            np.matmul(real[a : a + k], real[a:].T, out=block[:, :c])
+            # row stride c + B + 1: entry (i, d) is block[i, i + d], Gram entry (a + i, a + i + d)
+            lags[:c] += product[: k * (c + B + 1)].reshape(k, c + B + 1)[:, :c].sum(axis=0)
+    lags *= BOX_VOLUME
+    return lags
 
 
 def hgamma_diagnostic(times, fields, gamma, grid: Grid, freq_points=131073):
@@ -370,9 +387,19 @@ def hgamma_from_lag_sums(times, lags, gamma, freq_points=131073):
     Hermitian, so that Gram matrix is real: it is formed from their kept
     blocks viewed as real numbers, each plane weighted by the square root of
     its ``Grid.block_weight`` (sqrt(2) except on k_3 = 0) to stand for its
-    conjugate mirror.  On the uniform frequency grid
-    sigma_j = j pi / (h L), j = 0..L, the cosine sums are the real part of
-    one real FFT of length 2L of the lag sums.
+    conjugate mirror.
+
+    On the uniform frequency grid sigma_j = j pi / (h L), j = 0..L, the
+    cosine sums are the real part of the length-2L DFT X of the lag sums
+    folded mod 2L.  X is never formed whole (input pruning): the folded
+    lags fill P = 2p points, p the smallest divisor of L at least half
+    their count, and with R = 2L / P bin R q + r of X is bin q of the
+    P-point FFT of the lags twiddled by e^(-2 pi i r d / 2L).  A batch of
+    consecutive r, plus the next r, gives for each q < p a run of
+    consecutive bins, on which the hold kernel and the integral are
+    formed.  A batch holds about ``_FREQ_BATCH`` complex numbers (at least
+    two columns of P), so the pass is small whatever L while L has a
+    divisor just above half the sample count, as a power of two does.
     """
     if not 0.0 < gamma < 0.25:
         raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
@@ -389,29 +416,48 @@ def hgamma_from_lag_sums(times, lags, gamma, freq_points=131073):
     # G_0 sums the rows' squared norms, so it is 0 only for the zero trajectory
     if not np.any(lags):
         return HGammaDiagnostic(gamma=gamma, value=0.0, sigma_max=sigma_max, freq_points=freq_points)
-    sigma = np.linspace(0.0, sigma_max, freq_points)
-    # sigma_j d h = pi j d / L: cos is 2L-periodic in d, so fold the lags mod 2L
     L = freq_points - 1
-    pad = np.zeros(2 * L)
-    np.add.at(pad, np.arange(M) % (2 * L), lags)
-    spectrum = np.fft.rfft(pad).real
-    del pad
-    spectrum *= 2.0
-    spectrum -= lags[0]
-    # hold-kernel factor |(1 - e^{-i sigma h}) / sigma|^2 = h^2 sinc^2(sigma h / 2),
-    # built in place; sigma_0 = 0 is the only zero frequency
-    weighted = np.empty_like(sigma)
-    weighted[0] = h**2
-    kernel = weighted[1:]
-    np.multiply(sigma[1:], h, out=kernel)
-    np.cos(kernel, out=kernel)
-    kernel *= 2.0
-    np.subtract(2.0, kernel, out=kernel)
-    kernel /= sigma[1:] ** 2
-    weighted *= spectrum
-    del spectrum
+    step = sigma_max / L  # sigma_j = j * step as linspace has it, and sigma_L = sigma_max
+    # sigma_j d h = pi j d / L: cos is 2L-periodic in d, so fold the lags mod 2L
+    folded_length = min(M, 2 * L)
+    divisors = (q for i in range(1, math.isqrt(L) + 1) if L % i == 0 for q in (i, L // i))
+    p = min(q for q in divisors if 2 * q >= folded_length)
+    R = L // p
+    d = np.arange(2 * p)
+    folded = np.zeros(2 * p)
+    np.add.at(folded, np.arange(M) % (2 * L), lags)
+    rows = min(R, max(1, _FREQ_BATCH // (2 * p)))
+    # twiddle e^(-i pi (r0 + s) d / L): a table over (d, s), times a vector per batch
+    table = np.exp((-1j * np.pi / L) * np.outer(d, np.arange(rows + 1)))
+    block = np.empty_like(table)
+    run_starts = R * np.arange(p, dtype=np.float64)[:, None]
+    power = 2.0 * gamma
+    total = 0.0
+    for r0 in range(0, R, rows):
+        cols = min(rows, R - r0) + 1
+        twiddle = np.exp((-1j * np.pi / L) * (r0 * d))
+        twiddle *= folded
+        bins = block[:, :cols]
+        np.multiply(table[:, :cols], twiddle[:, None], out=bins)
+        _fft.fft(bins, 0, True, 1, out=bins)
+        # row q holds bins R q + r0 .. R q + r0 + cols - 1
+        spectrum = bins[:p].real * 2.0
+        spectrum -= lags[0]
+        sigma = run_starts + np.arange(r0, r0 + cols)
+        sigma *= step
+        if r0 + cols - 1 == R:
+            sigma[-1, -1] = sigma_max
+        # hold-kernel factor |(1 - e^{-i sigma h}) / sigma|^2 = h^2 sinc^2(sigma h / 2);
+        # sigma_0 = 0 is the only zero frequency
+        weighted = 2.0 - 2.0 * np.cos(sigma * h)
+        square = sigma**2
+        if r0 == 0:
+            weighted[0, 0], square[0, 0] = h**2, 1.0
+        weighted /= square
+        weighted *= spectrum
+        total += _weighted_linear_integral(sigma, weighted, power)
     # trajectory is real, so the spectrum is even: integrate one side twice
-    value = 2.0 * _weighted_linear_integral(sigma, weighted, 2.0 * gamma)
+    value = 2.0 * total
     return HGammaDiagnostic(gamma=gamma, value=value, sigma_max=sigma_max, freq_points=freq_points)
 
 

@@ -487,8 +487,9 @@ def test_monitor_memory_does_not_grow_with_the_snapshot_count(monitor16_runs, mo
     # blocks (32% of a state each).  The monitor holds a window of five
     # velocities, the lag sums' chunk buffer (at most the kernel's
     # (6, n, n, n/2+1) stack) and the frequency pass, one phase at a time.
-    # The frequency pass sets the peak, so the passes over the snapshots
-    # are also measured on their own, up to its start.
+    # The frequency pass holds about 1 MB whatever n: more than the
+    # passes over the snapshots here (0.6 MB), less than them at 32^3.  So
+    # those passes are also measured on their own, up to its start.
     grid = Grid(16)
     state = 3 * int(np.prod(grid._half_shape)) * 16  # a vector half spectrum
     buffer = 2 * state  # the (6, n, n, n/2+1) stack the chunk buffer stays within
@@ -651,10 +652,11 @@ def test_commands_import_no_unused_scipy_subpackage(tmp_path):
 
 
 def test_run_commands_import_no_numpy_fft(tmp_path):
-    """run-ref and run-slab, from Taylor-Green and from a seeded field, leave numpy.fft unimported.
+    """run-ref, run-slab and monitor, from Taylor-Green and from a seeded field, leave numpy.fft unimported.
 
-    Their transforms are SciPy's pocketfft extension (``vslab._fft``) and
-    the grid builds its wavevectors without ``fftfreq``.  On the public
+    Their transforms are SciPy's pocketfft extension (``vslab._fft``), the
+    grid builds its wavevectors without ``fftfreq``, and the monitor's
+    H^gamma frequency pass runs on ``vslab._fft.fft``.  On the public
     ``scipy.fft`` fallback, which imports ``numpy.fft`` itself, there is
     nothing to check.
     """
@@ -664,6 +666,9 @@ def test_run_commands_import_no_numpy_fft(tmp_path):
             out = str(tmp_path / f"{command}-{initial}")
             cfg = write_cfg(tmp_path, f"{command}-{initial}.cfg", initial=initial, outdir=out)
             runs.append(f"assert vslab.cli.cli_dispatch([{command!r}, '--config', {cfg!r}]) == 0\n")
+        snap = str(tmp_path / f"run-ref-{initial}" / "snapshots")
+        cfg = str(tmp_path / f"run-ref-{initial}.cfg")
+        runs.append(f"assert vslab.cli.cli_dispatch(['monitor', '--config', {cfg!r}, {snap!r}]) == 0\n")
     code = (
         "import sys\n"
         "import vslab.cli\n"

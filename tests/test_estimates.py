@@ -363,18 +363,33 @@ def direct_hgamma(times, fields, gamma, freq_points):
     return 2.0 * _weighted_linear_integral(sigma, spectrum * kernel, 2.0 * gamma)
 
 
-@pytest.mark.parametrize("freq_points", [131073, 1001, 9])
+# (frequency points, held samples): the frequency pass folds the lags mod 2L
+# into P = 2p points, p the smallest divisor of L = freq_points - 1 at least
+# half the folded count, and takes the 2L bins in runs of R = 2L / P
+@pytest.mark.parametrize(
+    "freq_points, held",
+    [
+        (131073, 16),  # P = 16, R = 16384
+        (1001, 16),  # P = 16, R = 125
+        (9, 16),  # 2L = 16 lags, P = 16, R = 1
+        (5, 16),  # 2L = 8 is fewer than the lags: folded, P = 8, R = 1
+        (131073, 1),  # one held sample: P = 2
+        (2, 16),  # L = 1: P = 2, R = 1
+        (1001, 17),  # 17 does not divide 2000: P = 20, R = 100
+        (76, 16),  # L = 75: P = 30, R = 5
+    ],
+    ids=["131073", "1001", "9", "5-16", "131073-1", "2-16", "1001-17", "76-16"],
+)
 @pytest.mark.parametrize("seed", [3, 41])
-def test_hgamma_matches_direct_formula(grid8, seed, freq_points):
-    # 16 held samples; 9 frequency points are fewer than the lags
-    blocks = [random_divfree_field(grid8, seed + m) for m in range(17)]
+def test_hgamma_matches_direct_formula(grid8, seed, freq_points, held):
+    blocks = [random_divfree_field(grid8, seed + m) for m in range(held + 1)]
     fields = [spread(grid8, b) for b in blocks]
-    times = np.linspace(0.0, 0.5, 17)
+    times = np.linspace(0.0, 0.5, held + 1)
     got = hgamma_diagnostic(times, blocks, 0.2, grid8, freq_points=freq_points).value
     want = direct_hgamma(times, fields, 0.2, freq_points)
     assert abs(got - want) / want < 1e-12
     # a half spectrum on some rows only is refused wherever it is stacked
-    for rows in ({0}, {4, 9}, {15, 16}, set(range(17))):
+    for rows in ({0}, {held // 4, held // 2 + 1}, {held - 1, held}, set(range(held + 1))):
         mixed = [fields[m] if m in rows else b for m, b in enumerate(blocks)]
         with pytest.raises(FieldShapeError):
             hgamma_diagnostic(times, mixed, 0.2, grid8, freq_points=freq_points)
@@ -478,7 +493,7 @@ def test_hgamma_monotone_in_gamma(grid8):
 
 
 def test_hgamma_frequency_grid_transients_are_bounded():
-    # three 4^3 snapshots: nearly all the memory is the 131073-point frequency grid
+    # three 4^3 snapshots: nearly all the memory is one batch of the frequency pass
     grid = Grid(4)
     w = random_divfree_field(grid, seed=3)
     tracemalloc.start()
@@ -488,7 +503,25 @@ def test_hgamma_frequency_grid_transients_are_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize("freq_points", [131073, 524289])
+def test_hgamma_frequency_pass_memory_does_not_grow_with_the_grid(freq_points):
+    # 100 lag sums, as from the 101 snapshots of the bench's monitor run: the
+    # pass holds one batch of short FFTs, never an array of the grid's length
+    lags = np.random.default_rng(5).standard_normal(100)
+    lags[0] = 200.0
+    times = np.linspace(0.0, 0.1, 101)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = hgamma_from_lag_sums(times, lags, 0.2, freq_points).value
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 2e6, peak
 
 
 def test_hgamma_needs_uniform_samples(grid8):
