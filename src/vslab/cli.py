@@ -19,7 +19,7 @@ import numpy as np
 from vslab import estimates, reports, slabs, snapshots
 from vslab.config import ConfigError, load_config
 from vslab.reference import BlowUpError, StepperConfig, run_reference
-from vslab.spectral import Grid, initial_vorticity
+from vslab.spectral import Grid, initial_vorticity, six_half_spectra_bytes
 from vslab.trajectory import Trajectory, scalar_record, series_from_records, series_from_samples
 
 
@@ -348,18 +348,17 @@ def _pin_malloc_thresholds(n):
     Left alone, glibc raises its mmap threshold to the size of whichever
     large array was freed last and trims the heap above twice that, so the
     arrays each call of the kernel and of the snapshot codec makes are
-    mapped or faulted in afresh.  The threshold is the kernel's (6, n, n,
-    n/2+1) transform stack rounded up to a power of two, capped at glibc's
-    largest on 64-bit systems, 32 MiB; the heap is trimmed only above 32
-    times that.
+    mapped or faulted in afresh.  The threshold is
+    ``six_half_spectra_bytes(n)`` rounded up to a power of two (2 MiB at
+    32^3), capped at glibc's largest on 64-bit systems, 32 MiB; the heap is
+    trimmed only above 32 times that.
     """
     import ctypes
 
     M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # from glibc's malloc.h
     try:
         mallopt = ctypes.CDLL(None).mallopt
-        stack = 6 * n * n * (n // 2 + 1) * 16
-        threshold = min(1 << (stack - 1).bit_length(), 32 << 20)
+        threshold = min(1 << (six_half_spectra_bytes(n) - 1).bit_length(), 32 << 20)
         mallopt(M_MMAP_THRESHOLD, threshold)
         mallopt(M_TRIM_THRESHOLD, 32 * threshold)
     except (OSError, AttributeError, TypeError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from vslab import _fft
 from vslab.slabs import TimePartition, SlabSolution, compute_kstar, slab_window, trapezoid
-from vslab.spectral import BOX_VOLUME, DIV_TOL, FieldShapeError, Grid
+from vslab.spectral import BOX_VOLUME, DIV_TOL, FieldShapeError, Grid, six_half_spectra_bytes
 from vslab.trajectory import ScalarSeries, Trajectory
 
 
@@ -310,10 +310,10 @@ def lag_sums(grid: Grid, count, read_rows):
     ``read_rows(lo, hi, out)`` writes planes lo .. hi-1 of snapshot m to
     ``out[m]`` for every m < count, ``out`` being a C-ordered (count,
     hi - lo, K, kmax + 1) complex array that is reused from chunk to chunk.
-    A chunk holds as many planes as keep that buffer within the kernel's
-    (6, n, n, n/2+1) transform stack, and at least one, so the chunk
-    bounds depend only on the grid and ``count``: every reader gets the
-    same bounds and the same summation order, and so the same bits.
+    A chunk holds as many planes as keep that buffer within
+    ``six_half_spectra_bytes(n)``, and at least one, so the chunk bounds
+    depend only on the grid and ``count``: every reader gets the same
+    bounds and the same summation order, and so the same bits.
 
     No (count, count) array is formed.  Each chunk's Gram is taken in
     blocks of ``_GRAM_ROWS`` rows, from the diagonal rightwards only (the
@@ -323,7 +323,7 @@ def lag_sums(grid: Grid, count, read_rows):
     kb, _, kk = grid._block_shape
     planes = 3 * kb
     plane_bytes = kb * kk * 16
-    budget = 6 * grid.n * grid.n * (grid.n // 2 + 1) * 16
+    budget = six_half_spectra_bytes(grid.n)
     per_chunk = min(planes, max(1, budget // (max(count, 1) * plane_bytes)))
     buffer = np.empty(count * per_chunk * kb * kk, dtype=np.complex128)
     weight = np.sqrt(grid.block_weight)

@@ -7,10 +7,11 @@ transport and stretching term in rotational form
     N(w) = (w . grad) u - (u . grad) w = curl(u x w),
 
 an identity for solenoidal u and w.  The product u x w is formed on the
-physical grid with real FFTs, dealiased by the 2/3 rule and curled, which
-leaves it divergence-free with zero mean; ``slab_forcing`` uses the same
-kernel.  States are kept blocks of the 2/3 cut (see ``vslab.spectral``), the
-only layout the kernel takes.
+physical grid a few x_1 planes at a time (``Grid.cross_block``), since it is
+pointwise in x and the last transform runs line by line along x_3; it is
+dealiased by the 2/3 rule and curled, which leaves it divergence-free with
+zero mean.  ``slab_forcing`` uses the same kernel.  States are kept blocks
+of the 2/3 cut (see ``vslab.spectral``), the only layout the kernel takes.
 Diffusion is handled exactly per mode by the integrating factor
 exp(-nu |k|^2 t) inside a classical four-stage Runge-Kutta step, so a
 pure-diffusion problem is advanced exactly.  The state invariants are checked
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vslab.spectral import Grid, _cross
+from vslab.spectral import Grid
 from vslab.trajectory import ScalarSeries, scalar_record, series_from_records
 
 
@@ -55,16 +56,12 @@ def nonlinear_term(grid: Grid, u, w):
 
     For solenoidal u and w this is the transport and stretching term
     (w . grad) u - (u . grad) w.  The 2/3 cut comes before the curl, and on
-    the kept modes kd == k, so the curl needs no projection.  Both operands
-    go to physical space together (``Grid.block_to_physical``, six fields)
-    and the product comes back as a kept block (``Grid.physical_to_block``,
-    three), each transform on the lines the cut keeps only.  A half spectrum
-    raises ``FieldShapeError``.
+    the kept modes kd == k, so the curl needs no projection.  The cut
+    product comes from ``Grid.cross_block``, which samples it a few x_1
+    planes at a time, each transform on the lines the cut keeps only.  A
+    half spectrum raises ``FieldShapeError``.
     """
-    phys = grid.block_to_physical(u, w)
-    uxw = _cross(phys[0:3], phys[3:6], np.empty(phys[0:3].shape))
-    del phys  # the six samples go before the forward transform's working arrays
-    return grid.curl(grid.physical_to_block(uxw))
+    return grid.curl(grid.cross_block(u, w))
 
 
 def vorticity_rhs(grid: Grid, w):

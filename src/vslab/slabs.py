@@ -347,10 +347,10 @@ def picard_solve_slab(
         u_ref = reference.velocity_average_over(t_lo, t_hi)
     for _ in range(max_iter):
         diag.iterations += 1
-        solution = linear_slab_solve(
+        # the solution goes with its average, before the next kernel call
+        new_bar = linear_slab_solve(
             grid, omega_init, SlabAverages(omega_bar, u_bar), t_lo, t_hi, nu, index
-        )
-        new_bar = solution.average()
+        ).average()
         with np.errstate(over="ignore", invalid="ignore"):
             d = float(np.sqrt(grid.l2sq(new_bar - omega_bar)))
         if diag.changes:  # each past change is finite and above tol, so positive

@@ -19,15 +19,16 @@ The kept block is the layout every field is born in: the builders below
 write their amplitudes into one, the snapshot reader decodes one, and
 ``Grid.require_solenoidal`` takes nothing else.  Every solver state is one,
 and the curl, divergence, Biot-Savart inversion and the norms take no other
-layout.  A kept block goes to physical samples and back
-(``Grid.block_to_physical`` and ``physical_to_block``): the transforms run
-axis by axis on the lines the cut leaves nonzero, with the bits of the
-whole-cube ``irfftn`` and ``rfftn``.  Their working array, which the real
-transform along k_3 needs, is the one half spectrum, the (n, n, n//2+1)
-layout of ``rfftn``, that a command makes.  The whole-cube methods
-``to_spectral``, ``to_physical``, ``leray_project``, ``dealias`` and
-``symmetrize`` take half spectra too; no command calls them, and they
-remain as references for the tests and as names the bench tracer wraps.
+layout.  A kept block goes to physical samples (``Grid.block_to_physical``)
+and two to the kept block of their cut cross product (``Grid.cross_block``):
+the transforms run axis by axis on the lines the cut leaves nonzero, with
+the bits of the whole-cube ``irfftn`` and ``rfftn``.  The real transform
+along k_3 needs half-spectrum (n//2+1) columns; ``cross_block`` pads only a
+few x_1 planes at a time, so its product is never sampled whole.  The
+whole-cube methods ``to_spectral``, ``to_physical``, ``leray_project``,
+``dealias`` and ``symmetrize`` take half spectra too; no command calls
+them, and they remain as references for the tests and as names the bench
+tracer wraps.
 
 All differential operators act modewise and are exact for band-limited
 fields.  Quadratic products go through physical space and are kept
@@ -60,6 +61,8 @@ BOX_VOLUME = TWO_PI**3
 # gives the same bits (see ``cli._pin_blas_threads`` for the BLAS half)
 _FFT_WORKERS = 1
 _AXES = (-3, -2, -1)
+# x_1 planes per physical chunk of ``Grid.cross_block``
+_CROSS_ROWS = 4
 
 # tolerances of the solenoidal check applied where fields enter the program
 DIV_TOL = 1e-8
@@ -104,6 +107,11 @@ def _cross(a, b, out):
         np.multiply(a[j], b[l], out=out[i])
         out[i] -= np.multiply(a[l], b[j], out=tmp)
     return out
+
+
+def six_half_spectra_bytes(n):
+    """Bytes of six half spectra (n, n, n//2+1): the lag sums' chunk budget, malloc's threshold."""
+    return 6 * n * n * (n // 2 + 1) * 16
 
 
 def kept_block_shape(n):
@@ -151,7 +159,8 @@ class Grid:
         self._runs = ((slice(0, kk), slice(0, kk)), (slice(kk, kb), slice(n - kk + 1, n)))
         self._cut_rows = slice(kk, n - kk + 1)  # the rows of an axis outside the cut
         self._half_shape = (n, n, n // 2 + 1)
-        self._spread_buffers = {}  # block_to_physical's half spectrum per leading shape
+        self._half_buffer = None  # block_to_physical's (3, n, n, n//2+1), made on first use
+        self._cross_buffer = None  # cross_block's (6, n, n, kmax+1), made on first use
         self.cell_volume = (TWO_PI / n) ** 3
 
     def __repr__(self):
@@ -172,7 +181,7 @@ class Grid:
             raise FieldShapeError(f"expected shape {shape} or {(3, *shape)}, got {arr.shape}")
 
     def _gather(self, arr):
-        """The kept block of a half-spectrum array, copied with 2x2 slices."""
+        """The kept block of an array over (n, n, >= kmax + 1) modes, copied with 2x2 slices."""
         kk = self._block_shape[-1]
         out = np.empty(arr.shape[:-3] + self._block_shape, dtype=arr.dtype)
         for block1, half1 in self._runs:
@@ -180,47 +189,31 @@ class Grid:
                 out[..., block1, block2, :] = arr[..., half1, half2, :kk]
         return out
 
-    def _spread_buffer(self, lead):
-        """A half spectrum with leading shape ``lead``, kept by the grid and reused.
-
-        Only ``block_to_physical`` writes it, and only on k_3 = 0 .. kmax,
-        each entry before it reads it, so it stays zero for k_3 > kmax.
-        """
-        if lead not in self._spread_buffers:
-            self._spread_buffers[lead] = np.zeros(lead + self._half_shape, dtype=np.complex128)
-        return self._spread_buffers[lead]
-
     # -- transforms ---------------------------------------------------------
 
-    def block_to_physical(self, *blocks):
-        """Physical samples of kept blocks, stacked on a leading axis when there are several.
+    def _inverse_planes(self, planes, blocks):
+        """Spread kept blocks, times n^3, into ``planes``; complex passes along -3 and -2.
 
+        ``planes`` is (fields, n, n, kmax + 1), the blocks' fields in order.
         Each block is pre-scaled by n^3 as it is spread along k_1, and the
-        complex pass along the axis -3 runs on the kept k_2 rows only.  They
-        are then spread along k_2, a pass along the axis -2 runs on k_3 = 0 ..
-        kmax, and one c2r along the last axis, scaled by 1/n^3, gives the
-        samples.  That is the order of pocketfft's own passes, with the
-        scale where the whole-cube ``irfftn`` applies it, so the samples are
-        its bits.  The passes run in a half spectrum the grid keeps
-        (``_spread_buffer``), one per leading shape.  Several blocks must be
-        vector fields; a half spectrum raises ``FieldShapeError``.
+        pass along the axis -3 runs on the kept k_2 rows only.  They are
+        then spread along k_2 and a pass along the axis -2 runs on every
+        row.  That is the order of pocketfft's own passes, with the scale
+        where the whole-cube ``irfftn`` applies it, so a c2r along the last
+        axis scaled by 1/n^3 gives its bits.  Every entry of ``planes`` is
+        written before it is read.
         """
-        for block in blocks:
-            self._check_shape(block, self._block_shape)
-        if len(blocks) > 1 and any(block.ndim == 3 for block in blocks):
-            raise FieldShapeError("only vector blocks are stacked")
-        n, scale = self.n, float(self.n**3)
-        kb, _, kk = self._block_shape
-        lead = blocks[0].shape[:-3] if len(blocks) == 1 else (3 * len(blocks),)
-        buf = self._spread_buffer(lead)
-        planes = buf.reshape(-1, *self._half_shape)[..., :kk]  # k_3 > kmax stays zero
+        scale = float(self.n**3)
+        kb = self._block_shape[0]
         # spread along k_1 only: k_2 stays in block order, on the rows 0 .. kb-1
         part = planes[:, :, :kb]
         part[:, self._cut_rows] = 0
-        for i, block in enumerate(blocks):
+        lo = 0
+        for block in blocks:
+            block = block.reshape(-1, *self._block_shape)
             for block1, half1 in self._runs:
-                out = part[3 * i : 3 * i + 3, half1]
-                np.multiply(block[..., block1, :, :], scale, out=out)
+                np.multiply(block[:, block1], scale, out=part[lo : lo + len(block), half1])
+            lo += len(block)
         _fft.fft(part, -3, False, _FFT_WORKERS, out=part)
         # spread along k_2: the rows 0 .. kmax are in place, -kmax .. -1 move up
         # to rows past kb, so the copy does not overlap
@@ -228,29 +221,63 @@ class Grid:
         planes[:, :, half2] = planes[:, :, block2]
         planes[:, :, self._cut_rows] = 0
         _fft.fft(planes, -2, False, _FFT_WORKERS, out=planes)
+
+    def block_to_physical(self, block):
+        """Physical samples of a kept block, with the bits of the whole-cube ``irfftn``.
+
+        The complex passes (``_inverse_planes``) run on k_3 = 0 .. kmax of a
+        vector half spectrum the grid keeps, whose other columns stay zero,
+        and one c2r along the last axis, scaled by 1/n^3, gives the samples.
+        A half spectrum raises ``FieldShapeError``.
+        """
+        self._check_shape(block, self._block_shape)
+        n, kk = self.n, self._block_shape[-1]
+        if self._half_buffer is None:
+            self._half_buffer = np.zeros((3, *self._half_shape), dtype=np.complex128)
+        buf = self._half_buffer if block.ndim == 4 else self._half_buffer[0]
+        self._inverse_planes(buf.reshape(-1, *self._half_shape)[..., :kk], (block,))
         phys = _fft.irfftn(buf, (n,), (-1,), _FFT_WORKERS, norm="forward")
-        phys *= 1.0 / scale
+        phys *= 1.0 / float(n**3)
         return phys
 
-    def physical_to_block(self, values):
-        """The kept block of the amplitudes of physical samples.
+    def cross_block(self, u, w):
+        """The kept block of the cut product u x w of two kept vector blocks.
 
-        One r2c along the last axis, a complex pass along the axis -3 on
-        k_3 = 0 .. kmax and one along the axis -2 on the kept k_1 rows, in
-        pocketfft's order, then the gather and a multiplication by 1/n^3:
-        the bits of the kept block of ``rfftn`` times 1/n^3 (``to_spectral``
-        divides instead, which may differ in the last bit).
+        After the complex passes (``_inverse_planes``) in a (6, n, n, kmax + 1)
+        array the grid keeps, ``_CROSS_ROWS`` x_1 planes at a time are
+        zero-padded, sampled by a c2r scaled by 1/n^3, multiplied, and taken
+        back by an r2c into the planes of the first three fields, which the
+        c2r has consumed.  Complex passes along -3 and, on the kept k_1 rows,
+        along -2, the gather and a factor 1/n^3 follow.  Every line
+        transform is whole, in pocketfft's order, so the bits are those of
+        the whole-cube ``irfftn``, product and ``rfftn``.  Anything but two
+        kept vector blocks raises ``FieldShapeError``.
         """
-        self._check_shape(values, (self.n,) * 3)
-        kk = self._block_shape[-1]
-        half = _fft.rfftn(values, (-1,), _FFT_WORKERS)
-        planes = half[..., :kk]
-        _fft.fft(planes, -3, True, _FFT_WORKERS, out=planes)
+        shape = (3, *self._block_shape)
+        if u.shape != shape or w.shape != shape:
+            raise FieldShapeError(f"expected kept vector blocks {shape}, got {u.shape}, {w.shape}")
+        n, kk = self.n, self._block_shape[-1]
+        if self._cross_buffer is None:
+            self._cross_buffer = np.empty((6, n, n, kk), dtype=np.complex128)
+        planes = self._cross_buffer
+        self._inverse_planes(planes, (u, w))
+        padded = np.zeros((6, min(_CROSS_ROWS, n), *self._half_shape[1:]), dtype=np.complex128)
+        for lo in range(0, n, _CROSS_ROWS):
+            hi = min(lo + _CROSS_ROWS, n)
+            chunk = padded[:, : hi - lo]
+            chunk[..., :kk] = planes[:, lo:hi]
+            phys = _fft.irfftn(chunk, (n,), (-1,), _FFT_WORKERS, norm="forward")
+            phys *= 1.0 / float(n**3)
+            uxw = _cross(phys[0:3], phys[3:6], np.empty(phys[0:3].shape))
+            del phys
+            planes[0:3, lo:hi] = _fft.rfftn(uxw, (-1,), _FFT_WORKERS)[..., :kk]
+        product = planes[0:3]
+        _fft.fft(product, -3, True, _FFT_WORKERS, out=product)
         for _, half1 in self._runs:
-            rows = planes[..., half1, :, :]
+            rows = product[:, half1]
             _fft.fft(rows, -2, True, _FFT_WORKERS, out=rows)
-        block = self._gather(half)
-        block *= 1.0 / self.n**3
+        block = self._gather(product)
+        block *= 1.0 / n**3
         return block
 
     # -- differential operators ----------------------------------------------

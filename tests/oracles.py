@@ -5,7 +5,9 @@ apart from the kept-block layout the program keeps, so they check it rather
 than share its code.  The half spectrum (n, n, n//2+1) of ``rfftn`` lives
 here too: its wavevector tables (``half_tables``), the converters between it
 and the kept block (``kept``, ``spread``) and the whole cube
-(``full_spectrum``), and the physical grid (``physical_grid``).
+(``full_spectrum``), and the physical grid (``physical_grid``), with the
+whole-cube forward transform (``physical_to_block``) and nonlinear kernel
+(``whole_cube_nonlinear_term``).
 """
 
 import functools
@@ -142,6 +144,27 @@ def spread(grid, block):
     out = np.zeros(block.shape[:-3] + grid._half_shape, dtype=block.dtype)
     out[(..., *_kept_index(grid.n))] = block
     return out
+
+
+def physical_to_block(grid, values):
+    """The kept block of physical samples' amplitudes: the whole-cube ``rfftn`` times 1/n^3."""
+    block = kept_modes(scipy.fft.rfftn(values, axes=(-3, -2, -1)))
+    block *= 1.0 / grid.n**3
+    return block
+
+
+def whole_cube_nonlinear_term(grid, u, w):
+    """``reference.nonlinear_term`` on the whole cube: spread, ``irfftn``, cross, ``rfftn``, curl.
+
+    The blocks are scaled by n^3 before the spread, as the program scales
+    them, so the bits are comparable.
+    """
+    n = grid.n
+    u_phys, w_phys = (
+        scipy.fft.irfftn(spread(grid, v * float(n**3)), s=(n, n, n), axes=(-3, -2, -1))
+        for v in (u, w)
+    )
+    return grid.curl(physical_to_block(grid, np.cross(u_phys, w_phys, axis=0)))
 
 
 def full_spectrum(half):

@@ -30,7 +30,12 @@ from vslab import cli, estimates, snapshots, spectral
 from vslab.cli import cli_dispatch
 from vslab.config import RunConfig
 from vslab.snapshots import load_field, persist_field
-from vslab.spectral import Grid, random_divfree_field, taylor_green_vorticity
+from vslab.spectral import (
+    Grid,
+    random_divfree_field,
+    six_half_spectra_bytes,
+    taylor_green_vorticity,
+)
 
 HERE = os.path.dirname(__file__)
 REPO = os.path.dirname(HERE)
@@ -485,14 +490,15 @@ def test_monitor_memory_does_not_grow_with_the_snapshot_count(monitor16_runs, mo
     # At 16^3 the whole trajectory of 65 snapshots as vorticity and velocity
     # lists would hold 130 states, and a stack of the H^gamma rows 64 kept
     # blocks (32% of a state each).  The monitor holds a window of five
-    # velocities, the lag sums' chunk buffer (at most the kernel's
-    # (6, n, n, n/2+1) stack) and the frequency pass, one phase at a time.
+    # velocities, the lag sums' chunk buffer (at most six half spectra,
+    # ``six_half_spectra_bytes``) and the frequency pass, one phase at a time.
     # The frequency pass holds about 1 MB whatever n: more than the
     # passes over the snapshots here (0.6 MB), less than them at 32^3.  So
     # those passes are also measured on their own, up to its start.
     grid = Grid(16)
     state = 3 * int(np.prod(grid._half_shape)) * 16  # a vector half spectrum
-    buffer = 2 * state  # the (6, n, n, n/2+1) stack the chunk buffer stays within
+    buffer = six_half_spectra_bytes(grid.n)  # the budget the chunk buffer stays within
+    assert buffer == 2 * state
     grid4 = Grid(4)
     w = random_divfree_field(grid4, seed=3)
     frequency_pass = estimates.hgamma_from_lag_sums
@@ -561,7 +567,9 @@ def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):
     # 8 slabs of 16 samples at 16^3: collected, the run would hold 129 samples
     # and 8 four-state slab solutions until the snapshots were written; run-ref
     # over 100 steps would hold 101 snapshots.  A state here is a half
-    # spectrum; the runs carry kept blocks (32% of one at 16^3).
+    # spectrum; the runs carry kept blocks (32% of one at 16^3).  The kernel
+    # forms its product a few x_1 planes at a time; with the six physical
+    # fields and u x w on the whole grid the runs read 8.2 and 8.1 states.
     state = 3 * int(np.prod(Grid(16)._half_shape)) * 16
     for command, count in (("run-slab", 129), ("run-ref", 101)):
         outdir = tmp_path / command
@@ -576,7 +584,7 @@ def test_run_slab_memory_does_not_grow_with_the_slab_count(tmp_path):
         finally:
             tracemalloc.stop()
         assert len(list((outdir / "snapshots").glob("*.vslb"))) == count
-        assert peak < 16 * state, (command, peak / state)
+        assert peak < 7 * state, (command, peak / state)
 
 
 @pytest.mark.parametrize("count", [3, 4])
@@ -1194,6 +1202,27 @@ def test_monitor_refuses_an_infinite_amplitude_in_one_line(tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), proc.stderr
     assert "snap_000001.vslb: non-finite coefficients (max |w| = inf)" in err[0]
+
+
+def test_one_budget_sizes_the_lag_sum_chunks_and_the_allocator_thresholds(monkeypatch):
+    # six half spectra at 32^3: the lag sums of 101 snapshots take 16 chunks
+    # of at most 4 of the 63 planes, and glibc's mmap threshold is 2 MiB
+    import ctypes
+
+    assert six_half_spectra_bytes(32) == 6 * 32 * 32 * 17 * 16
+    bounds = []
+
+    def read_rows(lo, hi, out):
+        bounds.append((lo, hi))
+        out.fill(0.0)
+
+    estimates.lag_sums(Grid(32), 100, read_rows)
+    assert len(bounds) == 16 and max(hi - lo for lo, hi in bounds) == 4, bounds
+    calls = []
+    libc = type("Libc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    cli._pin_malloc_thresholds(32)
+    assert calls == [(-3, 2 << 20), (-1, 64 << 20)]
 
 
 def _has_mallopt():

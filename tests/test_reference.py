@@ -166,10 +166,13 @@ def test_rhs_transform_count(grid8, monkeypatch):
     At 8^3 the cut keeps k_i = -2 .. 2 on the axes -3 and -2 (5 of 8 rows)
     and k_3 = 0 .. 2 (3 of the 5 stored planes).  The six inverse fields go
     along k_1 on the kept (k_2, k_3) lines only, then along k_2 on the kept
-    k_3 planes, then along k_3 on all n^2 lines; the three forward fields
-    go back the same way, the last pass on the kept k_1 rows in their two
-    runs, 0 .. 2 and -2 .. -1.  The whole-cube transforms would make
-    240, 240 and 384 inverse and 192, 120 and 120 forward lines.
+    k_3 planes, then along k_3 on all n^2 lines, four x_1 planes at a time,
+    each chunk's product going back along k_3 at once; the three forward
+    fields then go along k_1 and, on the kept k_1 rows in their two runs,
+    0 .. 2 and -2 .. -1, along k_2.  Summed over the chunks, each pass makes
+    the lines it made when the product was formed on the whole grid.  The
+    whole-cube transforms would make 240, 240 and 384 inverse and 192, 120
+    and 120 forward lines.
     """
     done = []
 
@@ -182,20 +185,27 @@ def test_rhs_transform_count(grid8, monkeypatch):
 
         monkeypatch.setattr(_fft, name, wrapper)
 
-    counting("fft", lambda axis, *rest: axis)
+    counting("fft", lambda axis, forward, *rest: (axis, forward))
     counting("rfftn", lambda axes, workers: axes)
     counting("irfftn", lambda s, axes, workers: axes)
     vorticity_rhs(grid8, random_divfree_field(grid8, seed=17))
     # (function, axis, input shape): the lines are the size over the axis length
+    chunk = [("irfftn", (-1,), (6, 4, 8, 5)), ("rfftn", (-1,), (3, 4, 8, 8))]
     assert done == [
-        ("fft", -3, (6, 8, 5, 3)),
-        ("fft", -2, (6, 8, 8, 3)),
-        ("irfftn", (-1,), (6, 8, 8, 5)),
-        ("rfftn", (-1,), (3, 8, 8, 8)),
-        ("fft", -3, (3, 8, 8, 3)),
-        ("fft", -2, (3, 3, 8, 3)),
-        ("fft", -2, (3, 2, 8, 3)),
+        ("fft", (-3, False), (6, 8, 5, 3)),
+        ("fft", (-2, False), (6, 8, 8, 3)),
+        *chunk,
+        *chunk,
+        ("fft", (-3, True), (3, 8, 8, 3)),
+        ("fft", (-2, True), (3, 3, 8, 3)),
+        ("fft", (-2, True), (3, 2, 8, 3)),
     ]
+    lines = {}  # per pass, in the order the passes start
+    for name, axis, shape in done:
+        length = shape[axis[0] if name == "fft" else -1]
+        lines[name, axis] = lines.get((name, axis), 0) + int(np.prod(shape)) // length
+    # the totals of the kernel that formed the product on the whole grid
+    assert list(lines.values()) == [90, 144, 384, 192, 72, 45]
 
 
 def test_step_pure_diffusion_is_exact(grid8):

@@ -1,5 +1,7 @@
 """Spectral core: transforms, operators, norms, and their invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -19,10 +21,12 @@ from oracles import (
     norm_suite,
     physical_grid,
     physical_l2sq,
+    physical_to_block,
     plane_weights,
     random_divfree_half,
     spread,
     stacked_curl,
+    whole_cube_nonlinear_term,
 )
 
 from vslab import _fft, spectral
@@ -253,54 +257,80 @@ def test_fft_binding_falls_back_to_public_scipy_fft(tmp_path, source):
 # -- transforms pruned to the 2/3 cut ------------------------------------------
 
 
-def _whole_cube_samples(grid, blocks):
-    """The samples of kept blocks through the spread and the whole-cube irfftn."""
+def _whole_cube_samples(grid, block):
+    """The samples of a kept block through the spread and the whole-cube irfftn."""
     n = grid.n
-    half = [spread(grid, b * float(n**3)) for b in blocks]
-    half = half[0] if len(half) == 1 else np.concatenate(half)
-    return _fft.irfftn(half, (n, n, n), AXES, _FFT_WORKERS)
+    return _fft.irfftn(spread(grid, block * float(n**3)), (n, n, n), AXES, _FFT_WORKERS)
 
 
 @pytest.mark.parametrize("n", [6, 8, 16, 24, 32])
 def test_pruned_transforms_are_the_whole_cube_ones_bit_for_bit(n):
     grid = Grid(n)
     u, w = (random_divfree_field(grid, seed=n + i) for i in range(2))
-    # twice each, and the buffer of each leading shape shared in between
-    for blocks in ((u, w), (w, u), (u,), (u[2],), (w,), (w[0],), (u, w)):
-        assert same_bits(grid.block_to_physical(*blocks), _whole_cube_samples(grid, blocks))
-    for fields in (3, 1):
-        vals = samples(n, fields, seed=n)
-        want = grid._gather(_fft.rfftn(vals, AXES, _FFT_WORKERS))
-        want *= 1.0 / n**3
-        assert same_bits(grid.physical_to_block(vals), want)
+    pairs = ((u, w), (w, u))
+    products = [np.cross(*(_whole_cube_samples(grid, v) for v in pair), axis=0) for pair in pairs]
+    # the samples' buffer and the kernel's in turn, each reused
+    for block in (u, u[2], w, w[0]):
+        assert same_bits(grid.block_to_physical(block), _whole_cube_samples(grid, block))
+        for pair, product in zip(pairs, products):
+            assert same_bits(grid.cross_block(*pair), physical_to_block(grid, product))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 16, 18, 32])
+def test_kernel_is_the_whole_cube_kernel_bit_for_bit(n, monkeypatch):
+    # 4 planes per chunk leave a short last chunk at 6, 10 and 18; other
+    # chunk widths, down to one plane and past n, give the same bits
+    grid = Grid(n)
+    u, w = (random_divfree_field(grid, seed=3 * n + i) for i in range(2))
+    want = whole_cube_nonlinear_term(grid, u, w)
+    for rows in (spectral._CROSS_ROWS, 1, 3, n, n + 5):
+        monkeypatch.setattr(spectral, "_CROSS_ROWS", rows)
+        assert same_bits(nonlinear_term(grid, u, w), want), rows
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_transforms_and_kernel_have_the_same_bits_on_one_and_two_fft_workers(n, monkeypatch):
     grid = Grid(n)
     u, w = (random_divfree_field(grid, seed=n + i) for i in range(2))
-    vals = samples(n, 3, seed=n)
     results = []
     for workers in (1, 2):
         monkeypatch.setattr(spectral, "_FFT_WORKERS", workers)
         results.append(
-            (grid.block_to_physical(u, w), grid.physical_to_block(vals), nonlinear_term(grid, u, w))
+            (grid.block_to_physical(u), grid.cross_block(u, w), nonlinear_term(grid, u, w))
         )
     for one, two in zip(*results):
         assert same_bits(one, two)
 
 
 def test_pruned_transforms_refuse_other_layouts(grid8):
-    u = random_divfree_field(grid8, seed=4)
-    before = grid8.block_to_physical(u, u)
+    u, w = (random_divfree_field(grid8, seed=4 + i) for i in range(2))
+    samples_before, product_before = grid8.block_to_physical(u), grid8.cross_block(u, w)
     half = spread(grid8, u)
-    for blocks in ((half,), (u, half), (half, u), (u, u[0]), (u[..., :2],)):
+    for block in (half, u[..., :2]):
         with pytest.raises(FieldShapeError):
-            grid8.block_to_physical(*blocks)
-    with pytest.raises(FieldShapeError):
-        grid8.physical_to_block(np.zeros((3, 8, 8, 5)))
+            grid8.block_to_physical(block)
+    for pair in ((half, u), (u, half), (u, u[0]), (u[0], u), (u[0], u[1]), (u, u[..., :2])):
+        with pytest.raises(FieldShapeError):
+            grid8.cross_block(*pair)
     # a refused call writes nothing the next one would see
-    assert same_bits(grid8.block_to_physical(u, u), before)
+    assert same_bits(grid8.block_to_physical(u), samples_before)
+    assert same_bits(grid8.cross_block(u, w), product_before)
+
+
+def test_kernel_temporaries_stay_below_four_states():
+    # the six physical fields alone would take 1.57 MB at 32^3, u x w 0.79 MB
+    grid = Grid(32)
+    u, w = (random_divfree_field(grid, seed=40 + i) for i in range(2))
+    state = 3 * int(np.prod(grid._block_shape)) * 16  # a kept vector block
+    nonlinear_term(grid, u, w)  # the grid's buffer is made on the first call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nonlinear_term(grid, u, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * state, peak / state
 
 
 # -- curl --------------------------------------------------------------------------
